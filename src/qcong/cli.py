@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -32,6 +31,16 @@ _KIND_ALIASES = {
 }
 _ELL_KINDS = ("l-regular", "overlined-l-regular", "nonoverlined-l-regular",
               "rstar")
+
+
+def size(text: str) -> int:
+    """argparse type for a count that sizes a series: capped by the same
+    guard as verify-theorem's default --max-order."""
+    value = int(text)
+    if value > congruence.DEFAULT_MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"{value} exceeds the size guard {congruence.DEFAULT_MAX_ORDER}")
+    return value
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -71,6 +80,9 @@ def _cmd_expand(args) -> int:
         return USAGE_EXIT
     if args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return USAGE_EXIT
+    if args.modulus is not None and args.modulus < 1:
+        print("error: --modulus must be >= 1", file=sys.stderr)
         return USAGE_EXIT
     series = qfunctions.eta_quotient(eq, args.order, args.modulus)
     if args.format == "json":
@@ -134,8 +146,7 @@ def _cmd_verify_theorem(args) -> int:
     try:
         claims = congruence.instantiate(args.family, **params)
         reports = congruence.verify_many(claims, terms=args.terms,
-                                         max_order=args.max_order,
-                                         threads=args.threads)
+                                         max_order=args.max_order)
     except ClaimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -143,10 +154,6 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    if args.threads is not None:
-        # criteria call verify_many without an explicit thread count, so
-        # route the request through the environment knob they consult
-        os.environ["QCONG_THREADS"] = str(max(1, args.threads))
     results = suite.run_all()
     if args.format == "json":
         payload = json.dumps([res.to_json_dict() for res in results],
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("expand", help="expand an eta quotient")
     p.add_argument("--eta", required=True, metavar="SPEC",
                    help='factor list like "2:1,5:1,1:-2" (f2*f5/f1^2)')
-    p.add_argument("--order", type=int, default=500,
+    p.add_argument("--order", type=size, default=500,
                    help="number of coefficients (default 500)")
     p.add_argument("--modulus", type=int, default=None,
                    help="reduce coefficients mod this")
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("count", help="run a combinatorial counting oracle")
     p.add_argument("--kind", required=True, choices=sorted(_KIND_ALIASES))
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--upto", type=int, required=True, metavar="N")
+    p.add_argument("--upto", type=size, required=True, metavar="N")
     _add_output_options(p)
     p.set_defaults(func=_cmd_count)
 
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the whole catalog at default parameters")
     p.add_argument("--p", type=int, default=None, help="prime parameter")
     p.add_argument("--n", type=int, default=None, help="square-dissection n")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=size, default=None,
                    help="override the identity's default order")
     _add_output_options(p)
     p.set_defaults(func=_cmd_verify_lemma)
@@ -232,16 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--terms", type=int, default=500,
                    help="progression indices to check (default 500)")
-    p.add_argument("--max-order", type=int, default=200000,
+    p.add_argument("--max-order", type=int,
+                   default=congruence.DEFAULT_MAX_ORDER,
                    help="refuse claims needing a longer base expansion")
-    p.add_argument("--threads", type=int, default=None,
-                   help="claim-level parallelism (default QCONG_THREADS or 1)")
     _add_output_options(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = subs.add_parser("verify-all",
                         help="run the full twelve-criterion suite")
-    p.add_argument("--threads", type=int, default=None)
     _add_output_options(p)
     p.set_defaults(func=_cmd_verify_all)
 
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--max-step", type=int, default=8)
     p.add_argument("--max-modulus", type=int, default=8)
-    p.add_argument("--terms", type=int, default=500)
+    p.add_argument("--terms", type=size, default=500)
     _add_output_options(p)
     p.set_defaults(func=_cmd_search)
 

@@ -12,10 +12,7 @@ cheap after the first expansion.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,7 +83,7 @@ class CongruenceClaim:
     ell: int
     progression: Progression
     modulus: Optional[int]        # None: exact equality
-    rhs: str                      # tag into _RHS_BUILDERS or a special mode
+    rhs: str                      # tag into _RHS
     halve: bool = False           # claim is about value/2 (doubled comparison)
 
     @property
@@ -109,30 +106,9 @@ class CongruenceClaim:
         return f"{head}: {val} {rel}  [ell={self.ell}]"
 
 
-# -- right-hand sides ------------------------------------------------------------
-# Builders give the exact series; modular comparison happens at compare
-# time, so one builder serves every modulus.
-
-_RHS_BUILDERS = {
-    "ZERO": lambda order: Series.zero(order),
-    "TWO_F1_PSI_Q2": lambda order: 2 * (euler_product(1, order) * psi(order, 2)),
-    "TWO_PSI_PSI4": lambda order: 2 * (psi(order) * psi(order, 4)),
-    "TWO_F1_PSI": lambda order: 2 * (euler_product(1, order) * psi(order)),
-    "PSI_SQ": lambda order: psi(order) ** 2,
-    "PSI_SQ_Q3": lambda order: psi(order, 3) ** 2,
-    "TWO_F8_SQ": lambda order: 2 * euler_product(8, order) ** 2,
-    "TWO_F4_SQ": lambda order: 2 * euler_product(4, order) ** 2,
-    "TWO_F1_SQ": lambda order: 2 * euler_product(1, order) ** 2,
-    "R8_ODD_EXACT": lambda order: 2 * eta_quotient([(2, 2), (8, 2), (1, -4)], order),
-}
-
-_SPECIAL_RHS = frozenset({"SELF", "P_CONVOLUTION", "OVERPARTITION_CONV", "D2"})
-
-
 # -- shared base-series cache ------------------------------------------------------
 
 _CACHE: dict[tuple, Series] = {}
-_CACHE_LOCK = threading.Lock()
 
 _CHUNK = 4096
 
@@ -148,26 +124,19 @@ def expand_quotient(eq: EtaQuotient, order: int,
     builds stay at the requested order (coefficients grow fast).
     """
     key = (eq.factors, modulus)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
+    cached = _CACHE.get(key)
     if cached is not None and cached.order >= order:
         return cached
     build_order = order
     if modulus is not None:
         build_order = -(-order // _CHUNK) * _CHUNK
     built = eta_quotient(eq, build_order, modulus)
-    with _CACHE_LOCK:
-        prev = _CACHE.get(key)
-        if prev is None or prev.order < built.order:
-            _CACHE[key] = built
-        else:
-            built = prev
+    _CACHE[key] = built
     return built
 
 
 def clear_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _CACHE.clear()
 
 
 # -- family catalog ----------------------------------------------------------------
@@ -435,123 +404,132 @@ FAMILY_DEFAULT_PARAMS = {
 # -- verification -------------------------------------------------------------------
 
 
-def _report(claim: CongruenceClaim, status: str, checked: int, bad: list,
-            total_bad: int, detail: dict, t0: float) -> VerificationReport:
-    if total_bad > len(bad):
-        detail = dict(detail)
-        detail["counterexample_total"] = total_bad
-    return VerificationReport(
-        name=claim.family, params=claim.param_dict, status=status,
-        terms_checked=checked, counterexamples=bad,
-        progression=(claim.progression.step, claim.progression.offset),
-        modulus=claim.modulus, detail=detail,
-        seconds=time.perf_counter() - t0)
+def _values(claim: CongruenceClaim, terms: int) -> tuple[tuple, Series]:
+    """a(step n + offset) for n < terms (mod 2m for halved claims), and
+    the cached base series they were sliced from."""
+    prog = claim.progression
+    modulus = 2 * claim.modulus if claim.halve else claim.modulus
+    base = expand_quotient(claim.source_series, prog.index(terms - 1) + 1,
+                           modulus)
+    return base.coeffs[prog.offset::prog.step][:terms], base
+
+
+# -- right-hand sides ------------------------------------------------------------
+# Each returns (found, expected, compare modulus, detail) for the first
+# ``terms`` progression indices of a claim.
+
+
+def _against(build):
+    # compare with an exact series; reduction happens at compare time,
+    # so one builder serves every modulus
+    return lambda claim, terms: (_values(claim, terms)[0], build(terms).coeffs,
+                                 claim.modulus, {})
+
+
+def _self_rhs(claim, terms):
+    vals, base = _values(claim, terms)
+    return vals, base.coeffs[:terms], claim.modulus, {}
+
+
+def _p_convolution_rhs(claim, terms):
+    # (1/2) a(step n + offset) == sum_{nu>=0} p(n - nu(nu+1)/2) mod m,
+    # compared in doubled form mod 2m so odd values fail honestly
+    vals, _ = _values(claim, terms)
+    ptab = counting.count(counting.PLAIN_P, terms - 1).values
+    expected = []
+    for n in range(terms):
+        total = 0
+        nu = 0
+        while nu * (nu + 1) // 2 <= n:
+            total += ptab[n - nu * (nu + 1) // 2]
+            nu += 1
+        expected.append(2 * total)
+    cmp_mod = 2 * claim.modulus
+    return vals, expected, cmp_mod, {"comparison": f"doubled congruence mod {cmp_mod}"}
+
+
+def _overpartition_conv_rhs(claim, terms):
+    # sum_{nu>=0} a(n - ell nu) p(nu) = pbar(n), exactly
+    a, _ = _values(claim, terms)
+    ptab = counting.count(counting.PLAIN_P, (terms - 1) // claim.ell).values
+    pbar = counting.count(counting.OVERPARTITION, terms - 1).values
+    lhs = []
+    for n in range(terms):
+        total = a[n]
+        nu = 1
+        while claim.ell * nu <= n:
+            total += a[n - claim.ell * nu] * ptab[nu]
+            nu += 1
+        lhs.append(total)
+    return lhs, pbar, None, {"sources": "series+oracle convolution vs oracle"}
+
+
+def _d2_rhs(claim, terms):
+    lhs = counting.count(counting.NONOVERLINED_L_REGULAR(2), terms - 1).values
+    rhs = counting.count(counting.DISTINCT_TWO_COPIES, terms - 1).values
+    return lhs, rhs, None, {"sources": "oracle vs oracle"}
+
+
+_RHS = {
+    "ZERO": _against(Series.zero),
+    "TWO_F1_PSI_Q2": _against(lambda n: 2 * (euler_product(1, n) * psi(n, 2))),
+    "TWO_PSI_PSI4": _against(lambda n: 2 * (psi(n) * psi(n, 4))),
+    "TWO_F1_PSI": _against(lambda n: 2 * (euler_product(1, n) * psi(n))),
+    "PSI_SQ": _against(lambda n: psi(n) ** 2),
+    "PSI_SQ_Q3": _against(lambda n: psi(n, 3) ** 2),
+    "TWO_F8_SQ": _against(lambda n: 2 * euler_product(8, n) ** 2),
+    "TWO_F4_SQ": _against(lambda n: 2 * euler_product(4, n) ** 2),
+    "TWO_F1_SQ": _against(lambda n: 2 * euler_product(1, n) ** 2),
+    "R8_ODD_EXACT": _against(
+        lambda n: 2 * eta_quotient([(2, 2), (8, 2), (1, -4)], n)),
+    "SELF": _self_rhs,
+    "P_CONVOLUTION": _p_convolution_rhs,
+    "OVERPARTITION_CONV": _overpartition_conv_rhs,
+    "D2": _d2_rhs,
+}
 
 
 def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
            max_order: int = DEFAULT_MAX_ORDER) -> VerificationReport:
     """Check the first ``terms`` progression coefficients of a claim.
 
-    The base series is expanded to exactly the needed order (refusing
-    past ``max_order``); counterexample indices are in the progression
+    The base series is expanded to the needed order (refusing past
+    ``max_order``); counterexample indices are in the progression
     variable n, so index i means coefficient step*i + offset.
     """
     if terms < 1:
         raise ClaimError(f"terms must be >= 1, got {terms}")
     t0 = time.perf_counter()
-    prog = claim.progression
-    detail: dict = {}
-
-    if claim.rhs == "D2":
-        lhs = counting.count(counting.NONOVERLINED_L_REGULAR(2), terms - 1).values
-        rhs = counting.count(counting.DISTINCT_TWO_COPIES, terms - 1).values
-        bad, checked, nbad = compare_coefficients(lhs, rhs, terms, None)
-        detail["sources"] = "oracle vs oracle"
-        return _report(claim, "pass" if not nbad else "fail",
-                       checked, bad, nbad, detail, t0)
-
-    if claim.rhs == "OVERPARTITION_CONV":
-        base = expand_quotient(claim.source_series, terms, None)
-        ptab = counting.count(counting.PLAIN_P, (terms - 1) // claim.ell).values
-        pbar = counting.count(counting.OVERPARTITION, terms - 1).values
-        lhs = []
-        for n in range(terms):
-            total = base[n]
-            nu = 1
-            while claim.ell * nu <= n:
-                total += base[n - claim.ell * nu] * ptab[nu]
-                nu += 1
-            lhs.append(total)
-        bad, checked, nbad = compare_coefficients(lhs, pbar, terms, None)
-        detail["sources"] = "series+oracle convolution vs oracle"
-        return _report(claim, "pass" if not nbad else "fail",
-                       checked, bad, nbad, detail, t0)
-
-    need = prog.step * (terms - 1) + prog.offset + 1
+    need = claim.progression.index(terms - 1) + 1
     if need > max_order:
         raise OrderShortfallError(
             f"{claim.describe()}: needs base series order {need}, above the "
             f"max-order guard {max_order}; lower terms or raise the guard")
-
-    build_mod = claim.modulus
-    if claim.halve:
-        build_mod = 2 * claim.modulus
-    base = expand_quotient(claim.source_series, need, build_mod)
-    vals = base.coeffs[prog.offset::prog.step][:terms]
-
-    if claim.rhs == "SELF":
-        expected = base.coeffs[:terms]
-        cmp_mod = claim.modulus
-    elif claim.rhs == "P_CONVOLUTION":
-        # (1/2) a(step n + offset) == sum_{nu>=0} p(n - nu(nu+1)/2) mod m,
-        # compared in doubled form mod 2m so odd values fail honestly
-        ptab = counting.count(counting.PLAIN_P, terms - 1).values
-        expected = []
-        for n in range(terms):
-            total = 0
-            nu = 0
-            while nu * (nu + 1) // 2 <= n:
-                total += ptab[n - nu * (nu + 1) // 2]
-                nu += 1
-            expected.append(2 * total)
-        cmp_mod = 2 * claim.modulus
-        detail["comparison"] = f"doubled congruence mod {cmp_mod}"
-    else:
-        try:
-            builder = _RHS_BUILDERS[claim.rhs]
-        except KeyError:
-            raise ClaimError(f"unknown rhs tag {claim.rhs!r}") from None
-        expected = builder(terms).coeffs
-        cmp_mod = claim.modulus
-
-    bad, checked, nbad = compare_coefficients(vals, expected, terms, cmp_mod)
-    return _report(claim, "pass" if not nbad else "fail",
-                   checked, bad, nbad, detail, t0)
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("QCONG_THREADS", "")
     try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+        rhs = _RHS[claim.rhs]
+    except KeyError:
+        raise ClaimError(f"unknown rhs tag {claim.rhs!r}") from None
+    found, expected, cmp_mod, detail = rhs(claim, terms)
+    bad, checked, nbad = compare_coefficients(found, expected, terms, cmp_mod)
+    if nbad > len(bad):
+        detail["counterexample_total"] = nbad
+    return VerificationReport(
+        name=claim.family, params=claim.param_dict,
+        status="pass" if not nbad else "fail", terms_checked=checked,
+        counterexamples=bad,
+        progression=(claim.progression.step, claim.progression.offset),
+        modulus=claim.modulus, detail=detail,
+        seconds=time.perf_counter() - t0)
 
 
 def verify_many(claims: list[CongruenceClaim], terms: int = DEFAULT_TERMS,
-                max_order: int = DEFAULT_MAX_ORDER,
-                threads: Optional[int] = None) -> list[VerificationReport]:
+                max_order: int = DEFAULT_MAX_ORDER) -> list[VerificationReport]:
     """Verify a batch; output is sorted canonically (family, params,
-    progression) no matter the execution order."""
+    progression)."""
     ordered = sorted(
         claims, key=lambda c: (c.family, c.params, c.progression.step,
                                c.progression.offset, c.modulus or 0))
-    n = _thread_count(threads)
-    if n == 1 or len(ordered) <= 1:
-        return [verify(c, terms, max_order) for c in ordered]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(lambda c: verify(c, terms, max_order), ordered))
+    return [verify(c, terms, max_order) for c in ordered]
 
 
 # -- proof-internal congruences ------------------------------------------------------

@@ -23,29 +23,11 @@ from .series import EtaQuotient, Series
 def euler_product(h: int, order: int) -> Series:
     """(q^h; q^h)_infinity truncated below ``order``.
 
-    Pentagonal number theorem: sum over nu in Z of (-1)^nu q^{h nu(3nu+1)/2}.
-    The result is sparse: O(sqrt(order/h)) nonzero terms.
+    Pentagonal number theorem: f(-q) = F(-q, -q^2), so this is the sum
+    over nu in Z of (-1)^nu q^{h nu(3nu+1)/2}.  The result is sparse:
+    O(sqrt(order/h)) nonzero terms.
     """
-    if h < 1:
-        raise ValueError(f"scale must be a positive integer, got {h}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    terms = []
-    nu = 0
-    while True:
-        e = h * nu * (3 * nu + 1) // 2
-        if e >= order:
-            break
-        terms.append((e, -1 if nu % 2 else 1))
-        nu += 1
-    nu = -1
-    while True:
-        e = h * nu * (3 * nu + 1) // 2
-        if e >= order:
-            break
-        terms.append((e, -1 if nu % 2 else 1))
-        nu -= 1
-    return Series.from_terms(terms, order)
+    return EULER_SPEC.expand(order, h)
 
 
 def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
@@ -89,11 +71,18 @@ class ThetaSpec:
         if self.sign_x not in (1, -1) or self.sign_y not in (1, -1):
             raise ValueError("signs must be +1 or -1")
 
+    def expand(self, order: int, scale: int = 1) -> Series:
+        """F(sign_x q^(scale a), sign_y q^(scale b)) truncated below ``order``."""
+        return _theta_block(self.a, self.b, order, scale=scale,
+                            sign_x=self.sign_x, sign_y=self.sign_y)
+
 
 PHI_SPEC = ThetaSpec(1, 1)            # phi(q)  = F(q, q)
 PSI_SPEC = ThetaSpec(1, 3)            # psi(q)  = F(q, q^3)
 EULER_SPEC = ThetaSpec(1, 2, -1, -1)  # f(-q)   = F(-q, -q^2)
 PHI_NEG_SPEC = ThetaSpec(1, 1, -1, -1)
+X_SPEC = ThetaSpec(7, 3)              # X(q)    = F(q^7, q^3)
+Y_SPEC = ThetaSpec(9, 1)              # Y(q)    = F(q^9, q)
 
 
 def _theta_block(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
@@ -105,6 +94,8 @@ def _theta_block(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
         raise ValueError(f"divergent theta block: a + b = {a + b} <= 0")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     terms = []
 
     def visit(t: int) -> bool:
@@ -137,24 +128,23 @@ def _theta_block(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
 
 def general_theta(spec: ThetaSpec, order: int, scale: int = 1) -> Series:
     """Expand the bilateral theta series given by ``spec`` in q^scale."""
-    return _theta_block(spec.a, spec.b, order, scale=scale,
-                        sign_x=spec.sign_x, sign_y=spec.sign_y)
+    return spec.expand(order, scale)
 
 
 def phi(order: int, scale: int = 1) -> Series:
     """phi(q^scale) = 1 + 2 sum_{nu>=1} q^{scale nu^2}."""
-    return _theta_block(1, 1, order, scale=scale)
+    return PHI_SPEC.expand(order, scale)
 
 
 def psi(order: int, scale: int = 1) -> Series:
     """psi(q^scale) = sum_{nu>=0} q^{scale nu(nu+1)/2}."""
-    return _theta_block(1, 3, order, scale=scale)
+    return PSI_SPEC.expand(order, scale)
 
 
 def phi_neg(order: int, scale: int = 1) -> Series:
     """phi(-q^scale), computed two independent ways and cross-checked:
     the alternating square sum and the quotient f_s^2 / f_{2s}."""
-    direct = _theta_block(1, 1, order, scale=scale, sign_x=-1, sign_y=-1)
+    direct = PHI_NEG_SPEC.expand(order, scale)
     quotient = eta_quotient([(scale, 2), (2 * scale, -1)], order)
     if direct != quotient:
         raise AssertionError(
@@ -162,37 +152,14 @@ def phi_neg(order: int, scale: int = 1) -> Series:
     return direct
 
 
-def _quadratic_sum(A: int, B: int, order: int, scale: int) -> Series:
-    # sum over r in Z of q^{scale r (A r + B)}, 0 < B < A so all
-    # exponents are >= 0 and increase with |r|
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    terms = []
-    r = 0
-    while True:
-        e = scale * r * (A * r + B)
-        if e >= order:
-            break
-        terms.append((e, 1))
-        r += 1
-    r = -1
-    while True:
-        e = scale * r * (A * r + B)
-        if e >= order:
-            break
-        terms.append((e, 1))
-        r -= 1
-    return Series.from_terms(terms, order)
-
-
 def x_series(order: int, scale: int = 1) -> Series:
     """X(q^scale) = sum over r in Z of q^{scale (5r^2+2r)}."""
-    return _quadratic_sum(5, 2, order, scale)
+    return X_SPEC.expand(order, scale)
 
 
 def y_series(order: int, scale: int = 1) -> Series:
     """Y(q^scale) = sum over r in Z of q^{scale (5r^2+4r)}."""
-    return _quadratic_sum(5, 4, order, scale)
+    return Y_SPEC.expand(order, scale)
 
 
 # -- identity catalog ------------------------------------------------------------

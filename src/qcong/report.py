@@ -66,12 +66,19 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
 
 
 def compare_coefficients(lhs, rhs, terms: int, modulus: Optional[int]):
-    """Coefficientwise comparison helper.
+    """Coefficientwise comparison of exponents 0..terms-1, exactly when
+    modulus is None and mod modulus otherwise.
 
-    Returns (counterexamples, checked) where counterexamples holds at
-    most MAX_RECORDED_COUNTEREXAMPLES (index, found, expected) triples
-    and checked is the number of indices compared.
+    Returns (counterexamples, checked, total) where counterexamples holds
+    at most MAX_RECORDED_COUNTEREXAMPLES (index, found, expected) triples,
+    checked is the number of indices compared and total counts every
+    disagreement.  Raises ValueError when either side is shorter than
+    ``terms``: a comparison is never silently truncated.
     """
+    if len(lhs) < terms or len(rhs) < terms:
+        raise ValueError(
+            f"series too short for comparison to {terms} terms "
+            f"(orders {len(lhs)}, {len(rhs)})")
     bad = []
     total_bad = 0
     for i in range(terms):

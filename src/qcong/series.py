@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .report import compare_coefficients
+
 
 class SeriesError(Exception):
     """Base class for series arithmetic errors."""
@@ -298,18 +300,13 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
     truncated.
     """
     m = _check_modulus(m)
-    if a.order < upto or b.order < upto:
-        raise ValueError(
-            f"series too short for comparison to {upto} terms "
-            f"(orders {a.order}, {b.order})")
     for s in (a, b):
         if s.modulus is not None and s.modulus % m != 0:
             raise ModulusMismatchError(
                 f"coefficients known only mod {s.modulus}, cannot compare mod {m}")
-    ca, cb = a.coeffs, b.coeffs
-    for i in range(upto):
-        if (ca[i] - cb[i]) % m:
-            return CongruenceCheck(False, i, ca[i] % m, cb[i] % m)
+    bad, _, _ = compare_coefficients(a.coeffs, b.coeffs, upto, m)
+    if bad:
+        return CongruenceCheck(False, *bad[0])
     return CongruenceCheck(True, None, None, None)
 
 

@@ -72,6 +72,25 @@ def _oracle_vs_series(kind: counting.PartitionKind, upto: int) -> VerificationRe
         seconds=time.perf_counter() - t0)
 
 
+def _verify_rows(rows) -> list[VerificationReport]:
+    # one verify_many call per (family, params, terms) row: each row's
+    # reports stay in their own canonical order
+    reports = []
+    for family, params, terms in rows:
+        reports += congruence.verify_many(
+            congruence.instantiate(family, **params), terms=terms)
+    return reports
+
+
+def _rows_criterion(number: int, title: str, rows):
+    """A criterion that passes when every claim of every row passes."""
+    def run() -> CriterionResult:
+        reports = _verify_rows(rows)
+        return CriterionResult(number, title, all(r.passed for r in reports),
+                               reports)
+    return run
+
+
 ELLS = (2, 3, 4, 5, 6, 8, 10, 15)
 
 
@@ -127,28 +146,6 @@ def criterion_3() -> CriterionResult:
                            all(r.passed for r in reports), reports)
 
 
-def criterion_4() -> CriterionResult:
-    """ell=4: fixed mod-4 vanishing to n <= 2000; prime family at p=13."""
-    reports = congruence.verify_many(congruence.instantiate("r4-fixed"),
-                                     terms=2001)
-    reports += congruence.verify_many(
-        congruence.instantiate("r4-prime-series", p=13, alpha=0), terms=500)
-    reports += congruence.verify_many(
-        congruence.instantiate("r4-prime-vanish", p=13, alpha=0), terms=11)
-    return CriterionResult(4, "ell=4 fixed and p=13 prime-family claims",
-                           all(r.passed for r in reports), reports)
-
-
-def criterion_5() -> CriterionResult:
-    """ell=5k for k in 1..3: mod-4 and mod-2 vanishing, n <= 2000."""
-    reports = []
-    for k in (1, 2, 3):
-        reports += congruence.verify_many(
-            congruence.instantiate("r5k-fixed", k=k), terms=2001)
-    return CriterionResult(5, "ell=5k (k=1,2,3) fixed progressions, n <= 2000",
-                           all(r.passed for r in reports), reports)
-
-
 def criterion_6() -> CriterionResult:
     """ell=6 9-adic families, plus the documented offset-variant failure."""
     # deepest claim first: one base expansion then serves the block
@@ -180,36 +177,10 @@ def criterion_6() -> CriterionResult:
                            passed, reports, notes)
 
 
-def criterion_7() -> CriterionResult:
-    """ell=6 prime family, p in {3,7}, alpha in {0,1}."""
-    reports = []
-    for p in (3, 7):
-        reports += congruence.verify_many(
-            congruence.instantiate("r6-prime-series", p=p, alpha=0), terms=500)
-        for alpha in (0, 1):
-            reports += congruence.verify_many(
-                congruence.instantiate("r6-prime-vanish", p=p, alpha=alpha),
-                terms=21)
-    return CriterionResult(7, "ell=6 prime family (p=3,7; alpha=0,1)",
-                           all(r.passed for r in reports), reports)
-
-
-def criterion_8() -> CriterionResult:
-    """ell=8 fixed progressions: five mod 4 and four mod 8, n <= 2000."""
-    reports = congruence.verify_many(congruence.instantiate("r8-fixed-mod4"),
-                                     terms=2001)
-    reports += congruence.verify_many(congruence.instantiate("r8-fixed-mod8"),
-                                      terms=2001)
-    return CriterionResult(8, "ell=8 fixed mod-4 and mod-8 progressions, n <= 2000",
-                           all(r.passed for r in reports), reports)
-
-
 def criterion_9() -> CriterionResult:
     """ell=8 prime family at p=5, plus the halved convolution claim."""
-    reports = congruence.verify_many(
-        congruence.instantiate("r8-prime-series", p=5, alpha=0), terms=500)
-    reports += congruence.verify_many(
-        congruence.instantiate("r8-prime-vanish", p=5, alpha=0), terms=51)
+    reports = _verify_rows([("r8-prime-series", {"p": 5, "alpha": 0}, 500),
+                            ("r8-prime-vanish", {"p": 5, "alpha": 0}, 51)])
     halved = {r.modulus: r
               for r in congruence.verify_many(congruence.instantiate("r8-halved"),
                                               terms=500)}
@@ -222,18 +193,6 @@ def criterion_9() -> CriterionResult:
     reports += [halved[2], halved[4]]
     return CriterionResult(9, "ell=8 prime family (p=5) and halved claim",
                            passed, reports, notes)
-
-
-def criterion_10() -> CriterionResult:
-    """Exact convolution against pbar(n), and the D2 equality, n <= 1000."""
-    reports = []
-    for ell in (2, 3, 4, 5, 6, 8):
-        reports += congruence.verify_many(
-            congruence.instantiate("conv-overpartition", ell=ell), terms=1001)
-    reports += congruence.verify_many(congruence.instantiate("r2-distinct"),
-                                      terms=1001)
-    return CriterionResult(10, "exact convolution and D2 identities, n <= 1000",
-                           all(r.passed for r in reports), reports)
 
 
 def criterion_11() -> CriterionResult:
@@ -273,9 +232,30 @@ def criterion_12() -> CriterionResult:
                            ok, reports, notes)
 
 
-_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-             criterion_11, criterion_12)
+_CRITERIA = (
+    criterion_1, criterion_2, criterion_3,
+    # ell=4: fixed mod-4 vanishing to n <= 2000; prime family at p=13
+    _rows_criterion(4, "ell=4 fixed and p=13 prime-family claims", [
+        ("r4-fixed", {}, 2001),
+        ("r4-prime-series", {"p": 13, "alpha": 0}, 500),
+        ("r4-prime-vanish", {"p": 13, "alpha": 0}, 11)]),
+    _rows_criterion(5, "ell=5k (k=1,2,3) fixed progressions, n <= 2000", [
+        ("r5k-fixed", {"k": k}, 2001) for k in (1, 2, 3)]),
+    criterion_6,
+    _rows_criterion(7, "ell=6 prime family (p=3,7; alpha=0,1)", [
+        row for p in (3, 7)
+        for row in [("r6-prime-series", {"p": p, "alpha": 0}, 500),
+                    ("r6-prime-vanish", {"p": p, "alpha": 0}, 21),
+                    ("r6-prime-vanish", {"p": p, "alpha": 1}, 21)]]),
+    _rows_criterion(8, "ell=8 fixed mod-4 and mod-8 progressions, n <= 2000", [
+        ("r8-fixed-mod4", {}, 2001), ("r8-fixed-mod8", {}, 2001)]),
+    criterion_9,
+    # exact convolution against pbar(n), and the D2 equality, n <= 1000
+    _rows_criterion(10, "exact convolution and D2 identities, n <= 1000", [
+        ("conv-overpartition", {"ell": ell}, 1001) for ell in (2, 3, 4, 5, 6, 8)
+    ] + [("r2-distinct", {}, 1001)]),
+    criterion_11, criterion_12,
+)
 
 
 def run_criterion(number: int) -> CriterionResult:

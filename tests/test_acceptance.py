@@ -6,9 +6,14 @@ per-criterion summary lines; each test also fails loudly with the
 offending reports.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from qcong import suite
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench/expected/suite.json"
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +94,20 @@ def test_criterion_11_proof_internal_congruences(results):
 
 def test_criterion_12_search_rediscovery(results):
     _check(results, 12)
+
+
+def _without_seconds(value):
+    if isinstance(value, dict):
+        return {k: _without_seconds(v) for k, v in value.items()
+                if k != "seconds"}
+    if isinstance(value, list):
+        return [_without_seconds(v) for v in value]
+    return value
+
+
+def test_suite_json_matches_recorded_verdicts(results):
+    # the canonical JSON of verify-all may change only in its timings
+    got = json.loads(json.dumps([results[n].to_json_dict()
+                                 for n in sorted(results)]))
+    recorded = json.loads(RECORDED.read_text())["criteria"]
+    assert _without_seconds(got) == recorded

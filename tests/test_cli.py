@@ -38,6 +38,26 @@ def test_expand_bad_eta(capsys):
     assert "bad --eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modulus", ["0", "-3"])
+def test_expand_bad_modulus(capsys, modulus):
+    assert run(["expand", "--eta", "1:1", "--order", "8",
+                "--modulus", modulus]) == 2
+    assert "--modulus must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--eta", "1:1", "--order", "1000000000"],
+    ["count", "--kind", "plain", "--upto", "200001"],
+    ["search", "--ell", "4", "--terms", "200001"],
+    ["verify-lemma", "--id", "psi-3diss", "--order", "200001"],
+])
+def test_size_guard(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "exceeds the size guard 200000" in capsys.readouterr().err
+
+
 def test_count_rstar_example(capsys):
     assert run(["count", "--kind", "rstar", "--ell", "2", "--upto", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -159,20 +179,6 @@ def test_verify_all_json(monkeypatch, capsys):
     parsed = json.loads(blob)
     assert [c["number"] for c in parsed] == [1, 2]
     assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) == blob
-
-
-def test_verify_all_threads_env(monkeypatch):
-    monkeypatch.delenv("QCONG_THREADS", raising=False)
-    seen = {}
-
-    def capture():
-        import os
-        seen["threads"] = os.environ.get("QCONG_THREADS")
-        return _fake_results(True)
-
-    monkeypatch.setattr(cli.suite, "run_all", capture)
-    assert run(["verify-all", "--threads", "3"]) == 0
-    assert seen["threads"] == "3"
 
 
 def test_unknown_subcommand():

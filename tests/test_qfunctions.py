@@ -1,5 +1,7 @@
 """Theta functions, eta quotients, and the identity catalog."""
 
+import math
+
 import pytest
 
 from qcong import qfunctions as qf
@@ -26,15 +28,46 @@ def test_scaled_arguments():
     assert qf.psi(21, 2) == qf.psi(11).stretch(2)
 
 
+# orders the claims really reach (about 1.5 * 10^5), plus the edges
+THETA_ORDERS = (1, 2, 4096, 147456)
+THETA_SCALES = (1, 2, 5, 25)
+
+
+def _closed_form(term, order, scale):
+    # coefficients of sum over r in Z of sign q^(scale e), (e, sign) =
+    # term(r); each exponent here is >= r^2, so |r| <= isqrt(order) + 1
+    # reaches every term below order
+    cs = [0] * order
+    bound = math.isqrt(order) + 1
+    for r in range(-bound, bound + 1):
+        e, sign = term(r)
+        if scale * e < order:
+            cs[scale * e] += sign
+    return tuple(cs)
+
+
 def test_quintic_theta_pieces():
     # X: exponents 5r^2 + 2r; Y: exponents 5r^2 + 4r
     assert list(qf.x_series(10).coeffs) == [1, 0, 0, 1, 0, 0, 0, 1, 0, 0]
     assert list(qf.y_series(10).coeffs) == [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+    for order in THETA_ORDERS:
+        for scale in THETA_SCALES:
+            assert qf.x_series(order, scale).coeffs == _closed_form(
+                lambda r: (5 * r * r + 2 * r, 1), order, scale)
+            assert qf.y_series(order, scale).coeffs == _closed_form(
+                lambda r: (5 * r * r + 4 * r, 1), order, scale)
 
 
 def test_general_theta_euler_specialization():
     # F(-q, -q^2) is the pentagonal-number series
     assert qf.general_theta(qf.EULER_SPEC, 500) == qf.euler_product(1, 500)
+    for order in THETA_ORDERS:
+        for scale in THETA_SCALES:
+            want = _closed_form(
+                lambda nu: (nu * (3 * nu + 1) // 2, -1 if nu % 2 else 1),
+                order, scale)
+            assert qf.euler_product(scale, order).coeffs == want
+            assert qf.general_theta(qf.EULER_SPEC, order, scale).coeffs == want
 
 
 def test_theta_eta_dualities():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qcong.report import compare_coefficients
 from qcong.series import (EtaQuotient, ModulusMismatchError,
                           NotInvertibleError, Series, congruent_mod)
 from qcong.qfunctions import euler_product
@@ -191,6 +192,18 @@ def test_congruent_mod_reports_first_mismatch():
     ok = congruent_mod(a, b, 4, 4)
     assert not ok.ok and ok.index == 3 and (ok.left, ok.right) == (1, 2)
     assert congruent_mod(a, b, 4, 3).ok
+
+
+def test_compare_coefficients_refuses_short_input():
+    # a check is never silently truncated to the shorter side
+    short, full = Series([1, 5, 3]), Series([1, 5, 3, 9])
+    with pytest.raises(ValueError, match="too short"):
+        compare_coefficients(short, full, 4, None)
+    with pytest.raises(ValueError, match="too short"):
+        compare_coefficients([1, 5, 3, 9], [1, 5], 3, 4)
+    with pytest.raises(ValueError, match="too short"):
+        congruent_mod(full, short, 4, 4)
+    assert compare_coefficients(short, full, 3, None) == ([], 3, 0)
 
 
 def test_serialization_forms():
