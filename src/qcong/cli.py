@@ -33,14 +33,24 @@ _ELL_KINDS = ("l-regular", "overlined-l-regular", "nonoverlined-l-regular",
               "rstar")
 
 
+def _capped(text: str, limit: int) -> int:
+    value = int(text)
+    if value > limit:
+        raise argparse.ArgumentTypeError(
+            f"{value} exceeds the size guard {limit}")
+    return value
+
+
 def size(text: str) -> int:
     """argparse type for a count that sizes a series: capped by the same
     guard as verify-theorem's default --max-order."""
-    value = int(text)
-    if value > congruence.DEFAULT_MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"{value} exceeds the size guard {congruence.DEFAULT_MAX_ORDER}")
-    return value
+    return _capped(text, congruence.DEFAULT_MAX_ORDER)
+
+
+def dissection(text: str) -> int:
+    """argparse type for verify-lemma's --p and --n: a dissection adds one
+    theta block per residue, so the parameter is capped."""
+    return _capped(text, qfunctions.DISSECTION_LIMIT)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -222,8 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity tag; see error message for the full list")
     p.add_argument("--all", action="store_true",
                    help="run the whole catalog at default parameters")
-    p.add_argument("--p", type=int, default=None, help="prime parameter")
-    p.add_argument("--n", type=int, default=None, help="square-dissection n")
+    limit = qfunctions.DISSECTION_LIMIT
+    p.add_argument("--p", type=dissection, default=None,
+                   help=f"prime parameter (at most {limit})")
+    p.add_argument("--n", type=dissection, default=None,
+                   help=f"square-dissection n (at most {limit})")
     p.add_argument("--order", type=size, default=None,
                    help="override the identity's default order")
     _add_output_options(p)
@@ -252,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="scan progressions for congruences")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--max-step", type=int, default=8)
+    p.add_argument("--max-step", type=size, default=8)
     p.add_argument("--max-modulus", type=int, default=8)
     p.add_argument("--terms", type=size, default=500)
     _add_output_options(p)

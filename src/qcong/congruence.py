@@ -612,14 +612,16 @@ def search(ell: int, max_step: int, max_modulus: int,
     """
     if ell < 1 or max_step < 1 or max_modulus < 2:
         raise ValueError("need ell >= 1, max_step >= 1, max_modulus >= 2")
-    base = expand_quotient(EtaQuotient.rstar(ell), terms, None)
+    coeffs = expand_quotient(EtaQuotient.rstar(ell), terms, None).coeffs
     known = _known_progressions(ell)
     out = []
-    for step in range(1, max_step + 1):
-        for offset in range(step):
-            vals = base.coeffs[offset::step]
-            if len(vals) < MIN_EVIDENCE:
-                continue
+    # coeffs[offset::step] has at least MIN_EVIDENCE values exactly when
+    # offset < len(coeffs) - (MIN_EVIDENCE - 1) * step; past the last
+    # step with such an offset no progression can be reported
+    need = MIN_EVIDENCE - 1
+    for step in range(1, min(max_step, (len(coeffs) - 1) // need) + 1):
+        for offset in range(min(step, len(coeffs) - need * step)):
+            vals = coeffs[offset::step]
             g = 0
             for v in vals:
                 g = math.gcd(g, v)

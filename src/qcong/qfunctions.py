@@ -42,13 +42,14 @@ def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
         factors = EtaQuotient.parse(factors)
     elif not isinstance(factors, EtaQuotient):
         factors = EtaQuotient(factors)
-    out = Series.one(order, modulus)
+    out = None
     for h, e in factors.factors:
         base = euler_product(h, order)
         if modulus is not None:
             base = base.reduce_mod(modulus)
-        out = out * base ** e
-    return out
+        term = base ** e
+        out = term if out is None else out * term
+    return Series.one(order, modulus) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -414,6 +415,10 @@ _CATALOG = (
 )
 
 IDENTITIES = {ident.tag: ident for ident in _CATALOG}
+
+# largest p or n the CLI accepts: the p- and n^2-dissections build one
+# theta block per residue, so their time grows linearly in the parameter
+DISSECTION_LIMIT = 1000
 
 
 def verify_identity(tag: str, order: Optional[int] = None,

@@ -50,12 +50,17 @@ def test_expand_bad_modulus(capsys, modulus):
     ["count", "--kind", "plain", "--upto", "200001"],
     ["search", "--ell", "4", "--terms", "200001"],
     ["verify-lemma", "--id", "psi-3diss", "--order", "200001"],
+    ["search", "--ell", "4", "--max-step", "200001"],
+    ["verify-lemma", "--id", "psi-pdiss", "--p", "1000003"],
+    ["verify-lemma", "--id", "phi-sqdiss", "--n", "1001"],
 ])
 def test_size_guard(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    assert "exceeds the size guard 200000" in capsys.readouterr().err
+    # dissection parameters have their own, smaller guard
+    guard = 1000 if argv[-2] in ("--p", "--n") else 200000
+    assert f"exceeds the size guard {guard}" in capsys.readouterr().err
 
 
 def test_count_rstar_example(capsys):

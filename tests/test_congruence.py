@@ -2,6 +2,7 @@
 the shared series cache, and the progression search."""
 
 import json
+import math
 import random
 
 import pytest
@@ -242,3 +243,30 @@ def test_search_small_ell2_runs():
     assert all(c.ell == 2 for c in hits)
     # nothing known to rediscover at ell = 2
     assert all(not c.rediscovers for c in hits)
+
+
+def _search_every_progression(ell, max_step, max_modulus, terms):
+    # the scan without any bound on step or offset, as the reference
+    coeffs = cg.expand_quotient(EtaQuotient.rstar(ell), terms, None).coeffs
+    out = set()
+    for step in range(1, max_step + 1):
+        for offset in range(step):
+            vals = coeffs[offset::step]
+            g = 0
+            for v in vals:
+                g = math.gcd(g, v)
+            best = max((m for m in range(2, max_modulus + 1)
+                        if g > 1 and g % m == 0), default=0)
+            if len(vals) >= cg.MIN_EVIDENCE and best:
+                out.add((step, offset, best, len(vals)))
+    return out
+
+
+@pytest.mark.parametrize("ell, terms, far", [(4, 500, 250), (8, 300, 200),
+                                             (6, 400, 150)])
+def test_search_bound_keeps_every_candidate(ell, terms, far):
+    # max_step far past terms / MIN_EVIDENCE, where no step can report
+    hits = cg.search(ell, far, 8, terms=terms)
+    assert ({(c.step, c.offset, c.modulus, c.evidence) for c in hits}
+            == _search_every_progression(ell, far, 8, terms))
+    assert hits == cg.search(ell, terms // (cg.MIN_EVIDENCE - 1), 8, terms=terms)

@@ -2,14 +2,18 @@
 against frozen small expansions."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from qcong import series
 from qcong.report import compare_coefficients
 from qcong.series import (EtaQuotient, ModulusMismatchError,
                           NotInvertibleError, Series, congruent_mod)
-from qcong.qfunctions import euler_product
+from qcong.qfunctions import eta_quotient, euler_product
 
 
 def naive_product(a, b, n, m=None):
@@ -24,6 +28,13 @@ def naive_product(a, b, n, m=None):
             out[i + j] += x * y
     if m is not None:
         out = [c % m for c in out]
+    return out
+
+
+def naive_power(a, k, n):
+    out = [1] + [0] * (n - 1)
+    for _ in range(k):
+        out = naive_product(out, a, n)
     return out
 
 
@@ -221,3 +232,114 @@ def test_eta_quotient_parse_roundtrip():
     assert EtaQuotient.rstar(8).factors == ((1, -2), (2, 1), (8, 1))
     with pytest.raises(ValueError):
         EtaQuotient([(0, 1)])
+
+
+# -- the multiplication kernel and Newton inversion ---------------------------
+
+BACKENDS = (series._int_product, series._decimal_product)
+
+
+def test_kernel_slots_at_their_extremes():
+    # operands whose extreme product slot, n * B^2, sits just under half
+    # a slot's range in each backend (2^L bits or 10^L digits), both signs
+    for n in (1, 3):
+        for top in [2**L for L in (8, 16, 64, 128)] + [10**L for L in (3, 20, 41)]:
+            big = math.isqrt((top - 1) // (2 * n))
+            for a, b in (([big] * n, [big] * n), ([big] * n, [-big] * n),
+                         ([-big] * n, [-big] * n)):
+                for backend in BACKENDS:
+                    assert (series._convolve(a, b, n, None, backend)
+                            == naive_product(a, b, n))
+
+
+def test_decimal_context_is_exact_or_raises():
+    decimal, ctx = series._decimal()
+    big = ctx.create_decimal("1" + "0" * 40)
+    # 40 nines: the default 28-digit context would round this
+    assert ctx.subtract(big, ctx.create_decimal(1)) == ctx.create_decimal("9" * 40)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        ctx.to_integral_exact(ctx.create_decimal("2.5"))
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        ctx.quantize(ctx.create_decimal("1.25"), ctx.create_decimal("0.1"))
+
+
+def test_decimal_is_imported_lazily():
+    code = ("import sys, qcong, qcong.cli, qcong.suite; "
+            "from qcong.series import Series; "
+            "Series(range(50), 7) * Series(range(50), 7); "
+            "print('decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_newton_matches_recurrence_at_32768_mod_4():
+    f = euler_product(1, 32768).reduce_mod(4)
+    assert series._newton_pays(f.coeffs)
+    newton = f.invert()
+    assert list(newton.coeffs) == series._recurrence_inverse(f.coeffs, 32768, 1, 4)
+    # and a dense series, whose recurrence is quadratic
+    rng = random.Random(20261017)
+    g = Series([3] + [rng.randrange(8) for _ in range(2999)], 8)
+    assert (list(g.invert().coeffs)
+            == series._recurrence_inverse(g.coeffs, 3000, 3, 8))
+
+
+def test_inverse_times_series_is_one_at_147456_mod_3():
+    f = euler_product(1, 147456).reduce_mod(3)
+    assert f * f.invert() == Series.one(147456, 3)
+
+
+def test_exact_square_at_8000_terms_matches_int_backend():
+    # partition numbers to 8000 terms: the coefficients reach 316 bits
+    p = euler_product(1, 8000).invert()
+    assert max(p.coeffs).bit_length() >= 300
+    square = p * p
+    assert list(square.coeffs) == series._convolve(p.coeffs, p.coeffs, 8000,
+                                                   None, series._int_product)
+    mixed = p * euler_product(16, 8000)
+    assert list(mixed.coeffs) == series._convolve(
+        p.coeffs, euler_product(16, 8000).coeffs, 8000, None,
+        series._int_product)
+
+
+def test_large_products_take_the_decimal_backend(monkeypatch):
+    calls = []
+    real = series._decimal_product
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(series, "_decimal_product", spy)
+    f = euler_product(1, 16384).reduce_mod(4)
+    small = euler_product(1, 300)
+    assert f * f == Series(series._convolve(f.coeffs, f.coeffs, 16384, 4,
+                                            series._int_product), 4)
+    small * small
+    assert calls == [16384]
+
+
+def test_no_product_is_spent_on_one(monkeypatch):
+    calls = []
+    real = series._convolve
+
+    def spy(a, b, n, m, backend=None):
+        calls.append(n)
+        return real(a, b, n, m, backend)
+
+    monkeypatch.setattr(series, "_convolve", spy)
+    f = euler_product(1, 50)
+    for k, products in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        calls.clear()
+        power = f ** k
+        assert len(calls) == products
+        calls.clear()
+        assert power == Series(naive_power(f.coeffs, k, 50))
+    # an eta quotient starts from its first factor
+    for factors, products in (([(2, 1)], 0), ([(2, 1), (8, 1)], 1),
+                              ([(1, -2)], 1), ([(1, -2), (2, 1), (6, 1)], 3)):
+        calls.clear()
+        eta_quotient(factors, 50)
+        assert len(calls) == products
