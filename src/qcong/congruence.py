@@ -4,9 +4,10 @@ the series engine and the counting oracles, and a brute-force search
 for vanishing progressions.
 
 A claim is data (family, parameters, progression, modulus, right-hand
-side tag); `verify` expands the base series once per (quotient, modulus)
-pair and slices progressions out of it, so families sharing a base are
-cheap after the first expansion.
+side tag); it reads one base series, the (quotient, order, modulus)
+given by `_base`.  `verify_many` first expands each (quotient,
+modulus) its claims read once, at the largest order any of them needs
+(`expand_for`), then slices every progression out of that one series.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class CongruenceClaim:
         val = f"a({self.progression})"
         if self.halve:
             val = f"(1/2) {val}"
-        rel = "=" if self.modulus is None else f"== {self.rhs} (mod {self.modulus})"
+        rel = f"== {self.rhs} (mod {self.modulus})"
         if self.modulus is None:
             rel = f"= {self.rhs}"
         return f"{head}: {val} {rel}  [ell={self.ell}]"
@@ -110,29 +111,20 @@ class CongruenceClaim:
 
 _CACHE: dict[tuple, Series] = {}
 
-_CHUNK = 4096
-
 
 def expand_quotient(eq: EtaQuotient, order: int,
                     modulus: Optional[int] = None) -> Series:
-    """Cached expansion; the cache keeps the longest series built so far
-    per (quotient, modulus) and serves prefixes of it for free.
+    """The expansion of ``eq`` to exactly ``order`` terms.
 
-    Modular builds round the order up to a 4096 multiple: residues are
-    cheap to store, and claims in one family often need near-identical
-    orders, so rounding turns the near-misses into cache hits.  Exact
-    builds stay at the requested order (coefficients grow fast).
+    The cache keeps the longest series built so far per (quotient,
+    modulus) and serves shorter requests as prefixes of it; a longer
+    request builds at exactly that order and replaces the entry.
     """
     key = (eq.factors, modulus)
     cached = _CACHE.get(key)
-    if cached is not None and cached.order >= order:
-        return cached
-    build_order = order
-    if modulus is not None:
-        build_order = -(-order // _CHUNK) * _CHUNK
-    built = eta_quotient(eq, build_order, modulus)
-    _CACHE[key] = built
-    return built
+    if cached is None or cached.order < order:
+        cached = _CACHE[key] = eta_quotient(eq, order, modulus)
+    return cached if cached.order == order else cached.truncate(order)
 
 
 def clear_cache() -> None:
@@ -389,29 +381,37 @@ _FAMILY_BUILDERS = {
 
 FAMILIES = tuple(sorted(_FAMILY_BUILDERS))
 
-# prime-family parameter defaults used by the CLI when none are given
-FAMILY_DEFAULT_PARAMS = {
-    "r4-prime-series": {"p": 13}, "r4-prime-vanish": {"p": 13},
-    "r6-prime-series": {"p": 3}, "r6-prime-vanish": {"p": 3},
-    "r8-prime-series": {"p": 5}, "r8-prime-vanish": {"p": 5},
-    "r5k-fixed": {"k": 1},
-    "r6-iterated": {"alpha": 1}, "r6-iterated-alt": {"alpha": 1},
-    "r6-vanish-a": {"alpha": 0}, "r6-vanish-b": {"alpha": 0},
-    "conv-overpartition": {"ell": 2},
-}
-
-
 # -- verification -------------------------------------------------------------------
+
+
+def _base(claim: CongruenceClaim, terms: int
+          ) -> tuple[EtaQuotient, int, Optional[int]]:
+    """The (quotient, order, modulus) whose expansion holds a claim's
+    first ``terms`` progression values; halved claims read it mod 2m."""
+    modulus = 2 * claim.modulus if claim.halve else claim.modulus
+    return (claim.source_series, claim.progression.index(terms - 1) + 1,
+            modulus)
+
+
+def expand_for(pairs, max_order: int = DEFAULT_MAX_ORDER) -> None:
+    """Expand each base series the ``(claim, terms)`` pairs read once, at
+    the largest order any of them needs; pairs past ``max_order`` are
+    left for `verify` to refuse."""
+    orders: dict[tuple, int] = {}
+    for claim, terms in pairs:
+        eq, order, modulus = _base(claim, terms)
+        if terms >= 1 and order <= max_order:
+            orders[eq, modulus] = max(order, orders.get((eq, modulus), 0))
+    for (eq, modulus), order in orders.items():
+        expand_quotient(eq, order, modulus)
 
 
 def _values(claim: CongruenceClaim, terms: int) -> tuple[tuple, Series]:
     """a(step n + offset) for n < terms (mod 2m for halved claims), and
-    the cached base series they were sliced from."""
+    the base series they were sliced from."""
+    base = expand_quotient(*_base(claim, terms))
     prog = claim.progression
-    modulus = 2 * claim.modulus if claim.halve else claim.modulus
-    base = expand_quotient(claim.source_series, prog.index(terms - 1) + 1,
-                           modulus)
-    return base.coeffs[prog.offset::prog.step][:terms], base
+    return base.coeffs[prog.offset::prog.step], base
 
 
 # -- right-hand sides ------------------------------------------------------------
@@ -500,7 +500,7 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
     if terms < 1:
         raise ClaimError(f"terms must be >= 1, got {terms}")
     t0 = time.perf_counter()
-    need = claim.progression.index(terms - 1) + 1
+    need = _base(claim, terms)[1]
     if need > max_order:
         raise OrderShortfallError(
             f"{claim.describe()}: needs base series order {need}, above the "
@@ -529,6 +529,7 @@ def verify_many(claims: list[CongruenceClaim], terms: int = DEFAULT_TERMS,
     ordered = sorted(
         claims, key=lambda c: (c.family, c.params, c.progression.step,
                                c.progression.offset, c.modulus or 0))
+    expand_for([(c, terms) for c in ordered], max_order)
     return [verify(c, terms, max_order) for c in ordered]
 
 
@@ -610,8 +611,9 @@ def search(ell: int, max_step: int, max_modulus: int,
     reported; each hit carries the maximal modulus and any matching
     known claims.
     """
-    if ell < 1 or max_step < 1 or max_modulus < 2:
-        raise ValueError("need ell >= 1, max_step >= 1, max_modulus >= 2")
+    if ell < 1 or max_step < 1 or max_modulus < 2 or terms < 1:
+        raise ValueError(
+            "need ell >= 1, max_step >= 1, max_modulus >= 2, terms >= 1")
     coeffs = expand_quotient(EtaQuotient.rstar(ell), terms, None).coeffs
     known = _known_progressions(ell)
     out = []

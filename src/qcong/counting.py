@@ -8,6 +8,7 @@ against, so any common code would defeat the cross-validation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,8 +99,10 @@ class CountTable:
         return self.values[n]
 
 
+@functools.cache
 def count(kind: PartitionKind, upto: int) -> CountTable:
-    """Exact counts for 0..upto by part-size DP.
+    """Exact counts for 0..upto by part-size DP, computed once per
+    (kind, upto): tables are immutable.
 
     Each size s contributes its factors independently: a freely
     repeating copy updates ascending (unbounded multiplicity), each

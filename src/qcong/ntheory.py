@@ -26,14 +26,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-def primes_upto(limit: int) -> list[int]:
-    """Primes p with p <= limit, ascending."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]

@@ -146,9 +146,6 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def nonzero_terms(self) -> list[tuple[int, int]]:
-        return [(i, c) for i, c in enumerate(self.coeffs) if c]
-
     # -- ring operations ----------------------------------------------------
 
     def _common(self, other: "Series") -> tuple[int, Optional[int]]:

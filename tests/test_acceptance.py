@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcong import suite
+from qcong import congruence, suite
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench/expected/suite.json"
 
@@ -111,3 +111,11 @@ def test_suite_json_matches_recorded_verdicts(results):
                                  for n in sorted(results)]))
     recorded = json.loads(RECORDED.read_text())["criteria"]
     assert _without_seconds(got) == recorded
+
+
+def test_criterion_12_alone_matches_the_suite(results):
+    # search output must not depend on what earlier criteria cached
+    congruence.clear_cache()
+    alone = suite.run_criterion(12)
+    assert (_without_seconds(alone.to_json_dict())
+            == _without_seconds(results[12].to_json_dict()))

@@ -7,9 +7,21 @@ import random
 
 import pytest
 
-from qcong import congruence as cg
+from qcong import congruence as cg, suite
+from qcong.qfunctions import eta_quotient
 from qcong.report import reports_to_json
 from qcong.series import EtaQuotient
+
+# parameters that instantiate each parametrized family
+FAMILY_DEFAULT_PARAMS = {
+    "r4-prime-series": {"p": 13}, "r4-prime-vanish": {"p": 13},
+    "r6-prime-series": {"p": 3}, "r6-prime-vanish": {"p": 3},
+    "r8-prime-series": {"p": 5}, "r8-prime-vanish": {"p": 5},
+    "r5k-fixed": {"k": 1},
+    "r6-iterated": {"alpha": 1}, "r6-iterated-alt": {"alpha": 1},
+    "r6-vanish-a": {"alpha": 0}, "r6-vanish-b": {"alpha": 0},
+    "conv-overpartition": {"ell": 2},
+}
 
 
 # -- number-theoretic helpers ------------------------------------------------
@@ -120,7 +132,7 @@ def test_offset_can_exceed_step():
 
 def test_source_series_is_rstar():
     for fam in ("r4-fixed", "r6-iterated", "r8-fixed-mod8"):
-        for claim in cg.instantiate(fam, **cg.FAMILY_DEFAULT_PARAMS.get(fam, {})):
+        for claim in cg.instantiate(fam, **FAMILY_DEFAULT_PARAMS.get(fam, {})):
             assert claim.source_series == EtaQuotient.rstar(claim.ell)
 
 
@@ -204,11 +216,51 @@ def test_cache_reuses_and_extends():
     cg.clear_cache()
     eq = EtaQuotient.rstar(4)
     first = cg.expand_quotient(eq, 100)
-    again = cg.expand_quotient(eq, 60)
-    assert again is first            # shorter request served by cache
-    longer = cg.expand_quotient(eq, first.order + 1)
-    assert longer.order > first.order
-    assert list(longer.coeffs[:100]) == list(first.coeffs[:100])
+    assert first.order == 100
+    assert cg.expand_quotient(eq, 100) is first
+    again = cg.expand_quotient(eq, 60)   # a prefix of the cached series
+    assert again.order == 60 and again.coeffs == first.coeffs[:60]
+    longer = cg.expand_quotient(eq, 101)
+    assert longer.order == 101 and longer.coeffs[:100] == first.coeffs
+    # modular builds are exact-length too, not rounded up
+    assert cg.expand_quotient(eq, 100, 4).order == 100
+
+
+def _count_builds(monkeypatch):
+    builds = []
+
+    def counted(eq, order, modulus=None):
+        builds.append((eq, modulus))
+        return eta_quotient(eq, order, modulus)
+
+    monkeypatch.setattr(cg, "eta_quotient", counted)
+    return builds
+
+
+def test_verify_many_expands_each_base_once(monkeypatch):
+    # 4n+2 needs order 8003 and 16n+13 order 32014: one build serves both
+    cg.clear_cache()
+    builds = _count_builds(monkeypatch)
+    reports = cg.verify_many(cg.instantiate("r8-fixed-mod4"), 2001)
+    assert all(r.passed and r.terms_checked == 2001 for r in reports)
+    assert builds == [(EtaQuotient.rstar(8), 4)]
+
+
+def test_criterion_6_expands_its_base_once(monkeypatch):
+    cg.clear_cache()
+    builds = _count_builds(monkeypatch)
+    assert suite.run_criterion(6).passed
+    assert builds == [(EtaQuotient.rstar(6), 3)]
+
+
+def test_expand_for_skips_claims_past_the_guard(monkeypatch):
+    (claim,) = cg.instantiate("r4-prime-series", p=13, alpha=0)
+    cg.clear_cache()
+    builds = _count_builds(monkeypatch)
+    with pytest.raises(cg.OrderShortfallError, match="max-order guard"):
+        cg.verify_many([claim], terms=500, max_order=1000)
+    cg.expand_for([(claim, 0)])
+    assert builds == []
 
 
 def test_cache_separates_moduli():
@@ -230,6 +282,23 @@ def test_search_rediscovers_ell4():
     assert labeled == {(4, 2, 4), (4, 3, 4)}
     assert all(c.evidence >= cg.MIN_EVIDENCE for c in hits)
     assert all(0 <= c.offset < c.step for c in hits)
+
+
+def test_search_honours_terms_whatever_is_cached():
+    cg.clear_cache()
+    cold = cg.search(4, 4, 4, terms=400)
+    cg.expand_quotient(EtaQuotient.rstar(4), 1000, None)
+    warm = cg.search(4, 4, 4, terms=400)
+    assert warm == cold
+    evidence = {(c.step, c.offset): c.evidence for c in warm}
+    assert evidence == {(2, 1): 200, (4, 1): 100, (4, 2): 100, (4, 3): 100}
+
+
+@pytest.mark.parametrize("terms", [0, -3])
+def test_search_rejects_terms_below_one(terms):
+    cg.expand_quotient(EtaQuotient.rstar(4), 1000, None)
+    with pytest.raises(ValueError, match="terms >= 1"):
+        cg.search(4, 4, 4, terms=terms)
 
 
 def test_search_is_sorted_by_evidence():
