@@ -13,6 +13,7 @@ modulus) its claims read once, at the largest order any of them needs
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -453,14 +454,9 @@ def _overpartition_conv_rhs(claim, terms):
     a, _ = _values(claim, terms)
     ptab = counting.count(counting.PLAIN_P, (terms - 1) // claim.ell).values
     pbar = counting.count(counting.OVERPARTITION, terms - 1).values
-    lhs = []
-    for n in range(terms):
-        total = a[n]
-        nu = 1
-        while claim.ell * nu <= n:
-            total += a[n - claim.ell * nu] * ptab[nu]
-            nu += 1
-        lhs.append(total)
+    # a[n::-ell] is a(n), a(n - ell), ...; ptab[0] = p(0) = 1
+    lhs = [sum(map(operator.mul, a[n::-claim.ell], ptab))
+           for n in range(terms)]
     return lhs, pbar, None, {"sources": "series+oracle convolution vs oracle"}
 
 

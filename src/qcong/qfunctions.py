@@ -34,17 +34,41 @@ def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
     """Expand a product of Euler factors prod_h f_h^{e_h}.
 
     ``factors`` may be an EtaQuotient, a list of (scale, exponent)
-    pairs, or a string like "2:1,5:1,1:-2".  Negative exponents invert
-    the sparse base first, so 1/f_1^2 costs one inversion plus one
-    squaring rather than a dense division.
+    pairs, or a string like "2:1,5:1,1:-2".  Scales are taken in
+    ascending order, and each f_{2h}/f_h^2 (or f_h^2/f_{2h}) the
+    exponents hold is taken out as phi(-q^h)^-1 (or phi(-q^h)), since
+    f_h^2/f_{2h} = phi(-q^h) is a theta series with O(sqrt(order))
+    terms.  So f_2 f_ell/f_1^2 costs one sparse inversion of phi(-q) and
+    one product.  Every other factor is an Euler product, inverted
+    while still sparse when its exponent is negative.
     """
     if isinstance(factors, str):
         factors = EtaQuotient.parse(factors)
     elif not isinstance(factors, EtaQuotient):
         factors = EtaQuotient(factors)
+    exps = dict(factors.factors)   # scales ascending, as normalized
+    phis = []
+    for h in exps:
+        e, e2 = exps[h], exps.get(2 * h, 0)
+        if e <= -2 and e2 >= 1:
+            k = -min(-e // 2, e2)
+        elif e >= 2 and e2 <= -1:
+            k = min(e // 2, -e2)
+        else:
+            continue
+        phis.append((h, k))        # phi(-q^h)^k = f_h^{2k} f_{2h}^{-k}
+        exps[h] = e - 2 * k
+        exps[2 * h] = e2 + k
+
+    def bases():
+        for h, k in phis:
+            yield general_theta(PHI_NEG_SPEC, order, h), k
+        for h, e in exps.items():
+            if e:
+                yield euler_product(h, order), e
+
     out = None
-    for h, e in factors.factors:
-        base = euler_product(h, order)
+    for base, e in bases():
         if modulus is not None:
             base = base.reduce_mod(modulus)
         term = base ** e
@@ -146,7 +170,9 @@ def phi_neg(order: int, scale: int = 1) -> Series:
     """phi(-q^scale), computed two independent ways and cross-checked:
     the alternating square sum and the quotient f_s^2 / f_{2s}."""
     direct = PHI_NEG_SPEC.expand(order, scale)
-    quotient = eta_quotient([(scale, 2), (2 * scale, -1)], order)
+    # eta_quotient would expand this quotient from PHI_NEG_SPEC itself
+    quotient = (euler_product(scale, order) ** 2
+                * euler_product(2 * scale, order).invert())
     if direct != quotient:
         raise AssertionError(
             "internal inconsistency expanding phi(-q^%d)" % scale)

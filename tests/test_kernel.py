@@ -5,12 +5,14 @@ import math
 
 import pytest
 
+from qcong import qfunctions as qf
 from qcong import series
 from qcong.series import Series
 
 st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
 
+from test_qfunctions import plain_eta_quotient  # noqa: E402
 from test_series import BACKENDS, naive_product  # noqa: E402
 
 
@@ -67,3 +69,27 @@ def test_newton_matches_recurrence(n, m, density, rnd):
     want = series._recurrence_inverse(f.coeffs, n, inv0, m)
     assert series._newton_inverse(f.coeffs, inv0, m) == want
     assert list(f.invert().coeffs) == want
+
+
+@st.composite
+def eta_inputs(draw):
+    """(factors, order, modulus): scales 1..8, exponents -4..4, sometimes
+    with an f_h^{-2k} f_{2h}^k (or its inverse) pair put in, at orders up
+    to past the Newton crossover."""
+    factors = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(-4, 4)),
+                            max_size=4))
+    if draw(st.booleans()):
+        h, k = draw(st.integers(1, 4)), draw(st.sampled_from([-2, -1, 1, 2]))
+        factors += [(h, -2 * k), (2 * h, k)]
+    m = draw(st.sampled_from([None, 2, 3, 4, 8, 9, 10**9 + 7]))
+    order = draw(st.one_of(st.integers(1, 200),
+                           st.integers(700, 1500 if m is None else 3000)))
+    return factors, order, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta_inputs())
+def test_eta_quotient_matches_plain_product(case):
+    factors, order, m = case
+    assert (qf.eta_quotient(factors, order, m)
+            == plain_eta_quotient(factors, order, m))

@@ -98,6 +98,52 @@ def test_eta_quotient_modular_matches_exact_reduction():
     assert modular.modulus == 3
 
 
+def plain_eta_quotient(factors, order, modulus=None):
+    """prod_h f_h^{e_h} one Euler factor at a time, with no phi(-q)
+    rewriting: the reference eta_quotient must agree with bit for bit."""
+    out = Series.one(order, modulus)
+    for h, e in EtaQuotient(factors).factors:
+        base = qf.euler_product(h, order)
+        if modulus is not None:
+            base = base.reduce_mod(modulus)
+        out = out * base ** e
+    return out
+
+
+def test_eta_quotient_takes_out_phi_pairs():
+    # f_h^2/f_2h and its inverse, alone, repeated, mixed with other factors
+    for factors in ([(1, 2), (2, -1)], [(3, -2), (6, 1)], [(1, -4), (2, 2)],
+                    [(1, -5), (2, 1), (4, -1)], [(1, -2), (2, 3), (4, -3)],
+                    [(1, 3), (2, -2)], [(2, -2), (4, 1), (1, -2)]):
+        for m in (None, 2, 4, 9):
+            assert (qf.eta_quotient(factors, 300, m)
+                    == plain_eta_quotient(factors, 300, m)), (factors, m)
+
+
+# (ell, order, modulus) of the rstar(ell) bases criteria 6 and 8 build
+SUITE_BASES = ((6, 146469, 3), (8, 32014, 4), (8, 16008, 8))
+
+
+@pytest.mark.parametrize("ell, order, m", SUITE_BASES)
+def test_eta_quotient_matches_plain_product_at_suite_orders(ell, order, m):
+    eq = EtaQuotient.rstar(ell)
+    assert (qf.eta_quotient(eq, order, m)
+            == plain_eta_quotient(eq.factors, order, m))
+
+
+def test_rstar6_times_f1_squared_at_criterion_6_order():
+    n, m = 146469, 3
+    f1, f2, f6 = (qf.euler_product(h, n).reduce_mod(m) for h in (1, 2, 6))
+    assert qf.eta_quotient(EtaQuotient.rstar(6), n, m) * f1 ** 2 == f2 * f6
+
+
+def test_phi_neg_cross_check_catches_a_corrupt_spec(monkeypatch):
+    # the check compares the spec with Euler products, not with itself
+    monkeypatch.setattr(qf, "PHI_NEG_SPEC", qf.ThetaSpec(1, 1, 1, -1))
+    with pytest.raises(AssertionError, match="phi"):
+        qf.phi_neg(50)
+
+
 def test_theta_rejects_negative_exponents():
     with pytest.raises(ValueError):
         qf.general_theta(qf.ThetaSpec(0, 0), 10)

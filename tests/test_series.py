@@ -337,9 +337,11 @@ def test_no_product_is_spent_on_one(monkeypatch):
         assert len(calls) == products
         calls.clear()
         assert power == Series(naive_power(f.coeffs, k, 50))
-    # an eta quotient starts from its first factor
+    # an eta quotient starts from its first factor, and f2/f1^2 is one
+    # inverted phi(-q)
     for factors, products in (([(2, 1)], 0), ([(2, 1), (8, 1)], 1),
-                              ([(1, -2)], 1), ([(1, -2), (2, 1), (6, 1)], 3)):
+                              ([(1, -2)], 1), ([(1, -2), (2, 1), (6, 1)], 1),
+                              ([(1, -2), (2, 2)], 1)):
         calls.clear()
         eta_quotient(factors, 50)
         assert len(calls) == products
