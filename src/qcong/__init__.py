@@ -8,113 +8,8 @@ identity catalog), `counting` (independent DP oracles), `congruence`
 run), `cli` (command-line surface).
 """
 
-from .counting import (
-    DISTINCT_TWO_COPIES,
-    L_REGULAR,
-    NONOVERLINED_L_REGULAR,
-    OVERLINED_L_REGULAR,
-    OVERPARTITION,
-    PLAIN_P,
-    CountTable,
-    PartitionKind,
-    count,
-    enumerate_small,
-)
-from .congruence import (
-    Candidate,
-    ClaimError,
-    CongruenceClaim,
-    EligibilityError,
-    FAMILIES,
-    INTERMEDIATE_IDS,
-    IntegralityError,
-    OrderShortfallError,
-    Progression,
-    eligible_primes,
-    expand_quotient,
-    instantiate,
-    legendre,
-    search,
-    verify,
-    verify_intermediate,
-    verify_many,
-)
-from .qfunctions import (
-    IDENTITIES,
-    Identity,
-    ThetaSpec,
-    eta_quotient,
-    euler_product,
-    general_theta,
-    phi,
-    phi_neg,
-    psi,
-    run_catalog,
-    verify_identity,
-    x_series,
-    y_series,
-)
-from .report import VerificationReport, reports_to_json
-from .series import (
-    CongruenceCheck,
-    EtaQuotient,
-    ModulusMismatchError,
-    NotInvertibleError,
-    Series,
-    SeriesError,
-    congruent_mod,
-)
+from .series import EtaQuotient
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Candidate",
-    "ClaimError",
-    "CongruenceCheck",
-    "CongruenceClaim",
-    "CountTable",
-    "DISTINCT_TWO_COPIES",
-    "EligibilityError",
-    "EtaQuotient",
-    "FAMILIES",
-    "IDENTITIES",
-    "INTERMEDIATE_IDS",
-    "Identity",
-    "IntegralityError",
-    "L_REGULAR",
-    "ModulusMismatchError",
-    "NONOVERLINED_L_REGULAR",
-    "NotInvertibleError",
-    "OVERLINED_L_REGULAR",
-    "OVERPARTITION",
-    "OrderShortfallError",
-    "PLAIN_P",
-    "PartitionKind",
-    "Progression",
-    "Series",
-    "SeriesError",
-    "ThetaSpec",
-    "VerificationReport",
-    "congruent_mod",
-    "count",
-    "eligible_primes",
-    "enumerate_small",
-    "eta_quotient",
-    "euler_product",
-    "expand_quotient",
-    "general_theta",
-    "instantiate",
-    "legendre",
-    "phi",
-    "phi_neg",
-    "psi",
-    "reports_to_json",
-    "run_catalog",
-    "search",
-    "verify",
-    "verify_identity",
-    "verify_intermediate",
-    "verify_many",
-    "x_series",
-    "y_series",
-]
+__all__ = ["EtaQuotient"]

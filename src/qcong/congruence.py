@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import counting
-from .ntheory import is_prime
-from .qfunctions import eta_quotient, euler_product, psi
+from .qfunctions import _is_prime, eta_quotient, euler_product, psi
 from .report import VerificationReport, compare_coefficients
 from .series import EtaQuotient, Series
 
@@ -44,17 +43,6 @@ class IntegralityError(ClaimError):
 
 class OrderShortfallError(ClaimError):
     """The requested check needs a longer series than the guard allows."""
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -146,35 +134,25 @@ _PRIME_FAMILIES = {
 }
 
 
-def eligible_primes(family: str, bound: int) -> list[int]:
-    """Primes <= bound meeting the family's lower bound and Legendre
-    hypothesis.  Accepts the base family name or a -series/-vanish tag."""
-    base = family.replace("-series", "").replace("-vanish", "")
-    try:
-        cfg = _PRIME_FAMILIES[base]
-    except KeyError:
-        raise ValueError(
-            f"unknown prime family {family!r}; known: "
-            + ", ".join(sorted(_PRIME_FAMILIES))) from None
-    out = []
-    for p in range(cfg["min_p"], bound + 1):
-        if is_prime(p) and p > 2 and legendre(cfg["witness"], p) == -1:
-            out.append(p)
-    return out
+def _legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) by Euler's criterion, for an odd prime p."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def _check_eligible(family: str, cfg: dict, p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
+    # the bound comes first, so primality is only tested on p <= PRIME_LIMIT
+    if isinstance(p, int) and p > PRIME_LIMIT:
+        raise EligibilityError(
+            f"{family}: p = {p} exceeds the supported bound {PRIME_LIMIT} "
+            "(indices grow like p^(2a+2))")
+    if not isinstance(p, int) or not _is_prime(p):
         raise EligibilityError(f"{family}: p = {p!r} is not prime")
     if p < cfg["min_p"]:
         raise EligibilityError(
             f"{family}: hypothesis requires p >= {cfg['min_p']}, got {p}")
-    if p > PRIME_LIMIT:
-        raise EligibilityError(
-            f"{family}: p = {p} exceeds the supported bound {PRIME_LIMIT} "
-            "(indices grow like p^(2a+2))")
     w = cfg["witness"]
-    sym = legendre(w, p)
+    sym = _legendre(w, p)
     if sym != -1:
         raise EligibilityError(
             f"{family}: hypothesis requires ({w}/p) = -1, "
@@ -196,14 +174,6 @@ def _offset(family: str, mult: int, div: int, p: int, exponent: int) -> int:
             f"{family}: offset ({mult}*p^{exponent}-1)/{div} is not an "
             f"integer for p = {p}")
     return num // div
-
-
-def _nine_offset(family: str, mult: int, alpha: int) -> int:
-    num = mult * 9 ** alpha - 1
-    if num % 4:
-        raise IntegralityError(
-            f"{family}: offset ({mult}*9^{alpha}-1)/4 is not an integer")
-    return num // 4
 
 
 def _take(params: dict, family: str, required: tuple[str, ...],
@@ -237,6 +207,9 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
       at modulus 2 and modulus 4 (both recorded)
     - conv-overpartition: exact convolution against pbar(n) (param ell)
     - r2-distinct: a(n) = D2(n) exactly on ell=2
+    - r4-4n1-mod4, r6-2n1-mod3, r6-3n2-mod3, r6-all-mod3, r8-2n1-exact,
+      r8-2n1-mod8, r8-4n1-mod4, r8-16n1-mod4: the proof-internal
+      progression congruences (ell, progression and modulus as spelled)
     """
     try:
         builder = _FAMILY_BUILDERS[family]
@@ -279,12 +252,6 @@ def _build_prime_vanish(family: str, params: dict) -> list[CongruenceClaim]:
     return claims
 
 
-def _build_r4_fixed(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ())
-    return [CongruenceClaim(family, (("xi", xi),), 4, Progression(4, xi), 4, "ZERO")
-            for xi in (2, 3)]
-
-
 def _build_r5k_fixed(family: str, params: dict) -> list[CongruenceClaim]:
     _take(params, family, ("k",))
     k = params["k"]
@@ -305,12 +272,9 @@ def _build_r6_iterated(family: str, params: dict) -> list[CongruenceClaim]:
     alpha = params["alpha"]
     _check_alpha(family, alpha)
     div = 2 if family.endswith("-alt") else 4
-    num = 9 ** alpha - 1
-    if num % div:
-        raise IntegralityError(
-            f"{family}: offset (9^{alpha}-1)/{div} is not an integer")
+    off = _offset(family, 1, div, 9, alpha)
     return [CongruenceClaim(family, (("alpha", alpha),), 6,
-                            Progression(9 ** alpha, num // div), 3, "SELF")]
+                            Progression(9 ** alpha, off), 3, "SELF")]
 
 
 def _build_r6_vanish(family: str, params: dict) -> list[CongruenceClaim]:
@@ -318,30 +282,9 @@ def _build_r6_vanish(family: str, params: dict) -> list[CongruenceClaim]:
     alpha = params["alpha"]
     _check_alpha(family, alpha)
     mult = 21 if family.endswith("-a") else 33
-    off = _nine_offset(family, mult, alpha)
+    off = _offset(family, mult, 4, 9, alpha)
     return [CongruenceClaim(family, (("alpha", alpha),), 6,
                             Progression(9 ** (alpha + 1), off), 3, "ZERO")]
-
-
-def _build_r8_fixed_mod4(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ())
-    progs = [(4, 2), (4, 3), (16, 5), (16, 9), (16, 13)]
-    return [CongruenceClaim(family, (), 8, Progression(a, b), 4, "ZERO")
-            for a, b in progs]
-
-
-def _build_r8_fixed_mod8(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ())
-    progs = [(4, 3), (8, 3), (8, 5), (8, 7)]
-    return [CongruenceClaim(family, (), 8, Progression(a, b), 8, "ZERO")
-            for a, b in progs]
-
-
-def _build_r8_halved(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ())
-    return [CongruenceClaim(family, (), 8, Progression(16, 1), m,
-                            "P_CONVOLUTION", halve=True)
-            for m in (2, 4)]
 
 
 def _build_conv_overpartition(family: str, params: dict) -> list[CongruenceClaim]:
@@ -355,13 +298,38 @@ def _build_conv_overpartition(family: str, params: dict) -> list[CongruenceClaim
                             None, "OVERPARTITION_CONV")]
 
 
-def _build_r2_distinct(family: str, params: dict) -> list[CongruenceClaim]:
+# families without parameters: family -> claims as (params, ell, step,
+# offset, modulus (None = exact), rhs tag, halve)
+_FIXED = {
+    "r4-fixed": [((("xi", xi),), 4, 4, xi, 4, "ZERO", False) for xi in (2, 3)],
+    "r8-fixed-mod4": [((), 8, a, b, 4, "ZERO", False) for a, b in
+                      ((4, 2), (4, 3), (16, 5), (16, 9), (16, 13))],
+    "r8-fixed-mod8": [((), 8, a, b, 8, "ZERO", False) for a, b in
+                      ((4, 3), (8, 3), (8, 5), (8, 7))],
+    "r8-halved": [((), 8, 16, 1, m, "P_CONVOLUTION", True) for m in (2, 4)],
+    "r2-distinct": [((), 2, 1, 0, None, "D2", False)],
+    # proof-internal congruences, which catch transcription slips before
+    # the headline claims run; each id spells ell, progression, modulus
+    "r4-4n1-mod4": [((), 4, 4, 1, 4, "TWO_F1_PSI_Q2", False)],
+    "r6-2n1-mod3": [((), 6, 2, 1, 3, "TWO_PSI_PSI4", False)],
+    "r6-3n2-mod3": [((), 6, 3, 2, 3, "PSI_SQ_Q3", False)],
+    "r6-all-mod3": [((), 6, 1, 0, 3, "PSI_SQ", False)],
+    "r8-2n1-exact": [((), 8, 2, 1, None, "R8_ODD_EXACT", False)],
+    "r8-2n1-mod8": [((), 8, 2, 1, 8, "TWO_F8_SQ", False)],
+    "r8-4n1-mod4": [((), 8, 4, 1, 4, "TWO_F4_SQ", False)],
+    "r8-16n1-mod4": [((), 8, 16, 1, 4, "TWO_F1_SQ", False)],
+}
+
+
+def _build_fixed(family: str, params: dict) -> list[CongruenceClaim]:
     _take(params, family, ())
-    return [CongruenceClaim(family, (), 2, Progression(1, 0), None, "D2")]
+    return [CongruenceClaim(family, ps, ell, Progression(step, off), m, rhs,
+                            halve)
+            for ps, ell, step, off, m, rhs, halve in _FIXED[family]]
 
 
 _FAMILY_BUILDERS = {
-    "r4-fixed": _build_r4_fixed,
+    **dict.fromkeys(_FIXED, _build_fixed),
     "r4-prime-series": _build_prime_series,
     "r4-prime-vanish": _build_prime_vanish,
     "r5k-fixed": _build_r5k_fixed,
@@ -371,13 +339,9 @@ _FAMILY_BUILDERS = {
     "r6-vanish-b": _build_r6_vanish,
     "r6-prime-series": _build_prime_series,
     "r6-prime-vanish": _build_prime_vanish,
-    "r8-fixed-mod4": _build_r8_fixed_mod4,
-    "r8-fixed-mod8": _build_r8_fixed_mod8,
     "r8-prime-series": _build_prime_series,
     "r8-prime-vanish": _build_prime_vanish,
-    "r8-halved": _build_r8_halved,
     "conv-overpartition": _build_conv_overpartition,
-    "r2-distinct": _build_r2_distinct,
 }
 
 FAMILIES = tuple(sorted(_FAMILY_BUILDERS))
@@ -527,40 +491,6 @@ def verify_many(claims: list[CongruenceClaim], terms: int = DEFAULT_TERMS,
                                c.progression.offset, c.modulus or 0))
     expand_for([(c, terms) for c in ordered], max_order)
     return [verify(c, terms, max_order) for c in ordered]
-
-
-# -- proof-internal congruences ------------------------------------------------------
-
-_INTERMEDIATES = {
-    # id: (ell, step, offset, modulus (None = exact), rhs tag)
-    "r4-4n1-mod4": (4, 4, 1, 4, "TWO_F1_PSI_Q2"),
-    "r6-2n1-mod3": (6, 2, 1, 3, "TWO_PSI_PSI4"),
-    "r6-3n2-mod3": (6, 3, 2, 3, "PSI_SQ_Q3"),
-    "r6-all-mod3": (6, 1, 0, 3, "PSI_SQ"),
-    "r8-2n1-exact": (8, 2, 1, None, "R8_ODD_EXACT"),
-    "r8-2n1-mod8": (8, 2, 1, 8, "TWO_F8_SQ"),
-    "r8-4n1-mod4": (8, 4, 1, 4, "TWO_F4_SQ"),
-    "r8-16n1-mod4": (8, 16, 1, 4, "TWO_F1_SQ"),
-}
-
-INTERMEDIATE_IDS = tuple(sorted(_INTERMEDIATES))
-
-
-def intermediate_claim(ident: str) -> CongruenceClaim:
-    try:
-        ell, step, off, modulus, rhs = _INTERMEDIATES[ident]
-    except KeyError:
-        raise ClaimError(
-            f"unknown intermediate id {ident!r}; known: "
-            + ", ".join(INTERMEDIATE_IDS)) from None
-    return CongruenceClaim(ident, (), ell, Progression(step, off), modulus, rhs)
-
-
-def verify_intermediate(ident: str, terms: int = 300,
-                        max_order: int = DEFAULT_MAX_ORDER) -> VerificationReport:
-    """Check one of the proof-internal progression congruences; these
-    catch transcription slips before the headline claims run."""
-    return verify(intermediate_claim(ident), terms, max_order)
 
 
 # -- search --------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Optional
 
-from .ntheory import is_prime
 from .report import VerificationReport, compare_coefficients
 from .series import EtaQuotient, Series
 
@@ -199,8 +199,16 @@ def y_series(order: int, scale: int = 1) -> Series:
 # same order.
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _require_prime(p, minimum=2, odd=False):
-    if not isinstance(p, int) or not is_prime(p):
+    # the bound comes first: trial division is only run on small p
+    if isinstance(p, int) and p > DISSECTION_LIMIT:
+        raise ValueError(
+            f"parameter p = {p} exceeds the size guard {DISSECTION_LIMIT}")
+    if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"parameter p must be prime, got {p!r}")
     if p < minimum:
         raise ValueError(f"parameter p must be >= {minimum}, got {p}")
@@ -442,8 +450,9 @@ _CATALOG = (
 
 IDENTITIES = {ident.tag: ident for ident in _CATALOG}
 
-# largest p or n the CLI accepts: the p- and n^2-dissections build one
-# theta block per residue, so their time grows linearly in the parameter
+# largest p or n the CLI accepts, and the largest p any identity takes:
+# the p- and n^2-dissections build one theta block per residue, so their
+# time grows linearly in the parameter
 DISSECTION_LIMIT = 1000
 
 

@@ -185,14 +185,6 @@ def criterion_9() -> CriterionResult:
                            passed, reports, notes)
 
 
-def criterion_11() -> CriterionResult:
-    """Proof-internal progression congruences, 300 terms each."""
-    reports = [congruence.verify_intermediate(ident, 300)
-               for ident in congruence.INTERMEDIATE_IDS]
-    return CriterionResult(11, "proof-internal congruences, 300 terms",
-                           all(r.passed for r in reports), reports)
-
-
 def criterion_12() -> CriterionResult:
     """Progression search rediscovers the known fixed claims, exactly."""
     reports = []
@@ -246,7 +238,11 @@ _CRITERIA = (
     _rows_criterion(10, "exact convolution and D2 identities, n <= 1000", [
         ("conv-overpartition", {"ell": ell}, 1001) for ell in (2, 3, 4, 5, 6, 8)
     ] + [("r2-distinct", {}, 1001)]),
-    criterion_11, criterion_12,
+    _rows_criterion(11, "proof-internal congruences, 300 terms", [
+        (ident, {}, 300) for ident in (
+            "r4-4n1-mod4", "r6-2n1-mod3", "r6-3n2-mod3", "r6-all-mod3",
+            "r8-16n1-mod4", "r8-2n1-exact", "r8-2n1-mod8", "r8-4n1-mod4")]),
+    criterion_12,
 )
 
 

@@ -119,6 +119,11 @@ def test_verify_theorem_pass_and_json(capsys):
     assert all(item["status"] == "pass" for item in parsed)
     # canonical form: parse + re-serialize is byte-identical
     assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) == blob
+    # proof-internal congruences are families like any other
+    assert run(["verify-theorem", "--family", "r8-2n1-exact",
+                "--terms", "100", "--format", "json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["name"] == "r8-2n1-exact" and report["status"] == "pass"
 
 
 def test_verify_theorem_failure_exit(capsys):

@@ -28,22 +28,34 @@ FAMILY_DEFAULT_PARAMS = {
 
 
 def test_legendre_basics():
-    assert cg.legendre(-1, 3) == -1
-    assert cg.legendre(13, 13) == 0
-    assert cg.legendre(4, 7) == 1
-    assert cg.legendre(-6, 13) == -1
-    assert cg.legendre(-6, 29) == 1
+    assert cg._legendre(-1, 3) == -1
+    assert cg._legendre(13, 13) == 0
+    assert cg._legendre(4, 7) == 1
+    assert cg._legendre(-6, 13) == -1
+    assert cg._legendre(-6, 29) == 1
     # multiplicativity spot check
-    assert cg.legendre(2, 31) * cg.legendre(3, 31) == cg.legendre(6, 31)
+    assert cg._legendre(2, 31) * cg._legendre(3, 31) == cg._legendre(6, 31)
+
+
+def _accepted_primes(family):
+    accepted = []
+    for p in range(2, cg.PRIME_LIMIT + 1):
+        try:
+            cg.instantiate(family, p=p, alpha=0)
+        except cg.EligibilityError:
+            continue
+        accepted.append(p)
+    return accepted
 
 
 def test_eligible_primes_per_family():
-    assert cg.eligible_primes("r6-prime", 20) == [3, 7, 11, 19]
-    assert cg.eligible_primes("r8-prime", 7) == [5]
-    assert cg.eligible_primes("r4-prime", 31) == [13, 17, 19, 23]
-    # suffixed spellings name the same hypothesis
-    assert (cg.eligible_primes("r4-prime-series", 31)
-            == cg.eligible_primes("r4-prime-vanish", 31))
+    for family, bound, want in (("r6-prime", 20, [3, 7, 11, 19]),
+                                ("r8-prime", 7, [5]),
+                                ("r4-prime", 31, [13, 17, 19, 23])):
+        series = _accepted_primes(family + "-series")
+        # suffixed spellings name the same hypothesis
+        assert series == _accepted_primes(family + "-vanish")
+        assert [p for p in series if p <= bound] == want
 
 
 def test_eligibility_errors():
@@ -55,6 +67,12 @@ def test_eligibility_errors():
         cg.instantiate("r4-prime-vanish", p=15, alpha=0)
     with pytest.raises(cg.EligibilityError, match="exceeds the supported bound"):
         cg.instantiate("r4-prime-series", p=37, alpha=0)
+    # the bound is checked before primality, so neither a composite nor a
+    # huge prime past it reaches the primality test
+    with pytest.raises(cg.EligibilityError, match="exceeds the supported bound"):
+        cg.instantiate("r4-prime-series", p=35, alpha=0)
+    with pytest.raises(cg.EligibilityError, match="exceeds the supported bound"):
+        cg.instantiate("r4-prime-series", p=2**127 - 1)
     with pytest.raises(cg.EligibilityError, match=r"\(-1/5\) = 1"):
         cg.instantiate("r6-prime-series", p=5, alpha=0)
     with pytest.raises(cg.EligibilityError, match=r"\(-3/7\) = 1"):
@@ -171,11 +189,11 @@ def test_convolution_and_d2_exact():
 
 
 def test_intermediates_all_pass():
-    for ident in cg.INTERMEDIATE_IDS:
-        report = cg.verify_intermediate(ident, 120)
-        assert report.passed, ident
-    with pytest.raises(cg.ClaimError):
-        cg.intermediate_claim("no-such-intermediate")
+    for ident in ("r4-4n1-mod4", "r6-2n1-mod3", "r6-3n2-mod3", "r6-all-mod3",
+                  "r8-2n1-exact", "r8-2n1-mod8", "r8-4n1-mod4",
+                  "r8-16n1-mod4"):
+        (report,) = cg.verify_many(cg.instantiate(ident), 120)
+        assert report.passed and report.name == ident, ident
 
 
 def test_order_guard():

@@ -183,6 +183,9 @@ def test_invalid_dissection_primes():
         qf.verify_identity("psi-pdiss", 50, p=9)
     with pytest.raises(ValueError):
         qf.verify_identity("f1-pdiss", 50, p=3)
+    # a prime past the size guard is refused before any primality test
+    with pytest.raises(ValueError, match="size guard"):
+        qf.verify_identity("fp-binom", p=1009)
 
 
 def test_identity_parameter_validation():
