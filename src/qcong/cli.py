@@ -47,6 +47,27 @@ def size(text: str) -> int:
     return _capped(text, congruence.DEFAULT_MAX_ORDER)
 
 
+# largest |exponent| expand accepts: f^e takes about log2|e| products
+# whose slots widen with log|e|, so 1:-1000 at order 500 takes 0.3 s,
+# 1:-100000 1.3 s and 1:-10000000 7.7 s
+EXPONENT_LIMIT = 1000
+
+
+def eta_spec(text: str) -> str:
+    """argparse type for expand's --eta: every |exponent| is capped.  A
+    malformed spec passes through, for _cmd_expand to report."""
+    try:
+        factors = EtaQuotient.parse(text).factors
+    except ValueError:
+        return text
+    for h, e in factors:
+        if abs(e) > EXPONENT_LIMIT:
+            raise argparse.ArgumentTypeError(
+                f"exponent {e} of f{h} exceeds the size guard "
+                f"{EXPONENT_LIMIT}")
+    return text
+
+
 def dissection(text: str) -> int:
     """argparse type for verify-lemma's --p and --n: a dissection adds one
     theta block per residue, so the parameter is capped."""
@@ -208,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("expand", help="expand an eta quotient")
-    p.add_argument("--eta", required=True, metavar="SPEC",
-                   help='factor list like "2:1,5:1,1:-2" (f2*f5/f1^2)')
+    p.add_argument("--eta", type=eta_spec, required=True, metavar="SPEC",
+                   help='factor list like "2:1,5:1,1:-2" (f2*f5/f1^2), with '
+                        f"exponents at most {EXPONENT_LIMIT} in size")
     p.add_argument("--order", type=size, default=500,
                    help="number of coefficients (default 500)")
     p.add_argument("--modulus", type=int, default=None,

@@ -8,9 +8,11 @@ operation ever invents coefficients past known data.
 Products go through one Kronecker-substitution kernel with two exact
 backends: CPython big ints for small operands, and the standard
 library's `decimal` (libmpdec, whose multiply is a number-theoretic
-transform) once the packed operand passes about 150000 bits.  Inverses
-use the sparse constant-term recurrence over Z and for short modular
-series, and Newton iteration over the kernel for longer modular ones.
+transform) once the packed operand passes about 150000 bits.  Quotients
+and inverses (a quotient with numerator 1) use one constant-term
+recurrence over the nonzero terms of the divisor, over Z and for sparse
+modular divisors, and Newton iteration over the kernel for modular
+divisors with more nonzero terms.
 
 Values are immutable after construction and safe to share between
 threads.
@@ -202,34 +204,30 @@ class Series:
             base = base * base
 
     def invert(self) -> "Series":
-        """Multiplicative inverse.
+        """Multiplicative inverse: 1 / self.
 
         Over Z, and over Z/mZ while the recurrence is cheap, this is the
-        constant-term recurrence, O(order * number-of-nonzero-terms):
-        eta products and theta series are sparse.  Longer modular series
-        use Newton iteration g <- g (2 - f g), which doubles the number of
-        correct terms with two products each step, O(M(order)).
+        constant-term recurrence of ``/`` with numerator 1.  Longer
+        modular series use Newton iteration g <- g (2 - f g), which
+        doubles the number of correct terms with two products each step,
+        O(M(order)).
         """
-        if self.order == 0:
-            raise NotInvertibleError("cannot invert an order-0 series")
-        a0 = self.coeffs[0]
-        m = self.modulus
-        if m is None:
-            if a0 not in (1, -1):
-                raise NotInvertibleError(
-                    f"constant term {a0} is not a unit over Z")
-            inv0 = a0
-        else:
-            try:
-                inv0 = pow(a0, -1, m)
-            except ValueError:
-                raise NotInvertibleError(
-                    f"constant term {a0} is not a unit mod {m}") from None
-        if m is None or not _newton_pays(self.coeffs):
-            b = _recurrence_inverse(self.coeffs, self.order, inv0, m)
-        else:
-            b = _newton_inverse(self.coeffs, inv0, m)
-        return Series._canonical(b, m)
+        return Series._canonical(_quotient((1,), self.coeffs, self.modulus),
+                                 self.modulus)
+
+    def __truediv__(self, other):
+        """Quotient self / other, truncated to the shorter operand.
+
+        The constant-term recurrence F = (self - sum_k other[k] q^k F) /
+        other[0] runs over the nonzero terms of ``other`` only, so a
+        sparse divisor costs O(order * nonzero-terms) and no product.
+        Longer modular divisors take a Newton inverse and one product.
+        """
+        if not isinstance(other, Series):
+            return NotImplemented
+        n, m = self._common(other)
+        return Series._canonical(
+            _quotient(self.coeffs, other.coeffs[:n], m), m)
 
     # -- structural operations ----------------------------------------------
 
@@ -465,46 +463,79 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
     return list(values)
 
 
-# -- inversion ------------------------------------------------------------------
+# -- division -------------------------------------------------------------------
 #
-# The recurrence costs about order * nonzero-terms / 2 Python-level
-# multiply-adds; Newton costs a few kernel products at full order.
-# Measured on 1/f1 mod 3 (2-vCPU Xeon VM, CPython 3.11), Newton already
-# wins at order 512, 9000 recurrence steps (0.8 ms against 1.3 ms), and
-# takes 21 ms against 69 ms at order 8192, 0.8 s against 4.8 s at 147456.
+# The recurrence costs about order * nonzero-terms / 2 additions: it sums
+# F[n-k] over the k sharing one coefficient value, so the +-1 and +-2 of
+# Euler products and theta series cost one addition a term.  Newton's
+# products cost about the same per coefficient from order 2048 to 131072,
+# so the crossover is a count of nonzero terms.  Recurrence time over
+# Newton's, on phi(-q^h) mod 3 at orders 32768 and 131072 (2-vCPU Xeon VM,
+# CPython 3.11): for an inverse 0.72-0.79 at 41 terms, 1.03-1.06 at 61;
+# for a quotient, against a Newton inverse and one product, 0.93-0.94 at
+# 91 terms, 1.40-1.44 at 128.  f1 mod 3 and mod 4 are even at 45 terms
+# (order 768) for an inverse and at 74 (order 2048) for a quotient.
 
-_NEWTON_MIN_STEPS = 8_000
+_NEWTON_MIN_TERMS = 50
+_NEWTON_MIN_DIVISION_TERMS = 96
 # Newton's first approximation comes from the recurrence at this order
 _NEWTON_BASE_ORDER = 128
 
 
-def _newton_pays(coeffs: Sequence[int]) -> bool:
+def _newton_pays(coeffs: Sequence[int], min_terms: int) -> bool:
     n = len(coeffs)
-    return (n > _NEWTON_BASE_ORDER
-            and n * (n - coeffs.count(0)) // 2 >= _NEWTON_MIN_STEPS)
+    return n > _NEWTON_BASE_ORDER and n - coeffs.count(0) > min_terms
 
 
-def _recurrence_inverse(coeffs: Sequence[int], N: int, inv0: int,
-                        m: Optional[int]) -> list[int]:
-    """First N coefficients of 1/f by the constant-term recurrence."""
-    ks = []
-    vs = []
+def _quotient(num: Sequence[int], den: Sequence[int],
+              m: Optional[int]) -> list[int]:
+    """First len(den) coefficients of num/den.  A numerator of (1,) is
+    an inverse, which Newton returns without a product."""
+    if not den:
+        raise NotInvertibleError("cannot invert an order-0 series")
+    inv0 = a0 = den[0]
+    if m is None:
+        if a0 not in (1, -1):
+            raise NotInvertibleError(
+                f"constant term {a0} is not a unit over Z")
+    else:
+        try:
+            inv0 = pow(a0, -1, m)
+        except ValueError:
+            raise NotInvertibleError(
+                f"constant term {a0} is not a unit mod {m}") from None
+    inverse = num == (1,)
+    if m is None or not _newton_pays(den, _NEWTON_MIN_TERMS if inverse
+                                     else _NEWTON_MIN_DIVISION_TERMS):
+        return _divide(num, den, inv0, m)
+    g = _newton_inverse(den, inv0, m)
+    return g if inverse else _convolve(num, g, len(den), m)
+
+
+def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
+            m: Optional[int]) -> list[int]:
+    """First len(den) coefficients of num/den by the constant-term
+    recurrence F[n] = inv0 (num[n] - sum_k den[k] F[n-k]), over the
+    nonzero den[k] with 1 <= k <= n; inv0 is the inverse of den[0]."""
+    N = len(den)
+    by_value: dict[int, list[int]] = {}
     for k in range(1, N):
-        if coeffs[k]:
-            ks.append(k)
-            vs.append(coeffs[k])
-    b = [0] * N
-    b[0] = inv0
-    L = len(ks)
-    lim = 0
-    for n in range(1, N):
-        while lim < L and ks[lim] <= n:
-            lim += 1
-        s = 0
-        for j in range(lim):
-            s += vs[j] * b[n - ks[j]]
-        b[n] = -inv0 * s if m is None else (-inv0 * s) % m
-    return b
+        if den[k]:
+            by_value.setdefault(den[k], []).append(k)
+    groups = list(by_value.items())
+    F = list(num[:N])
+    F += [0] * (N - len(F))
+    for n in range(N):
+        s = F[n]
+        for v, ks in groups:
+            t = 0
+            for k in ks:
+                if k > n:
+                    break
+                t += F[n - k]
+            s -= v * t
+        F[n] = inv0 * s if m is None else inv0 * s % m
+    return F
 
 
 def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
@@ -518,7 +549,7 @@ def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
     while orders[-1] > _NEWTON_BASE_ORDER:
         orders.append((orders[-1] + 1) // 2)
     k = orders.pop()
-    g = _recurrence_inverse(coeffs, k, inv0, m)
+    g = _divide((1,), coeffs[:k], inv0, m)
     for k2 in reversed(orders):
         e = _convolve(coeffs, g, k2, m)[k:]
         ge = _convolve(g, e, k2 - k, m)

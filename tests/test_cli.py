@@ -53,13 +53,14 @@ def test_expand_bad_modulus(capsys, modulus):
     ["search", "--ell", "4", "--max-step", "200001"],
     ["verify-lemma", "--id", "psi-pdiss", "--p", "1000003"],
     ["verify-lemma", "--id", "phi-sqdiss", "--n", "1001"],
+    ["expand", "--order", "500", "--eta", "2:1,1:-1000000000"],
 ])
 def test_size_guard(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    # dissection parameters have their own, smaller guard
-    guard = 1000 if argv[-2] in ("--p", "--n") else 200000
+    # dissection parameters and exponents have their own, smaller guards
+    guard = 1000 if argv[-2] in ("--p", "--n", "--eta") else 200000
     assert f"exceeds the size guard {guard}" in capsys.readouterr().err
 
 

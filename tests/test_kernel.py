@@ -60,23 +60,60 @@ def test_series_product_and_inverse_laws(case):
 @given(st.integers(series._NEWTON_BASE_ORDER + 1, 700),
        st.sampled_from([2, 3, 4, 8, 9, 24, 97, 2**61 - 1]),
        st.floats(0.05, 1.0), st.randoms(use_true_random=False))
-def test_newton_matches_recurrence(n, m, density, rnd):
+def test_newton_matches_division(n, m, density, rnd):
     units = [u for u in range(1, min(m, 50)) if math.gcd(u, m) == 1]
     cs = [rnd.choice(units)] + [rnd.randrange(m) if rnd.random() < density
                                 else 0 for _ in range(n - 1)]
     f = Series(cs, m)
     inv0 = pow(cs[0], -1, m)
-    want = series._recurrence_inverse(f.coeffs, n, inv0, m)
+    want = series._divide((1,), f.coeffs, inv0, m)
     assert series._newton_inverse(f.coeffs, inv0, m) == want
     assert list(f.invert().coeffs) == want
 
 
 @st.composite
+def division_inputs(draw):
+    """(num, den): a sparse den with a unit constant term, whose nonzero
+    terms sit below or above the Newton crossover for quotients, and a
+    numerator with coefficients up to 10^40."""
+    m = draw(st.sampled_from([None, 2, 3, 4, 8, 9, 10**9 + 7]))
+    order = draw(st.one_of(st.integers(1, 60),
+                           st.integers(series._NEWTON_BASE_ORDER + 1, 2500)))
+    terms = draw(st.integers(0, 2 * series._NEWTON_MIN_DIVISION_TERMS))
+    small = draw(st.booleans())    # +-1, +-2 as in Euler and theta series
+    rnd = draw(st.randoms(use_true_random=False))
+    units = ([1, -1] if m is None else
+             [u for u in range(1, min(m, 50)) if math.gcd(u, m) == 1])
+    # over Z a divisor's coefficients set the quotient's growth: 9 at q^1
+    # gives 8000-bit coefficients at order 2500
+    wide = 9 if m is None else m
+    den = [rnd.choice(units)] + [0] * (order - 1)
+    for k in rnd.sample(range(1, order), min(terms, order - 1)):
+        den[k] = rnd.choice([-2, -1, 1, 2]) if small else rnd.randint(
+            -wide, wide)
+    bound = draw(st.sampled_from([1, 10**6, 10**40]))
+    num = [rnd.randint(-bound, bound) for _ in range(order)]
+    return Series(num, m), Series(den, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(division_inputs())
+def test_division_matches_product_with_inverse(case):
+    num, den = case
+    quotient = num / den
+    assert quotient == num * den.invert()
+    assert quotient * den == num
+
+
+@st.composite
 def eta_inputs(draw):
-    """(factors, order, modulus): scales 1..8, exponents -4..4, sometimes
-    with an f_h^{-2k} f_{2h}^k (or its inverse) pair put in, at orders up
-    to past the Newton crossover."""
-    factors = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(-4, 4)),
+    """(factors, order, modulus): scales 1..8, exponents -4..4 or one
+    past the divisions an exact base may take, sometimes with an
+    f_h^{-2k} f_{2h}^k (or its inverse) pair put in, at orders up to past
+    the Newton crossover."""
+    exponent = st.one_of(st.integers(-4, 4),
+                         st.just(-qf._MAX_DIVISIONS - 1))
+    factors = draw(st.lists(st.tuples(st.integers(1, 8), exponent),
                             max_size=4))
     if draw(st.booleans()):
         h, k = draw(st.integers(1, 4)), draw(st.sampled_from([-2, -1, 1, 2]))

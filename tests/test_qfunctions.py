@@ -131,6 +131,31 @@ def test_eta_quotient_matches_plain_product_at_suite_orders(ell, order, m):
             == plain_eta_quotient(eq.factors, order, m))
 
 
+@pytest.mark.parametrize("order", [8000, 10000])
+@pytest.mark.parametrize("ell", [6, 8, 16])
+def test_exact_rstar_matches_plain_product(ell, order):
+    # the search workload's exact bases, built by one sparse division
+    eq = EtaQuotient.rstar(ell)
+    assert (qf.eta_quotient(eq, order)
+            == plain_eta_quotient(eq.factors, order))
+
+
+@pytest.mark.parametrize("m, divisions", [(None, qf._MAX_DIVISIONS), (4, 0)])
+def test_large_exponents_are_inverted_then_raised(m, divisions, monkeypatch):
+    # one more than the divisions a base may take, over either ring
+    e = divisions + 1
+    factors = [(1, -e), (3, 2)]
+    divided = []
+    real = Series.__truediv__
+    monkeypatch.setattr(Series, "__truediv__",
+                        lambda a, b: divided.append(b) or real(a, b))
+    assert (qf.eta_quotient(factors, 400, m)
+            == plain_eta_quotient(factors, 400, m))
+    assert divided == []
+    qf.eta_quotient([(1, 1 - e), (3, 2)], 400, m)
+    assert len(divided) == e - 1
+
+
 def test_rstar6_times_f1_squared_at_criterion_6_order():
     n, m = 146469, 3
     f1, f2, f6 = (qf.euler_product(h, n).reduce_mod(m) for h in (1, 2, 6))
@@ -186,6 +211,11 @@ def test_invalid_dissection_primes():
     # a prime past the size guard is refused before any primality test
     with pytest.raises(ValueError, match="size guard"):
         qf.verify_identity("fp-binom", p=1009)
+    # and an n past it before any theta block is built
+    with pytest.raises(ValueError, match="n = 1001 exceeds the size guard"):
+        qf.verify_identity("phi-sqdiss", n=1001)
+    with pytest.raises(ValueError, match="size guard 1000"):
+        qf.verify_identity("phi-sqdiss", n=10**9)
 
 
 def test_identity_parameter_validation():

@@ -126,6 +126,26 @@ def test_invert_needs_unit_constant():
         Series((), None).invert()
 
 
+def test_division_is_product_with_inverse():
+    rng = random.Random(20261018)
+    f1, f2 = euler_product(1, 60), euler_product(2, 40)
+    assert f2 / f1 == f2 * f1.truncate(40).invert()      # shorter order wins
+    assert (f2 / f1).order == 40
+    num = random_series(rng, 60, bound=10**40)
+    assert (num / f1) * f1 == num
+    assert Series.one(60) / f1 == f1.invert()
+    assert (num.reduce_mod(9) / f1.reduce_mod(9)
+            == (num / f1).reduce_mod(9))
+    with pytest.raises(NotInvertibleError):
+        f1 / Series([2, 1, 1])
+    with pytest.raises(NotInvertibleError):
+        f1.reduce_mod(4) / Series([2, 1, 1], 4)
+    with pytest.raises(ModulusMismatchError):
+        f1 / f1.reduce_mod(3)
+    with pytest.raises(TypeError):
+        f1 / 2
+
+
 def test_negative_power_is_inverse():
     f1 = euler_product(1, 20)
     assert f1**-1 == f1.invert()
@@ -274,16 +294,16 @@ def test_decimal_is_imported_lazily():
     assert out.stdout.strip() == "False"
 
 
-def test_newton_matches_recurrence_at_32768_mod_4():
+def test_newton_matches_division_at_32768_mod_4():
     f = euler_product(1, 32768).reduce_mod(4)
-    assert series._newton_pays(f.coeffs)
+    assert series._newton_pays(f.coeffs, series._NEWTON_MIN_TERMS)
     newton = f.invert()
-    assert list(newton.coeffs) == series._recurrence_inverse(f.coeffs, 32768, 1, 4)
+    assert list(newton.coeffs) == series._divide((1,), f.coeffs, 1, 4)
     # and a dense series, whose recurrence is quadratic
     rng = random.Random(20261017)
     g = Series([3] + [rng.randrange(8) for _ in range(2999)], 8)
     assert (list(g.invert().coeffs)
-            == series._recurrence_inverse(g.coeffs, 3000, 3, 8))
+            == series._divide((1,), g.coeffs, 3, 8))
 
 
 def test_inverse_times_series_is_one_at_147456_mod_3():
@@ -337,11 +357,11 @@ def test_no_product_is_spent_on_one(monkeypatch):
         assert len(calls) == products
         calls.clear()
         assert power == Series(naive_power(f.coeffs, k, 50))
-    # an eta quotient starts from its first factor, and f2/f1^2 is one
-    # inverted phi(-q)
+    # an eta quotient starts from its first factor, and divides by its
+    # sparse negative-power bases, f2/f1^2 being one phi(-q)
     for factors, products in (([(2, 1)], 0), ([(2, 1), (8, 1)], 1),
-                              ([(1, -2)], 1), ([(1, -2), (2, 1), (6, 1)], 1),
-                              ([(1, -2), (2, 2)], 1)):
+                              ([(1, -2)], 0), ([(1, -2), (2, 1), (6, 1)], 0),
+                              ([(1, -2), (2, 2)], 0)):
         calls.clear()
         eta_quotient(factors, 50)
         assert len(calls) == products
