@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import counting
 from .qfunctions import _is_prime, eta_quotient, euler_product, psi
-from .report import VerificationReport, compare_coefficients
+from .report import VerificationReport, check
 from .series import EtaQuotient, Series
 
 DEFAULT_TERMS = 500
@@ -470,16 +470,9 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
     except KeyError:
         raise ClaimError(f"unknown rhs tag {claim.rhs!r}") from None
     found, expected, cmp_mod, detail = rhs(claim, terms)
-    bad, checked, nbad = compare_coefficients(found, expected, terms, cmp_mod)
-    if nbad > len(bad):
-        detail["counterexample_total"] = nbad
-    return VerificationReport(
-        name=claim.family, params=claim.param_dict,
-        status="pass" if not nbad else "fail", terms_checked=checked,
-        counterexamples=bad,
-        progression=(claim.progression.step, claim.progression.offset),
-        modulus=claim.modulus, detail=detail,
-        seconds=time.perf_counter() - t0)
+    return check(claim.family, found, expected, terms, cmp_mod, detail,
+                 started=t0, params=claim.param_dict, modulus=claim.modulus,
+                 progression=(claim.progression.step, claim.progression.offset))
 
 
 def verify_many(claims: list[CongruenceClaim], terms: int = DEFAULT_TERMS,
@@ -558,7 +551,8 @@ def search(ell: int, max_step: int, max_modulus: int,
             if g == 1 or g == 0:
                 continue
             best = 0
-            for m in range(max_modulus, 1, -1):
+            # a modulus dividing g is at most g
+            for m in range(min(max_modulus, g), 1, -1):
                 if g % m == 0:
                     best = m
                     break

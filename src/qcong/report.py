@@ -1,8 +1,10 @@
-"""Verification reports shared by the identity and congruence checkers."""
+"""Verification reports shared by the identity and congruence checkers,
+and `check`, through which every coefficient comparison becomes one."""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,12 +18,11 @@ class VerificationReport:
 
     name: str
     params: dict = field(default_factory=dict)
-    status: str = "pass"          # "pass" | "fail" | "skipped"
+    status: str = "pass"          # "pass" | "fail"
     terms_checked: int = 0
     counterexamples: list = field(default_factory=list)  # (index, found, expected)
     progression: Optional[tuple[int, int]] = None        # (step, offset)
     modulus: Optional[int] = None                        # None = exact equality
-    reason: str = ""                                     # only for "skipped"
     detail: dict = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -51,8 +52,6 @@ class VerificationReport:
         }
         if self.progression is not None:
             d["progression"] = {"step": self.progression[0], "offset": self.progression[1]}
-        if self.reason:
-            d["reason"] = self.reason
         if self.detail:
             d["detail"] = self.detail
         return d
@@ -69,11 +68,10 @@ def compare_coefficients(lhs, rhs, terms: int, modulus: Optional[int]):
     """Coefficientwise comparison of exponents 0..terms-1, exactly when
     modulus is None and mod modulus otherwise.
 
-    Returns (counterexamples, checked, total) where counterexamples holds
-    at most MAX_RECORDED_COUNTEREXAMPLES (index, found, expected) triples,
-    checked is the number of indices compared and total counts every
-    disagreement.  Raises ValueError when either side is shorter than
-    ``terms``: a comparison is never silently truncated.
+    Returns (counterexamples, total) where counterexamples holds at most
+    MAX_RECORDED_COUNTEREXAMPLES (index, found, expected) triples and
+    total counts every disagreement.  Raises ValueError when either side
+    is shorter than ``terms``: a comparison is never silently truncated.
     """
     if len(lhs) < terms or len(rhs) < terms:
         raise ValueError(
@@ -91,4 +89,31 @@ def compare_coefficients(lhs, rhs, terms: int, modulus: Optional[int]):
                     bad.append((i, a % modulus, b % modulus))
                 else:
                     bad.append((i, a, b))
-    return bad, terms, total_bad
+    return bad, total_bad
+
+
+def check(name: str, found, expected, terms: int, cmp_mod: Optional[int],
+          detail: Optional[dict] = None, ok: bool = True,
+          started: Optional[float] = None, **fields) -> VerificationReport:
+    """The report of comparing ``found`` with ``expected`` on exponents
+    0..terms-1, exactly when cmp_mod is None and mod cmp_mod otherwise.
+
+    It passes when no coefficient disagrees and ``ok`` holds (a side
+    condition the comparison cannot see).  The first disagreements are
+    kept as counterexamples; when there are more, detail records
+    ``counterexample_total``.  ``started`` is the perf_counter reading
+    the report's seconds run from.  ``fields`` set the report's other
+    attributes; the reported modulus is cmp_mod unless a ``modulus``
+    among them overrides it, for claims compared at another modulus than
+    they state.
+    """
+    bad, total = compare_coefficients(found, expected, terms, cmp_mod)
+    detail = dict(detail or {})
+    if total > len(bad):
+        detail["counterexample_total"] = total
+    fields.setdefault("modulus", cmp_mod)
+    return VerificationReport(
+        name=name, status="pass" if ok and not total else "fail",
+        terms_checked=terms, counterexamples=bad, detail=detail,
+        seconds=0.0 if started is None else time.perf_counter() - started,
+        **fields)

@@ -306,7 +306,7 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
         if s.modulus is not None and s.modulus % m != 0:
             raise ModulusMismatchError(
                 f"coefficients known only mod {s.modulus}, cannot compare mod {m}")
-    bad, _, _ = compare_coefficients(a.coeffs, b.coeffs, upto, m)
+    bad, _ = compare_coefficients(a.coeffs, b.coeffs, upto, m)
     if bad:
         return CongruenceCheck(False, *bad[0])
     return CongruenceCheck(True, None, None, None)

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import congruence, counting, qfunctions
-from .report import VerificationReport, compare_coefficients
+from .report import VerificationReport, check
 from .series import EtaQuotient
 
 
@@ -60,16 +60,11 @@ def _oracle_vs_series(kind: counting.PartitionKind, upto: int) -> VerificationRe
     t0 = time.perf_counter()
     table = counting.count(kind, upto)
     series = qfunctions.eta_quotient(_quotient_for(kind), upto + 1)
-    bad, checked, nbad = compare_coefficients(table.values, series.coeffs,
-                                              upto + 1, None)
     params = {"kind": kind.family}
     if kind.ell is not None:
         params["ell"] = kind.ell
-    return VerificationReport(
-        name="oracle-vs-series", params=params,
-        status="pass" if not nbad else "fail", terms_checked=checked,
-        counterexamples=bad, modulus=None,
-        seconds=time.perf_counter() - t0)
+    return check("oracle-vs-series", table.values, series.coeffs, upto + 1,
+                 None, started=t0, params=params)
 
 
 def _verify_rows(rows) -> list[VerificationReport]:
@@ -130,12 +125,10 @@ def criterion_2() -> CriterionResult:
     # p(5n+4) == 0 mod 5, p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11
     table = counting.count(counting.PLAIN_P, 11 * 300 + 6)
     for step, off, m in ((5, 4, 5), (7, 5, 7), (11, 6, 11)):
-        bad = [(n, table[step * n + off] % m, 0)
-               for n in range(301) if table[step * n + off] % m]
-        reports.append(VerificationReport(
-            name="plain-partition-congruence", params={"step": step, "offset": off},
-            modulus=m, progression=(step, off), terms_checked=301,
-            status="pass" if not bad else "fail", counterexamples=bad[:5]))
+        reports.append(check(
+            "plain-partition-congruence", table.values[off::step], [0] * 301,
+            301, m, params={"step": step, "offset": off},
+            progression=(step, off)))
     return CriterionResult(2, "worked anchors and p(n) congruences to n <= 300",
                            all(r.passed for r in reports), reports)
 

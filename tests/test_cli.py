@@ -47,7 +47,7 @@ def test_expand_bad_modulus(capsys, modulus):
 
 @pytest.mark.parametrize("argv", [
     ["expand", "--eta", "1:1", "--order", "1000000000"],
-    ["count", "--kind", "plain", "--upto", "200001"],
+    ["count", "--kind", "plain", "--upto", "10001"],
     ["search", "--ell", "4", "--terms", "200001"],
     ["verify-lemma", "--id", "psi-3diss", "--order", "200001"],
     ["search", "--ell", "4", "--max-step", "200001"],
@@ -59,8 +59,10 @@ def test_size_guard(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    # dissection parameters and exponents have their own, smaller guards
-    guard = 1000 if argv[-2] in ("--p", "--n", "--eta") else 200000
+    # dissection parameters, exponents and count's quadratic DP have
+    # their own, smaller guards
+    guard = (1000 if argv[-2] in ("--p", "--n", "--eta")
+             else 10000 if argv[0] == "count" else 200000)
     assert f"exceeds the size guard {guard}" in capsys.readouterr().err
 
 
@@ -82,6 +84,13 @@ def test_count_alias_matches_full_name(capsys):
 def test_count_requires_ell(capsys):
     assert run(["count", "--kind", "rstar", "--upto", "3"]) == 2
     assert "requires --ell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,ell", [("plain", "5"), ("overpartition", "-3"),
+                                      ("distinct-two-copies", "2")])
+def test_count_refuses_an_ell_its_kind_ignores(capsys, kind, ell):
+    assert run(["count", "--kind", kind, "--ell", ell, "--upto", "3"]) == 2
+    assert f"{kind} takes no ell parameter" in capsys.readouterr().err
 
 
 def test_count_json(capsys):

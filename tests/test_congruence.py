@@ -319,6 +319,13 @@ def test_search_rejects_terms_below_one(terms):
         cg.search(4, 4, 4, terms=terms)
 
 
+def test_search_modulus_bound_past_every_gcd_changes_nothing():
+    # a modulus dividing a progression's gcd is at most the gcd, so a huge
+    # bound scans no further than a small one
+    assert cg.search(8, 8, 10**12, terms=500) == cg.search(8, 8, 4096,
+                                                           terms=500)
+
+
 def test_search_is_sorted_by_evidence():
     hits = cg.search(8, 8, 8, terms=300)
     keys = [(-c.evidence, c.step, c.offset, -c.modulus) for c in hits]

@@ -60,14 +60,16 @@ def test_quintic_theta_pieces():
 
 def test_general_theta_euler_specialization():
     # F(-q, -q^2) is the pentagonal-number series
-    assert qf.general_theta(qf.EULER_SPEC, 500) == qf.euler_product(1, 500)
+    assert (qf.general_theta(1, 2, 500, sign_x=-1, sign_y=-1)
+            == qf.euler_product(1, 500))
     for order in THETA_ORDERS:
         for scale in THETA_SCALES:
             want = _closed_form(
                 lambda nu: (nu * (3 * nu + 1) // 2, -1 if nu % 2 else 1),
                 order, scale)
             assert qf.euler_product(scale, order).coeffs == want
-            assert qf.general_theta(qf.EULER_SPEC, order, scale).coeffs == want
+            assert qf.general_theta(1, 2, order, scale, sign_x=-1,
+                                    sign_y=-1).coeffs == want
 
 
 def test_theta_eta_dualities():
@@ -163,15 +165,30 @@ def test_rstar6_times_f1_squared_at_criterion_6_order():
 
 
 def test_phi_neg_cross_check_catches_a_corrupt_spec(monkeypatch):
-    # the check compares the spec with Euler products, not with itself
-    monkeypatch.setattr(qf, "PHI_NEG_SPEC", qf.ThetaSpec(1, 1, 1, -1))
+    # the check compares the theta series with Euler products, not with
+    # itself: corrupt only the (1, 1) theta, so the Euler side stays right
+    real = qf.general_theta
+
+    def corrupt(a, b, order, scale=1, shift=0, sign_x=1, sign_y=1):
+        if (a, b) == (1, 1):
+            sign_x = -sign_x
+        return real(a, b, order, scale, shift, sign_x, sign_y)
+
+    monkeypatch.setattr(qf, "general_theta", corrupt)
+    assert qf.euler_product(1, 50) == real(1, 2, 50, sign_x=-1, sign_y=-1)
     with pytest.raises(AssertionError, match="phi"):
         qf.phi_neg(50)
 
 
 def test_theta_rejects_negative_exponents():
-    with pytest.raises(ValueError):
-        qf.general_theta(qf.ThetaSpec(0, 0), 10)
+    with pytest.raises(ValueError, match="divergent"):
+        qf.general_theta(0, 0, 10)
+    with pytest.raises(ValueError, match="not a power series"):
+        qf.general_theta(-1, 2, 10)
+    with pytest.raises(ValueError, match="signs"):
+        qf.general_theta(1, 1, 10, sign_x=2)
+    with pytest.raises(ValueError, match="order"):
+        qf.general_theta(1, 1, 0)
     with pytest.raises(ValueError):
         qf.x_series(10, scale=0)
 
@@ -236,6 +253,10 @@ def test_square_dissection_adjudication():
     assert "2q psi(q^8)" in r.detail["adopted"]
     n, found, expected = r.detail["coefficient_1_first_counterexample"]
     assert n == 1 and found == 2 and expected == 1
+    # at order 1 both forms read 1: c = 2 holds, but c = 1 is not refuted
+    r = qf.verify_identity("phi-sqdiss-n2", 1)
+    assert r.status == "fail" and r.counterexamples == []
+    assert r.detail["coefficient_1_matches"] is True
 
 
 def test_square_dissection_n3():

@@ -234,7 +234,7 @@ def test_compare_coefficients_refuses_short_input():
         compare_coefficients([1, 5, 3, 9], [1, 5], 3, 4)
     with pytest.raises(ValueError, match="too short"):
         congruent_mod(full, short, 4, 4)
-    assert compare_coefficients(short, full, 3, None) == ([], 3, 0)
+    assert compare_coefficients(short, full, 3, None) == ([], 0)
 
 
 def test_serialization_forms():
