@@ -28,9 +28,9 @@ class PartitionKind:
     ell: Optional[int] = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in KINDS:
             raise ValueError(f"unknown partition family {self.family!r}")
-        needs_ell = _FAMILIES[self.family]
+        needs_ell = KINDS[self.family]
         if needs_ell and (self.ell is None or self.ell < 1):
             raise ValueError(f"{self.family} needs a positive ell, got {self.ell}")
         if not needs_ell and self.ell is not None:
@@ -59,7 +59,7 @@ class PartitionKind:
         return self.family if self.ell is None else f"{self.family}({self.ell})"
 
 
-_FAMILIES = {
+KINDS = {
     "plain": False,
     "overpartition": False,
     "l-regular": True,

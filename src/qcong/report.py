@@ -3,7 +3,6 @@ and `check`, through which every coefficient comparison becomes one."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,13 +54,6 @@ class VerificationReport:
         if self.detail:
             d["detail"] = self.detail
         return d
-
-
-def reports_to_json(reports: list[VerificationReport]) -> str:
-    """Canonical JSON for a report list: stable key order, no spaces,
-    so that parse + re-serialize is byte-identical."""
-    return json.dumps([r.to_json_dict() for r in reports],
-                      sort_keys=True, separators=(",", ":"))
 
 
 def compare_coefficients(lhs, rhs, terms: int, modulus: Optional[int]):

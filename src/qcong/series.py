@@ -21,7 +21,6 @@ threads.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 import struct
 from dataclasses import dataclass
@@ -274,18 +273,6 @@ class Series:
             raise ValueError(
                 f"cannot extend a series: have order {self.order}, asked {order}")
         return Series._canonical(self.coeffs[:order], self.modulus)
-
-    # -- serialization -------------------------------------------------------
-
-    def text_lines(self, sparse: bool = True) -> list[str]:
-        """Line-oriented "index coefficient" form."""
-        if sparse:
-            return [f"{i} {c}" for i, c in enumerate(self.coeffs) if c]
-        return [f"{i} {c}" for i, c in enumerate(self.coeffs)]
-
-    def json_array(self) -> str:
-        """Compact JSON array of all coefficients."""
-        return json.dumps(list(self.coeffs), separators=(",", ":"))
 
 
 class CongruenceCheck(NamedTuple):

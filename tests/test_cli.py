@@ -1,6 +1,10 @@
 """CLI surface: argument handling, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,32 @@ def test_expand_json_roundtrip(capsys):
                 "--format", "json"]) == 0
     blob = capsys.readouterr().out.strip()
     assert blob == "[1,2,4,8,14,24]"
-    assert json.dumps(json.loads(blob), separators=(",", ":")) == blob
+    # canonical form for every command: parse + re-serialize is identical
+    for argv in (["expand", "--eta", "2:1,1:-2", "--order", "6"],
+                 ["count", "--kind", "overpartition", "--upto", "20"],
+                 ["search", "--ell", "8", "--max-step", "8",
+                  "--max-modulus", "8"]):
+        assert run(argv + ["--format", "json"]) == 0
+        blob = capsys.readouterr().out
+        assert blob.endswith("\n") and blob.count("\n") == 1
+        parsed = json.loads(blob)
+        assert parsed
+        assert json.dumps(parsed, sort_keys=True,
+                          separators=(",", ":")) == blob[:-1]
+
+
+def test_expand_serialization_forms(capsys):
+    # sparse text drops the zero coefficients; dense text and JSON keep
+    # them, and the negative ones, in place
+    argv = ["expand", "--eta", "1:1", "--order", "8"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 1", "1 -1", "2 -1", "5 1", "7 1"]
+    assert run(argv + ["--dense"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 1", "1 -1", "2 -1", "3 0", "4 0", "5 1", "6 0", "7 1"]
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == "[1,-1,-1,0,0,1,0,1]\n"
 
 
 def test_expand_bad_eta(capsys):
@@ -40,9 +69,24 @@ def test_expand_bad_eta(capsys):
 
 @pytest.mark.parametrize("modulus", ["0", "-3"])
 def test_expand_bad_modulus(capsys, modulus):
-    assert run(["expand", "--eta", "1:1", "--order", "8",
-                "--modulus", modulus]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["expand", "--eta", "1:1", "--order", "8", "--modulus", modulus])
+    assert exc.value.code == 2
     assert "--modulus must be >= 1" in capsys.readouterr().err
+
+
+def test_exact_expand_guards_order_times_exponents(capsys):
+    # exact coefficients widen with order and exponents alike, so their
+    # product is capped; a modulus keeps them small and lifts the cap
+    argv = ["expand", "--eta", "2:1,1:-999", "--order"]
+    assert run(argv + ["200"]) == 0
+    assert capsys.readouterr().out.startswith("0 1\n1 999\n")
+    assert run(argv + ["201"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the size guard 200000" in captured.err
+    assert run(argv + ["5000", "--modulus", "7"]) == 0
+    assert capsys.readouterr().out.startswith("0 1\n1 5\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -120,6 +164,17 @@ def test_verify_lemma_needs_id_or_all(capsys):
     assert run(["verify-lemma"]) == 2
 
 
+@pytest.mark.parametrize("param", [["--p", "5"], ["--n", "3"]],
+                         ids=["p", "n"])
+def test_verify_lemma_all_refuses_a_parameter(capsys, param):
+    # --all runs every identity at its default parameters, so a given
+    # --p or --n would be ignored
+    assert run(["verify-lemma", "--all", "--order", "30", *param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--all takes no --p or --n" in captured.err
+
+
 def test_verify_theorem_pass_and_json(capsys):
     assert run(["verify-theorem", "--family", "r4-fixed",
                 "--terms", "100", "--format", "json"]) == 0
@@ -176,6 +231,34 @@ def test_output_file(tmp_path):
                 "--output", str(target)]) == 0
     assert target.read_text().splitlines() == ["0 1", "1 -1", "2 -1",
                                                "5 1", "7 1"]
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "coeffs.txt"
+    assert run(["expand", "--eta", "1:1", "--order", "5",
+                "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_closed_pipe_exits_quietly():
+    # about 2 MB of output, more than a pipe holds: the reader takes one
+    # line and closes, and the command still exits with its own verdict
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcong.cli", "expand", "--eta", "1:-1",
+         "--order", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def _fake_results(all_pass):

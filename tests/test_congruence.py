@@ -7,9 +7,8 @@ import random
 
 import pytest
 
-from qcong import congruence as cg, suite
+from qcong import cli, congruence as cg, suite
 from qcong.qfunctions import eta_quotient
-from qcong.report import reports_to_json
 from qcong.series import EtaQuotient
 
 # parameters that instantiate each parametrized family
@@ -219,9 +218,10 @@ def test_verify_many_canonical_order():
     assert keys == sorted(keys)
 
 
-def test_report_json_roundtrip():
-    reports = cg.verify_many(cg.instantiate("r4-fixed"), terms=50)
-    blob = reports_to_json(reports)
+def test_report_json_roundtrip(capsys):
+    assert cli.main(["verify-theorem", "--family", "r4-fixed",
+                     "--terms", "50", "--format", "json"]) == 0
+    blob = capsys.readouterr().out.rstrip("\n")
     again = json.dumps(json.loads(blob), sort_keys=True,
                        separators=(",", ":"))
     assert blob == again

@@ -237,13 +237,6 @@ def test_compare_coefficients_refuses_short_input():
     assert compare_coefficients(short, full, 3, None) == ([], 0)
 
 
-def test_serialization_forms():
-    a = Series([1, 0, -2, 0, 3])
-    assert a.text_lines() == ["0 1", "2 -2", "4 3"]
-    assert a.text_lines(sparse=False) == ["0 1", "1 0", "2 -2", "3 0", "4 3"]
-    assert a.json_array() == "[1,0,-2,0,3]"
-
-
 def test_eta_quotient_parse_roundtrip():
     eq = EtaQuotient.parse("2:1,5:1,1:-2")
     assert eq.factors == ((1, -2), (2, 1), (5, 1))
