@@ -35,6 +35,11 @@ COUNT_LIMIT = 10_000
 # 1:-100000 1.3 s and 1:-10000000 7.7 s
 EXPONENT_LIMIT = 1000
 
+# largest expand --modulus: coefficient slots widen with its bits, so
+# 1:-1 mod 10^4000+1 takes 15 s at order 2000, and mod 2^64 3.5 s at
+# order 200000 (2-vCPU Xeon VM, CPython 3.11)
+MODULUS_LIMIT = 2 ** 64
+
 
 def bounded(flag: str, low: int, high: Optional[int] = None):
     """argparse type for an int option ``flag`` that is at least ``low``
@@ -167,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"exponents at most {EXPONENT_LIMIT} in size")
     p.add_argument("--order", type=bounded("--order", 1, guard), default=500,
                    help="number of coefficients (default 500)")
-    p.add_argument("--modulus", type=bounded("--modulus", 1), default=None,
-                   help="reduce coefficients mod this")
+    p.add_argument("--modulus", type=bounded("--modulus", 1, MODULUS_LIMIT),
+                   default=None,
+                   help=f"reduce coefficients mod this (at most {MODULUS_LIMIT})")
     p.add_argument("--dense", action="store_true",
                    help="print zero coefficients too (text format)")
     p.set_defaults(func=_cmd_expand)
@@ -184,10 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-lemma",
                         help="verify catalog identities (dissections etc.)")
-    p.add_argument("--id", metavar="TAG",
-                   help="identity tag; see error message for the full list")
-    p.add_argument("--all", action="store_true",
-                   help="run the whole catalog at default parameters")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--id", metavar="TAG",
+                       help="identity tag; see error message for the full list")
+    which.add_argument("--all", action="store_true",
+                       help="run the whole catalog at default parameters")
     limit = qfunctions.DISSECTION_LIMIT
     p.add_argument("--p", type=bounded("--p", 2, limit), default=None,
                    help=f"prime parameter (at most {limit})")

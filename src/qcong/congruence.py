@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import counting
@@ -27,6 +27,7 @@ DEFAULT_TERMS = 500
 DEFAULT_MAX_ORDER = 200_000
 PRIME_LIMIT = 31   # progression indices grow like p^(2 alpha + 2)
 ALPHA_LIMIT = 2
+ELL_LIMIT = 40     # largest ell a parametrized fixed family reaches
 
 
 class ClaimError(ValueError):
@@ -77,10 +78,6 @@ class CongruenceClaim:
     halve: bool = False           # claim is about value/2 (doubled comparison)
 
     @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
-    @property
     def source_series(self) -> EtaQuotient:
         return EtaQuotient.rstar(self.ell)
 
@@ -122,16 +119,82 @@ def clear_cache() -> None:
 
 # -- family catalog ----------------------------------------------------------------
 
-_PRIME_FAMILIES = {
-    # base:   fixed factor of the progression step
-    # mult/div:  offset = (mult * p^(2a) - 1) / div
-    "r4-prime": dict(ell=4, modulus=4, min_p=13, witness=-6, base=4,
-                     mult=7, div=6, series_rhs="TWO_F1_PSI_Q2"),
-    "r6-prime": dict(ell=6, modulus=3, min_p=3, witness=-1, base=2,
-                     mult=5, div=4, series_rhs="TWO_PSI_PSI4"),
-    "r8-prime": dict(ell=8, modulus=8, min_p=5, witness=-3, base=8,
-                     mult=4, div=3, series_rhs="TWO_F1_PSI"),
+
+@dataclass(frozen=True)
+class _Progressions:
+    """Claims on a(b p^(2 alpha + d) n + b p^(2 alpha + 1) r
+    + (mult p^(2 alpha + d) - 1) / div) on ell, mod ``modulus``.
+
+    d = 0 (r = 0) is one claim against the ``rhs`` series; d = 2 is one
+    vanishing claim per r in ``rs``.  With ``p`` None the prime is a
+    parameter, eligible from ``min_p`` when (witness/p) = -1 (the
+    default witness 0 admits none), and r, a claim parameter, runs over
+    1..p-1 (``rs`` None); with a fixed ``p`` the claims take alpha alone.
+    """
+
+    ell: int
+    modulus: int
+    rhs: str
+    b: int
+    mult: int
+    div: int
+    d: int = 0
+    rs: Optional[tuple[int, ...]] = (0,)
+    p: Optional[int] = None
+    min_p: int = 0
+    witness: int = 0
+
+
+# the 9-adic ell = 6 families are the formula at p = 3
+_R6 = _Progressions(ell=6, modulus=3, rhs="SELF", b=1, mult=1, div=4, p=3)
+_PROGRESSIONS = {
+    "r6-iterated": _R6,
+    "r6-iterated-alt": replace(_R6, div=2),   # kept to document its failure
+    "r6-vanish-a": replace(_R6, rhs="ZERO", d=2, rs=(1,)),
+    "r6-vanish-b": replace(_R6, rhs="ZERO", d=2, rs=(2,)),
 }
+# each prime family is a series row and its vanishing (d = 2) twin
+for _name, _row in (
+        ("r4-prime", _Progressions(ell=4, modulus=4, rhs="TWO_F1_PSI_Q2",
+                                   b=4, mult=7, div=6, min_p=13, witness=-6)),
+        ("r6-prime", _Progressions(ell=6, modulus=3, rhs="TWO_PSI_PSI4",
+                                   b=2, mult=5, div=4, min_p=3, witness=-1)),
+        ("r8-prime", _Progressions(ell=8, modulus=8, rhs="TWO_F1_PSI",
+                                   b=8, mult=4, div=3, min_p=5, witness=-3))):
+    _PROGRESSIONS[_name + "-series"] = _row
+    _PROGRESSIONS[_name + "-vanish"] = replace(_row, rhs="ZERO", d=2, rs=None)
+
+# families without a progression parameter: family -> (its one
+# parameter or None, claims as (params, ell, step, offset, modulus (None
+# = exact), rhs tag, halve)); a parameter v multiplies each ell by v,
+# up to ELL_LIMIT, and leads the claims' params
+_FIXED = {
+    "r4-fixed": (None, [((("xi", xi),), 4, 4, xi, 4, "ZERO", False)
+                        for xi in (2, 3)]),
+    "r5k-fixed": ("k", [((("xi", xi),), 5, 5, xi, m, "ZERO", False)
+                        for xi, m in ((2, 4), (3, 4), (1, 2))]),
+    "r8-fixed-mod4": (None, [((), 8, a, b, 4, "ZERO", False) for a, b in
+                             ((4, 2), (4, 3), (16, 5), (16, 9), (16, 13))]),
+    "r8-fixed-mod8": (None, [((), 8, a, b, 8, "ZERO", False) for a, b in
+                             ((4, 3), (8, 3), (8, 5), (8, 7))]),
+    "r8-halved": (None, [((), 8, 16, 1, m, "P_CONVOLUTION", True)
+                         for m in (2, 4)]),
+    "conv-overpartition": ("ell", [((), 1, 1, 0, None, "OVERPARTITION_CONV",
+                                    False)]),
+    "r2-distinct": (None, [((), 2, 1, 0, None, "D2", False)]),
+    # proof-internal congruences, which catch transcription slips before
+    # the headline claims run; each id spells ell, progression, modulus
+    "r4-4n1-mod4": (None, [((), 4, 4, 1, 4, "TWO_F1_PSI_Q2", False)]),
+    "r6-2n1-mod3": (None, [((), 6, 2, 1, 3, "TWO_PSI_PSI4", False)]),
+    "r6-3n2-mod3": (None, [((), 6, 3, 2, 3, "PSI_SQ_Q3", False)]),
+    "r6-all-mod3": (None, [((), 6, 1, 0, 3, "PSI_SQ", False)]),
+    "r8-2n1-exact": (None, [((), 8, 2, 1, None, "R8_ODD_EXACT", False)]),
+    "r8-2n1-mod8": (None, [((), 8, 2, 1, 8, "TWO_F8_SQ", False)]),
+    "r8-4n1-mod4": (None, [((), 8, 4, 1, 4, "TWO_F4_SQ", False)]),
+    "r8-16n1-mod4": (None, [((), 8, 16, 1, 4, "TWO_F1_SQ", False)]),
+}
+
+FAMILIES = tuple(sorted({*_PROGRESSIONS, *_FIXED}))
 
 
 def _legendre(a: int, p: int) -> int:
@@ -140,51 +203,59 @@ def _legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _check_eligible(family: str, cfg: dict, p: int) -> None:
-    # the bound comes first, so primality is only tested on p <= PRIME_LIMIT
-    if isinstance(p, int) and p > PRIME_LIMIT:
-        raise EligibilityError(
-            f"{family}: p = {p} exceeds the supported bound {PRIME_LIMIT} "
-            "(indices grow like p^(2a+2))")
-    if not isinstance(p, int) or not _is_prime(p):
-        raise EligibilityError(f"{family}: p = {p!r} is not prime")
-    if p < cfg["min_p"]:
-        raise EligibilityError(
-            f"{family}: hypothesis requires p >= {cfg['min_p']}, got {p}")
-    w = cfg["witness"]
-    sym = _legendre(w, p)
-    if sym != -1:
-        raise EligibilityError(
-            f"{family}: hypothesis requires ({w}/p) = -1, "
-            f"but ({w}/{p}) = {sym}")
-
-
-def _check_alpha(family: str, alpha) -> None:
-    if not isinstance(alpha, int) or alpha < 0:
-        raise ClaimError(f"{family}: alpha must be an integer >= 0, got {alpha!r}")
-    if alpha > ALPHA_LIMIT:
-        raise ClaimError(
-            f"{family}: alpha = {alpha} exceeds the supported bound {ALPHA_LIMIT}")
-
-
-def _offset(family: str, mult: int, div: int, p: int, exponent: int) -> int:
-    num = mult * p ** exponent - 1
-    if num % div:
-        raise IntegralityError(
-            f"{family}: offset ({mult}*p^{exponent}-1)/{div} is not an "
-            f"integer for p = {p}")
-    return num // div
-
-
 def _take(params: dict, family: str, required: tuple[str, ...],
-          optional: tuple[str, ...] = ()) -> dict:
+          optional: tuple[str, ...] = ()) -> None:
     missing = [k for k in required if k not in params]
     unknown = [k for k in params if k not in required + optional]
     if missing or unknown:
         raise ClaimError(
             f"{family}: takes parameters {list(required + optional)}; "
             f"missing {missing}, unknown {unknown}")
-    return params
+
+
+def _progression_claims(family: str, row: _Progressions,
+                        params: dict) -> list[CongruenceClaim]:
+    if row.p is None:
+        _take(params, family, ("p",), ("alpha",))
+        p, alpha = params["p"], params.get("alpha", 0)
+        head = (("p", p), ("alpha", alpha))
+        # the bound comes first, so primality is only tested on small p
+        if isinstance(p, int) and p > PRIME_LIMIT:
+            raise EligibilityError(
+                f"{family}: p = {p} exceeds the supported bound {PRIME_LIMIT} "
+                "(indices grow like p^(2a+2))")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise EligibilityError(f"{family}: p = {p!r} is not prime")
+        if p < row.min_p:
+            raise EligibilityError(
+                f"{family}: hypothesis requires p >= {row.min_p}, got {p}")
+        sym = _legendre(row.witness, p)
+        if sym != -1:
+            raise EligibilityError(
+                f"{family}: hypothesis requires ({row.witness}/p) = -1, "
+                f"but ({row.witness}/{p}) = {sym}")
+    else:
+        _take(params, family, ("alpha",))
+        p, alpha = row.p, params["alpha"]
+        head = (("alpha", alpha),)
+    if not isinstance(alpha, int) or alpha < 0:
+        raise ClaimError(f"{family}: alpha must be an integer >= 0, got {alpha!r}")
+    if alpha > ALPHA_LIMIT:
+        raise ClaimError(
+            f"{family}: alpha = {alpha} exceeds the supported bound {ALPHA_LIMIT}")
+    e = 2 * alpha + row.d
+    num = row.mult * p ** e - 1
+    if num % row.div:
+        raise IntegralityError(
+            f"{family}: offset ({row.mult}*p^{e}-1)/{row.div} is not an "
+            f"integer for p = {p}")
+    return [CongruenceClaim(
+                family, head + ((("r", r),) if row.rs is None else ()),
+                row.ell, Progression(row.b * p ** e,
+                                     row.b * p ** (2 * alpha + 1) * r
+                                     + num // row.div),
+                row.modulus, row.rhs)
+            for r in row.rs or range(1, p)]
 
 
 def instantiate(family: str, **params) -> list[CongruenceClaim]:
@@ -193,16 +264,16 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
     Families (descriptive tags; full statements in each claim's
     describe()):
 
-    - r4-fixed: a(4n+xi) == 0 mod 4, xi in {2, 3}
-    - r4-prime-series / r4-prime-vanish: prime family on ell=4 (p, alpha)
-    - r5k-fixed: ell=5k; a(5n+2), a(5n+3) == 0 mod 4, a(5n+1) == 0 mod 2
+    - r{4,6,8}-prime-series / -vanish: prime families on ell=4, 6, 8
+      (p, alpha), rows of one progression formula (`_Progressions`)
     - r6-iterated: a(9^a n + (9^a-1)/4) == a(n) mod 3
     - r6-iterated-alt: offset variant (9^a-1)/2, kept to document its failure
     - r6-vanish-a / r6-vanish-b: a(9^{a+1} n + (21*9^a-1)/4 | (33*9^a-1)/4) == 0 mod 3
-    - r6-prime-series / r6-prime-vanish: prime family on ell=6 (p, alpha)
-    - r8-fixed-mod4: five mod-4 vanishing progressions on ell=8
-    - r8-fixed-mod8: four mod-8 vanishing progressions on ell=8
-    - r8-prime-series / r8-prime-vanish: prime family on ell=8 (p, alpha)
+      (the 9-adic families are that formula at p = 3)
+    - r4-fixed: a(4n+xi) == 0 mod 4, xi in {2, 3}
+    - r5k-fixed: ell=5k; a(5n+2), a(5n+3) == 0 mod 4, a(5n+1) == 0 mod 2
+    - r8-fixed-mod4 / r8-fixed-mod8: five mod-4 and four mod-8 vanishing
+      progressions on ell=8
     - r8-halved: (1/2) a(16n+1) vs the p(n) triangular convolution,
       at modulus 2 and modulus 4 (both recorded)
     - conv-overpartition: exact convolution against pbar(n) (param ell)
@@ -211,140 +282,27 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
       r8-2n1-mod8, r8-4n1-mod4, r8-16n1-mod4: the proof-internal
       progression congruences (ell, progression and modulus as spelled)
     """
-    try:
-        builder = _FAMILY_BUILDERS[family]
-    except KeyError:
+    params = dict(params)
+    if family in _PROGRESSIONS:
+        return _progression_claims(family, _PROGRESSIONS[family], params)
+    if family not in _FIXED:
         raise ClaimError(
-            f"unknown family {family!r}; known: "
-            + ", ".join(sorted(_FAMILY_BUILDERS))) from None
-    return builder(family, dict(params))
+            f"unknown family {family!r}; known: " + ", ".join(FAMILIES))
+    name, rows = _FIXED[family]
+    _take(params, family, (name,) if name else ())
+    v = params.get(name, 1)
+    if not isinstance(v, int) or v < 1:
+        raise ClaimError(
+            f"{family}: {name} must be a positive integer, got {v!r}")
+    top = v * max(row[1] for row in rows)
+    if top > ELL_LIMIT:
+        raise ClaimError(
+            f"{family}: ell = {top} exceeds the supported bound {ELL_LIMIT}")
+    head = ((name, v),) if name else ()
+    return [CongruenceClaim(family, head + ps, v * ell, Progression(step, off),
+                            m, rhs, halve)
+            for ps, ell, step, off, m, rhs, halve in rows]
 
-
-def _build_prime_series(family: str, params: dict) -> list[CongruenceClaim]:
-    cfg = _PRIME_FAMILIES[family.replace("-series", "")]
-    _take(params, family, ("p",), ("alpha",))
-    p = params["p"]
-    alpha = params.get("alpha", 0)
-    _check_eligible(family, cfg, p)
-    _check_alpha(family, alpha)
-    step = cfg["base"] * p ** (2 * alpha)
-    off = _offset(family, cfg["mult"], cfg["div"], p, 2 * alpha)
-    return [CongruenceClaim(family, (("p", p), ("alpha", alpha)), cfg["ell"],
-                            Progression(step, off), cfg["modulus"],
-                            cfg["series_rhs"])]
-
-
-def _build_prime_vanish(family: str, params: dict) -> list[CongruenceClaim]:
-    cfg = _PRIME_FAMILIES[family.replace("-vanish", "")]
-    _take(params, family, ("p",), ("alpha",))
-    p = params["p"]
-    alpha = params.get("alpha", 0)
-    _check_eligible(family, cfg, p)
-    _check_alpha(family, alpha)
-    step = cfg["base"] * p ** (2 * alpha + 2)
-    base_off = _offset(family, cfg["mult"], cfg["div"], p, 2 * alpha + 2)
-    claims = []
-    for r in range(1, p):
-        off = cfg["base"] * p ** (2 * alpha + 1) * r + base_off
-        claims.append(CongruenceClaim(
-            family, (("p", p), ("alpha", alpha), ("r", r)), cfg["ell"],
-            Progression(step, off), cfg["modulus"], "ZERO"))
-    return claims
-
-
-def _build_r5k_fixed(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ("k",))
-    k = params["k"]
-    if not isinstance(k, int) or k < 1:
-        raise ClaimError(f"{family}: k must be a positive integer, got {k!r}")
-    if 5 * k > 40:
-        raise ClaimError(f"{family}: 5k = {5 * k} exceeds the supported bound 40")
-    ell = 5 * k
-    return [
-        CongruenceClaim(family, (("k", k), ("xi", 2)), ell, Progression(5, 2), 4, "ZERO"),
-        CongruenceClaim(family, (("k", k), ("xi", 3)), ell, Progression(5, 3), 4, "ZERO"),
-        CongruenceClaim(family, (("k", k), ("xi", 1)), ell, Progression(5, 1), 2, "ZERO"),
-    ]
-
-
-def _build_r6_iterated(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ("alpha",))
-    alpha = params["alpha"]
-    _check_alpha(family, alpha)
-    div = 2 if family.endswith("-alt") else 4
-    off = _offset(family, 1, div, 9, alpha)
-    return [CongruenceClaim(family, (("alpha", alpha),), 6,
-                            Progression(9 ** alpha, off), 3, "SELF")]
-
-
-def _build_r6_vanish(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ("alpha",))
-    alpha = params["alpha"]
-    _check_alpha(family, alpha)
-    mult = 21 if family.endswith("-a") else 33
-    off = _offset(family, mult, 4, 9, alpha)
-    return [CongruenceClaim(family, (("alpha", alpha),), 6,
-                            Progression(9 ** (alpha + 1), off), 3, "ZERO")]
-
-
-def _build_conv_overpartition(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ("ell",))
-    ell = params["ell"]
-    if not isinstance(ell, int) or ell < 1:
-        raise ClaimError(f"{family}: ell must be a positive integer, got {ell!r}")
-    if ell > 40:
-        raise ClaimError(f"{family}: ell = {ell} exceeds the supported bound 40")
-    return [CongruenceClaim(family, (("ell", ell),), ell, Progression(1, 0),
-                            None, "OVERPARTITION_CONV")]
-
-
-# families without parameters: family -> claims as (params, ell, step,
-# offset, modulus (None = exact), rhs tag, halve)
-_FIXED = {
-    "r4-fixed": [((("xi", xi),), 4, 4, xi, 4, "ZERO", False) for xi in (2, 3)],
-    "r8-fixed-mod4": [((), 8, a, b, 4, "ZERO", False) for a, b in
-                      ((4, 2), (4, 3), (16, 5), (16, 9), (16, 13))],
-    "r8-fixed-mod8": [((), 8, a, b, 8, "ZERO", False) for a, b in
-                      ((4, 3), (8, 3), (8, 5), (8, 7))],
-    "r8-halved": [((), 8, 16, 1, m, "P_CONVOLUTION", True) for m in (2, 4)],
-    "r2-distinct": [((), 2, 1, 0, None, "D2", False)],
-    # proof-internal congruences, which catch transcription slips before
-    # the headline claims run; each id spells ell, progression, modulus
-    "r4-4n1-mod4": [((), 4, 4, 1, 4, "TWO_F1_PSI_Q2", False)],
-    "r6-2n1-mod3": [((), 6, 2, 1, 3, "TWO_PSI_PSI4", False)],
-    "r6-3n2-mod3": [((), 6, 3, 2, 3, "PSI_SQ_Q3", False)],
-    "r6-all-mod3": [((), 6, 1, 0, 3, "PSI_SQ", False)],
-    "r8-2n1-exact": [((), 8, 2, 1, None, "R8_ODD_EXACT", False)],
-    "r8-2n1-mod8": [((), 8, 2, 1, 8, "TWO_F8_SQ", False)],
-    "r8-4n1-mod4": [((), 8, 4, 1, 4, "TWO_F4_SQ", False)],
-    "r8-16n1-mod4": [((), 8, 16, 1, 4, "TWO_F1_SQ", False)],
-}
-
-
-def _build_fixed(family: str, params: dict) -> list[CongruenceClaim]:
-    _take(params, family, ())
-    return [CongruenceClaim(family, ps, ell, Progression(step, off), m, rhs,
-                            halve)
-            for ps, ell, step, off, m, rhs, halve in _FIXED[family]]
-
-
-_FAMILY_BUILDERS = {
-    **dict.fromkeys(_FIXED, _build_fixed),
-    "r4-prime-series": _build_prime_series,
-    "r4-prime-vanish": _build_prime_vanish,
-    "r5k-fixed": _build_r5k_fixed,
-    "r6-iterated": _build_r6_iterated,
-    "r6-iterated-alt": _build_r6_iterated,
-    "r6-vanish-a": _build_r6_vanish,
-    "r6-vanish-b": _build_r6_vanish,
-    "r6-prime-series": _build_prime_series,
-    "r6-prime-vanish": _build_prime_vanish,
-    "r8-prime-series": _build_prime_series,
-    "r8-prime-vanish": _build_prime_vanish,
-    "conv-overpartition": _build_conv_overpartition,
-}
-
-FAMILIES = tuple(sorted(_FAMILY_BUILDERS))
 
 # -- verification -------------------------------------------------------------------
 
@@ -471,7 +429,7 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
         raise ClaimError(f"unknown rhs tag {claim.rhs!r}") from None
     found, expected, cmp_mod, detail = rhs(claim, terms)
     return check(claim.family, found, expected, terms, cmp_mod, detail,
-                 started=t0, params=claim.param_dict, modulus=claim.modulus,
+                 started=t0, params=dict(claim.params), modulus=claim.modulus,
                  progression=(claim.progression.step, claim.progression.offset))
 
 
@@ -512,13 +470,9 @@ MIN_EVIDENCE = 50
 
 def _known_progressions(ell: int) -> list[tuple[str, int, int, int]]:
     families = {4: ("r4-fixed",), 8: ("r8-fixed-mod4", "r8-fixed-mod8")}
-    out = []
-    for fam in families.get(ell, ()):
-        for claim in instantiate(fam):
-            out.append((f"{fam}({claim.progression} mod {claim.modulus})",
-                        claim.progression.step, claim.progression.offset,
-                        claim.modulus))
-    return out
+    return [(f"{fam}({c.progression} mod {c.modulus})", c.progression.step,
+             c.progression.offset, c.modulus)
+            for fam in families.get(ell, ()) for c in instantiate(fam)]
 
 
 def search(ell: int, max_step: int, max_modulus: int,
@@ -550,12 +504,9 @@ def search(ell: int, max_step: int, max_modulus: int,
                     break
             if g == 1 or g == 0:
                 continue
-            best = 0
-            # a modulus dividing g is at most g
-            for m in range(min(max_modulus, g), 1, -1):
-                if g % m == 0:
-                    best = m
-                    break
+            # the largest modulus dividing g, which is at most g
+            best = next((m for m in range(min(max_modulus, g), 1, -1)
+                         if g % m == 0), 0)
             if not best:
                 continue
             labels = tuple(sorted(

@@ -212,34 +212,6 @@ def _require_prime(p, minimum=2, odd=False):
         raise ValueError("parameter p must be an odd prime")
 
 
-def _build_f1sq_2diss(order):
-    lhs = euler_product(1, order) ** 2
-    rhs = (eta_quotient([(2, 1), (8, 5), (4, -2), (16, -2)], order)
-           - 2 * eta_quotient([(2, 1), (16, 2), (8, -1)], order).shift(1))
-    return lhs, rhs, None, {}, True
-
-
-def _build_inv_f1sq_2diss(order):
-    lhs = eta_quotient([(1, -2)], order)
-    rhs = (eta_quotient([(8, 5), (2, -5), (16, -2)], order)
-           + 2 * eta_quotient([(4, 2), (16, 2), (2, -5), (8, -1)], order).shift(1))
-    return lhs, rhs, None, {}, True
-
-
-def _build_inv_f1_quad_2diss(order):
-    lhs = eta_quotient([(1, -4)], order)
-    rhs = (eta_quotient([(4, 14), (2, -14), (8, -4)], order)
-           + 4 * eta_quotient([(4, 2), (8, 4), (2, -10)], order).shift(1))
-    return lhs, rhs, None, {}, True
-
-
-def _build_f1_quad_2diss(order):
-    lhs = euler_product(1, order) ** 4
-    rhs = (eta_quotient([(4, 10), (2, -2), (8, -4)], order)
-           - 4 * eta_quotient([(2, 2), (8, 4), (4, -2)], order).shift(1))
-    return lhs, rhs, None, {}, True
-
-
 def _build_inv_phineg_4diss(order):
     # 1/phi(-q) = (phi(q^4)^3 + 2q phi(q^4)^2 psi(q^8) + 4q^2 phi(q^4) psi(q^8)^2
     #              + 8q^3 psi(q^8)^3) / phi(-q^4)^4, cleared of the denominator
@@ -393,25 +365,36 @@ def _build_fp2_binom(order, p):
 class Identity:
     tag: str
     summary: str
-    build: Callable
+    build: Optional[Callable]           # None: compare the two ``sums``
     order: int
     param: Optional[str] = None         # "p" (prime) or "n" (integer >= 2)
     defaults: tuple = field(default=())
+    # (lhs, rhs) of an eta-quotient identity, each a sum of
+    # (c, s, factors) terms c q^s prod f_h^e
+    sums: tuple = ()
 
 
 _CATALOG = (
     Identity("f1sq-2diss",
              "f1^2 = f2 f8^5 / (f4^2 f16^2) - 2q f2 f16^2 / f8",
-             _build_f1sq_2diss, 1000),
+             None, 1000, sums=(((1, 0, "1:2"),),
+                               ((1, 0, "2:1,8:5,4:-2,16:-2"),
+                                (-2, 1, "2:1,16:2,8:-1")))),
     Identity("inv-f1sq-2diss",
              "1/f1^2 = f8^5 / (f2^5 f16^2) + 2q f4^2 f16^2 / (f2^5 f8)",
-             _build_inv_f1sq_2diss, 1000),
+             None, 1000, sums=(((1, 0, "1:-2"),),
+                               ((1, 0, "8:5,2:-5,16:-2"),
+                                (2, 1, "4:2,16:2,2:-5,8:-1")))),
     Identity("inv-f1-quad-2diss",
              "1/f1^4 = f4^14 / (f2^14 f8^4) + 4q f4^2 f8^4 / f2^10",
-             _build_inv_f1_quad_2diss, 1000),
+             None, 1000, sums=(((1, 0, "1:-4"),),
+                               ((1, 0, "4:14,2:-14,8:-4"),
+                                (4, 1, "4:2,8:4,2:-10")))),
     Identity("f1-quad-2diss",
              "f1^4 = f4^10 / (f2^2 f8^4) - 4q f2^2 f8^4 / f4^2",
-             _build_f1_quad_2diss, 1000),
+             None, 1000, sums=(((1, 0, "1:4"),),
+                               ((1, 0, "4:10,2:-2,8:-4"),
+                                (-4, 1, "2:2,8:4,4:-2")))),
     Identity("inv-phineg-4diss",
              "phi(-q^4)^4 / phi(-q) expanded in phi(q^4), psi(q^8) (cleared form)",
              _build_inv_phineg_4diss, 500),
@@ -471,7 +454,12 @@ def verify_identity(tag: str, order: Optional[int] = None,
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.perf_counter()
-    lhs, rhs, modulus, detail, ok = ident.build(n, **params)
+    if ident.build is None:
+        lhs, rhs = (sum((c * eta_quotient(f, n).shift(s) for c, s, f in side),
+                        Series.zero(n)) for side in ident.sums)
+        modulus, detail, ok = None, {}, True
+    else:
+        lhs, rhs, modulus, detail, ok = ident.build(n, **params)
     return check(tag, lhs, rhs, min(lhs.order, rhs.order), modulus, detail,
                  ok, started=t0, params=dict(params))
 

@@ -75,6 +75,20 @@ def test_expand_bad_modulus(capsys, modulus):
     assert "--modulus must be >= 1" in capsys.readouterr().err
 
 
+def test_expand_modulus_is_capped(capsys):
+    # coefficient slots widen with the modulus's bits, so it has a size
+    # guard like every other series-allocating option
+    argv = ["expand", "--eta", "1:-1", "--order", "8", "--modulus"]
+    assert run(argv + [str(2**64)]) == 0
+    assert capsys.readouterr().out.startswith("0 1\n1 1\n2 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [str(2**64 + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds the size guard {2**64}" in captured.err
+
+
 def test_exact_expand_guards_order_times_exponents(capsys):
     # exact coefficients widen with order and exponents alike, so their
     # product is capped; a modulus keeps them small and lifts the cap
@@ -173,6 +187,16 @@ def test_verify_lemma_all_refuses_a_parameter(capsys, param):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--all takes no --p or --n" in captured.err
+
+
+def test_verify_lemma_all_refuses_id(capsys):
+    # --all runs the whole catalog, so a given --id would be ignored
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-lemma", "--all", "--id", "no-such-tag", "--order", "30"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --id: not allowed with argument --all" in captured.err
 
 
 def test_verify_theorem_pass_and_json(capsys):

@@ -80,6 +80,8 @@ def test_eligibility_errors():
         cg.instantiate("r4-prime-series", p=13, alpha=3)
     with pytest.raises(cg.ClaimError, match="unknown"):
         cg.instantiate("no-such-family")
+    with pytest.raises(cg.ClaimError, match="ell = 45 exceeds the supported"):
+        cg.instantiate("r5k-fixed", k=9)
     with pytest.raises(cg.ClaimError):
         cg.instantiate("r4-fixed", p=13)   # family takes no parameters
 
@@ -142,6 +144,19 @@ def test_offset_can_exceed_step():
     assert claim.progression.offset == 8
     (claim,) = cg.instantiate("r6-vanish-b", alpha=1)
     assert (claim.progression.step, claim.progression.offset) == (81, 74)
+    # every 9-adic family matches its printed closed form
+    for alpha in (0, 1, 2):
+        nine = 9**alpha
+        forms = {"r6-iterated": (nine, (nine - 1) / 4, "SELF"),
+                 "r6-iterated-alt": (nine, (nine - 1) / 2, "SELF"),
+                 "r6-vanish-a": (9 * nine, (21 * nine - 1) / 4, "ZERO"),
+                 "r6-vanish-b": (9 * nine, (33 * nine - 1) / 4, "ZERO")}
+        for family, (step, offset, rhs) in forms.items():
+            (claim,) = cg.instantiate(family, alpha=alpha)
+            assert claim.params == (("alpha", alpha),)
+            assert (claim.ell, claim.modulus, claim.rhs) == (6, 3, rhs)
+            assert claim.progression.step == step
+            assert claim.progression.offset == offset   # offset is whole
     p = cg.Progression(4, 197)
     assert p.index(3) == 4 * 3 + 197
     assert str(p) == "4n+197"

@@ -1,5 +1,6 @@
 """Theta functions, eta quotients, and the identity catalog."""
 
+import dataclasses
 import math
 
 import pytest
@@ -198,6 +199,17 @@ def test_catalog_all_pass():
     assert reports, "catalog must not be empty"
     for r in reports:
         assert r.passed, f"{r.describe()}: {r.counterexamples}"
+
+
+def test_eta_sum_rows_catch_a_corrupt_exponent(monkeypatch):
+    # the 2-dissections of f1^2 and f1^4 are data rows of (c, s, factors)
+    # terms: one wrong exponent must fail the check, not pass silently
+    ident = qf.IDENTITIES["f1-quad-2diss"]
+    lhs, (first, (c, s, _)) = ident.sums
+    bad = dataclasses.replace(ident, sums=(lhs, (first, (c, s, "2:2,8:4,4:-1"))))
+    monkeypatch.setitem(qf.IDENTITIES, "f1-quad-2diss", bad)
+    report = qf.verify_identity("f1-quad-2diss", 50)
+    assert report.status == "fail" and report.counterexamples
 
 
 def test_identity_default_orders_cover_acceptance():
