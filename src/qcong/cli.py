@@ -115,8 +115,7 @@ def _cmd_count(args):
         raise ValueError(f"--kind {args.kind} requires --ell")
     table = counting.count(counting.PartitionKind(family, args.ell),
                            args.upto)
-    return (0, list(table.values),
-            _coefficient_lines(table.values, sparse=False))
+    return 0, list(table), _coefficient_lines(table, sparse=False)
 
 
 def _cmd_verify_lemma(args):
@@ -139,8 +138,7 @@ def _cmd_verify_theorem(args):
               (("p", args.p), ("alpha", args.alpha), ("k", args.k),
                ("ell", args.ell)) if v is not None}
     claims = congruence.instantiate(args.family, **params)
-    reports = congruence.verify_many(claims, terms=args.terms,
-                                     max_order=args.max_order)
+    reports = congruence.verify_many(claims, terms=args.terms)
     return _verdict(reports, _report_lines(reports))
 
 
@@ -212,10 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--terms", type=int, default=500,
-                   help="progression indices to check (default 500)")
-    p.add_argument("--max-order", type=int, default=guard,
-                   help="refuse claims needing a longer base expansion")
+    p.add_argument("--terms", type=bounded("--terms", 1, guard), default=500,
+                   help=f"progression indices (default 500, at most {guard})")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = subs.add_parser("verify-all",

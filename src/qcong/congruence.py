@@ -358,7 +358,7 @@ def _p_convolution_rhs(claim, terms):
     # (1/2) a(step n + offset) == sum_{nu>=0} p(n - nu(nu+1)/2) mod m,
     # compared in doubled form mod 2m so odd values fail honestly
     vals, _ = _values(claim, terms)
-    ptab = counting.count(counting.PLAIN_P, terms - 1).values
+    ptab = counting.count(counting.PLAIN_P, terms - 1)
     expected = []
     for n in range(terms):
         total = 0
@@ -374,8 +374,8 @@ def _p_convolution_rhs(claim, terms):
 def _overpartition_conv_rhs(claim, terms):
     # sum_{nu>=0} a(n - ell nu) p(nu) = pbar(n), exactly
     a, _ = _values(claim, terms)
-    ptab = counting.count(counting.PLAIN_P, (terms - 1) // claim.ell).values
-    pbar = counting.count(counting.OVERPARTITION, terms - 1).values
+    ptab = counting.count(counting.PLAIN_P, (terms - 1) // claim.ell)
+    pbar = counting.count(counting.OVERPARTITION, terms - 1)
     # a[n::-ell] is a(n), a(n - ell), ...; ptab[0] = p(0) = 1
     lhs = [sum(map(operator.mul, a[n::-claim.ell], ptab))
            for n in range(terms)]
@@ -383,8 +383,8 @@ def _overpartition_conv_rhs(claim, terms):
 
 
 def _d2_rhs(claim, terms):
-    lhs = counting.count(counting.NONOVERLINED_L_REGULAR(2), terms - 1).values
-    rhs = counting.count(counting.DISTINCT_TWO_COPIES, terms - 1).values
+    lhs = counting.count(counting.NONOVERLINED_L_REGULAR(2), terms - 1)
+    rhs = counting.count(counting.DISTINCT_TWO_COPIES, terms - 1)
     return lhs, rhs, None, {"sources": "oracle vs oracle"}
 
 
@@ -422,7 +422,7 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
     if need > max_order:
         raise OrderShortfallError(
             f"{claim.describe()}: needs base series order {need}, above the "
-            f"max-order guard {max_order}; lower terms or raise the guard")
+            f"max-order guard {max_order}; lower terms")
     try:
         rhs = _RHS[claim.rhs]
     except KeyError:
@@ -469,10 +469,15 @@ MIN_EVIDENCE = 50
 
 
 def _known_progressions(ell: int) -> list[tuple[str, int, int, int]]:
-    families = {4: ("r4-fixed",), 8: ("r8-fixed-mod4", "r8-fixed-mod8")}
-    return [(f"{fam}({c.progression} mod {c.modulus})", c.progression.step,
-             c.progression.offset, c.modulus)
-            for fam in families.get(ell, ()) for c in instantiate(fam)]
+    """(label, step, offset, modulus) of every claim of each fixed family
+    that takes no parameter and claims only vanishing on ``ell``."""
+    fixed = {family: instantiate(family)
+             for family, (name, _) in _FIXED.items() if name is None}
+    return [(f"{family}({c.progression} mod {c.modulus})",
+             c.progression.step, c.progression.offset, c.modulus)
+            for family, claims in fixed.items()
+            if all(c.ell == ell and c.rhs == "ZERO" for c in claims)
+            for c in claims]
 
 
 def search(ell: int, max_step: int, max_modulus: int,

@@ -89,20 +89,10 @@ def NONOVERLINED_L_REGULAR(ell: int) -> PartitionKind:
     return PartitionKind("nonoverlined-l-regular", ell)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    kind: PartitionKind
-    upto: int
-    values: tuple[int, ...]  # values[n] for 0 <= n <= upto
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-
 @functools.cache
-def count(kind: PartitionKind, upto: int) -> CountTable:
-    """Exact counts for 0..upto by part-size DP, computed once per
-    (kind, upto): tables are immutable.
+def count(kind: PartitionKind, upto: int) -> tuple[int, ...]:
+    """Exact counts for n = 0..upto, index n holding the count of n, by
+    part-size DP, computed once per (kind, upto): tables are immutable.
 
     Each size s contributes its factors independently: a freely
     repeating copy updates ascending (unbounded multiplicity), each
@@ -119,7 +109,7 @@ def count(kind: PartitionKind, upto: int) -> CountTable:
         for _ in kind.once_labels(s):
             for j in range(upto, s - 1, -1):
                 v[j] += v[j - s]
-    return CountTable(kind, upto, tuple(v))
+    return tuple(v)
 
 
 def enumerate_small(kind: PartitionKind, n: int) -> list[tuple]:
@@ -159,9 +149,3 @@ def enumerate_small(kind: PartitionKind, n: int) -> list[tuple]:
 
     extend(n, n, [])
     return sorted(results)
-
-
-def format_partition(parts: tuple) -> str:
-    if not parts:
-        return "(empty)"
-    return "+".join(f"{s}{label}" for s, label in parts)

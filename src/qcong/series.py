@@ -135,17 +135,11 @@ class Series:
             return NotImplemented
         return self.modulus == other.modulus and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.coeffs))
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 8 else ""
         mod = f", mod {self.modulus}" if self.modulus is not None else ""
         return f"Series([{head}{tail}], order={self.order}{mod})"
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     # -- ring operations ----------------------------------------------------
 
@@ -230,15 +224,6 @@ class Series:
 
     # -- structural operations ----------------------------------------------
 
-    def dissect(self, step: int, residue: int) -> "Series":
-        """Coefficients at exponents step*n + residue, reindexed by n."""
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
-        if not 0 <= residue < step:
-            raise ValueError(
-                f"residue {residue} out of range 0..{step - 1}")
-        return Series._canonical(self.coeffs[residue::step], self.modulus)
-
     def reduce_mod(self, m: int) -> "Series":
         if m == 0:
             raise ValueError("modulus 0 is not allowed")
@@ -256,17 +241,6 @@ class Series:
             return Series.zero(self.order, self.modulus)
         return Series._canonical((0,) * k + self.coeffs[: self.order - k],
                                  self.modulus)
-
-    def stretch(self, s: int) -> "Series":
-        """Substitute q -> q^s.  Result order (order-1)*s + 1."""
-        if s < 1:
-            raise ValueError("stretch factor must be >= 1")
-        if s == 1 or self.order == 0:
-            return self
-        n = (self.order - 1) * s + 1
-        cs = [0] * n
-        cs[::s] = self.coeffs
-        return Series._canonical(cs, self.modulus)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
@@ -315,11 +289,12 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # switch is on the packed size in bits, as measured on a 2-vCPU Xeon VM
 # with CPython 3.11: modular products with small moduli cross over
 # between 8192 and 16384 terms (131000 to 330000 bits), exact ones with
-# 60-bit coefficients near 2000 terms.  The oracle checks' exact products
-# (at most 301 terms) stay on ints; the identity catalog's 1000-term
-# exact products with 150- to 400-bit slots go to decimal, which takes
-# acceptance criterion 3 from 0.66 s to 0.50 s.  At 147456 terms mod 3 a
-# product takes 0.12 s against 0.85 s.
+# 60-bit coefficients near 2000 terms.  In `qcong verify-all` every exact
+# product (95 of them, at most 1000 terms) stays on ints, and decimal
+# serves 21 modular products, where at 147456 terms mod 3 a product takes
+# 0.12 s against 0.85 s.  Exact products reach decimal from `expand` and
+# `verify-lemma --order` at large orders: `expand --eta 1:2,2:1 --order
+# 60000` makes two signed decimal products.
 
 # packed operands of at least this many bits go through decimal
 _DECIMAL_MIN_BITS = 150_000

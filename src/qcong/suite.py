@@ -63,7 +63,7 @@ def _oracle_vs_series(kind: counting.PartitionKind, upto: int) -> VerificationRe
     params = {"kind": kind.family}
     if kind.ell is not None:
         params["ell"] = kind.ell
-    return check("oracle-vs-series", table.values, series.coeffs, upto + 1,
+    return check("oracle-vs-series", table, series.coeffs, upto + 1,
                  None, started=t0, params=params)
 
 
@@ -126,7 +126,7 @@ def criterion_2() -> CriterionResult:
     table = counting.count(counting.PLAIN_P, 11 * 300 + 6)
     for step, off, m in ((5, 4, 5), (7, 5, 7), (11, 6, 11)):
         reports.append(check(
-            "plain-partition-congruence", table.values[off::step], [0] * 301,
+            "plain-partition-congruence", table[off::step], [0] * 301,
             301, m, params={"step": step, "offset": off},
             progression=(step, off)))
     return CriterionResult(2, "worked anchors and p(n) congruences to n <= 300",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcong import cli
+from qcong import cli, congruence
 from qcong.suite import CriterionResult
 
 
@@ -112,6 +112,7 @@ def test_exact_expand_guards_order_times_exponents(capsys):
     ["verify-lemma", "--id", "psi-pdiss", "--p", "1000003"],
     ["verify-lemma", "--id", "phi-sqdiss", "--n", "1001"],
     ["expand", "--order", "500", "--eta", "2:1,1:-1000000000"],
+    ["verify-theorem", "--family", "r4-fixed", "--terms", "200001"],
 ])
 def test_size_guard(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -228,9 +229,33 @@ def test_verify_theorem_eligibility_exit(capsys):
 
 
 def test_verify_theorem_order_guard_exit(capsys):
+    # a(676n+197) needs base order 337522, refused before any build
+    congruence.clear_cache()
     assert run(["verify-theorem", "--family", "r4-prime-series",
-                "--p", "13", "--alpha", "0", "--max-order", "1000"]) == 2
-    assert "max-order guard" in capsys.readouterr().err
+                "--p", "13", "--alpha", "1"]) == 2
+    assert "max-order guard 200000" in capsys.readouterr().err
+    assert not congruence._CACHE
+
+
+def test_verify_theorem_guard_cannot_be_raised(capsys):
+    # r6-iterated at alpha 2 and 10000 terms needs base order 809940
+    congruence.clear_cache()
+    argv = ["verify-theorem", "--family", "r6-iterated", "--alpha", "2",
+            "--terms", "10000"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--max-order", "100000000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-order" in capsys.readouterr().err
+    assert run(argv) == 2
+    assert "max-order guard 200000" in capsys.readouterr().err
+    assert not congruence._CACHE
+
+
+def test_verify_theorem_terms_at_least_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-theorem", "--family", "r4-fixed", "--terms", "0"])
+    assert exc.value.code == 2
+    assert "--terms must be >= 1" in capsys.readouterr().err
 
 
 def test_search_text_output(capsys):

@@ -24,9 +24,13 @@ def test_phi_neg_expansion():
 
 
 def test_scaled_arguments():
-    # stretch of an order-10 series stops at order 28, so compare there
-    assert qf.phi(28, 3) == qf.phi(10).stretch(3)
-    assert qf.psi(21, 2) == qf.psi(11).stretch(2)
+    # q -> q^s spreads an order-n series over order (n - 1) s + 1
+    phi3 = [0] * 28
+    phi3[::3] = qf.phi(10).coeffs
+    assert qf.phi(28, 3) == Series(phi3)
+    psi2 = [0] * 21
+    psi2[::2] = qf.psi(11).coeffs
+    assert qf.psi(21, 2) == Series(psi2)
 
 
 # orders the claims really reach (about 1.5 * 10^5), plus the edges

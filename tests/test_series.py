@@ -163,16 +163,6 @@ def test_invert_euler_gives_partition_numbers():
     assert list(p.coeffs) == [1, 1, 2, 3, 5, 7, 11, 15]
 
 
-def test_dissect_picks_residue_classes():
-    a = Series(list(range(20)))
-    d = a.dissect(4, 2)
-    assert list(d.coeffs) == [2, 6, 10, 14, 18]
-    with pytest.raises(ValueError):
-        a.dissect(4, 4)
-    with pytest.raises(ValueError):
-        a.dissect(0, 0)
-
-
 def test_reduce_mod_canonical_residues():
     a = Series([-1, 5, -7, 12])
     r = a.reduce_mod(4)
@@ -191,14 +181,11 @@ def test_modulus_mixing_is_rejected():
         Series([1, 2]) + Series([1, 2], 4)
 
 
-def test_shift_and_stretch():
+def test_shift():
     a = Series([1, 2, 3, 4])
     assert list(a.shift(2).coeffs) == [0, 0, 1, 2]
     assert a.shift(0) == a
-    assert a.shift(9).is_zero()
-    s = a.stretch(3)
-    assert s.order == 10
-    assert list(s.coeffs) == [1, 0, 0, 2, 0, 0, 3, 0, 0, 4]
+    assert a.shift(9) == Series.zero(4)
     with pytest.raises(ValueError):
         a.shift(-1)
 
