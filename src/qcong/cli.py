@@ -27,7 +27,7 @@ _KIND_ALIASES = {"rstar": "nonoverlined-l-regular"}
 
 # largest count --upto: the oracles' DP is quadratic in it, so plain
 # partitions to 10^4 take 5.7-6.3 s and to 2*10^4 25 s, overpartitions
-# to 10^4 9.4-12 s (2-vCPU Xeon VM, CPython 3.11); the suite counts to 3306
+# to 10^4 9.4-12 s (2-vCPU Xeon VM, CPython 3.11); the suite counts to 1000
 COUNT_LIMIT = 10_000
 
 # largest |exponent| expand accepts: f^e takes about log2|e| products

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcong import congruence, suite
+from qcong import congruence, counting, suite
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench/expected/suite.json"
 
@@ -45,6 +45,21 @@ def test_criterion_01_oracle_vs_series(results):
 
 def test_criterion_02_anchors_and_classical_congruences(results):
     _check(results, 2)
+
+
+def test_criterion_02_builds_no_deep_oracle_table(monkeypatch):
+    # the anchors read the oracles at n = 3; p(n) to 3306 comes from the
+    # 1/f1 series, so the quadratic DP table must not come back
+    seen = []
+    real = counting.count
+
+    def spy(kind, upto):
+        seen.append(upto)
+        return real(kind, upto)
+
+    monkeypatch.setattr(counting, "count", spy)
+    assert suite.criterion_2().passed
+    assert seen and max(seen) <= 3
 
 
 def test_criterion_03_identity_catalog(results):

@@ -75,6 +75,14 @@ def test_oracle_vs_series_sample():
         assert list(table) == list(series.coeffs)[: upto + 1], kind
 
 
+def test_plain_oracle_matches_series_at_suite_depth():
+    # criterion 2 reads p(n) to n = 3306 from the 1/f1 series; the oracle
+    # must agree with it there, coefficient for coefficient
+    table = ct.count(ct.PLAIN_P, 11 * 300 + 6)
+    series = qf.eta_quotient([(1, -1)], 11 * 300 + 7)
+    assert table == series.coeffs
+
+
 def test_monotonicity_with_unit_parts():
     # any kind admitting a part of size 1 embeds level n into n+1
     for kind in (ct.PLAIN_P, ct.OVERPARTITION,

@@ -1,8 +1,8 @@
 """The one verdict path: every comparison becomes a report via check."""
 
-from qcong import counting, suite
+from qcong import counting, qfunctions, suite
 from qcong.report import MAX_RECORDED_COUNTEREXAMPLES, check
-from qcong.series import EtaQuotient
+from qcong.series import EtaQuotient, Series
 
 
 def test_passing_report_has_no_total_and_no_reason():
@@ -48,15 +48,15 @@ def test_failing_oracle_vs_series_records_the_total(monkeypatch):
 
 
 def test_failing_partition_congruence_records_the_total(monkeypatch):
-    real = counting.count
+    real = qfunctions.eta_quotient
 
-    def off_by_one(kind, upto):
-        table = real(kind, upto)
-        if kind != counting.PLAIN_P:
-            return table
-        return tuple(v + 1 for v in table)
+    def off_by_one(factors, order, modulus=None):
+        series = real(factors, order, modulus)
+        if factors != EtaQuotient([(1, -1)]):
+            return series
+        return Series([c + 1 for c in series.coeffs], modulus)
 
-    monkeypatch.setattr(counting, "count", off_by_one)
+    monkeypatch.setattr(qfunctions, "eta_quotient", off_by_one)
     result = suite.criterion_2()
     progressions = [r for r in result.reports
                     if r.name == "plain-partition-congruence"]
@@ -67,3 +67,16 @@ def test_failing_partition_congruence_records_the_total(monkeypatch):
         assert r.counterexamples[0] == (0, 1, 0)
         assert len(r.counterexamples) == MAX_RECORDED_COUNTEREXAMPLES
         assert r.detail["counterexample_total"] == 301
+
+
+def test_failing_oracle_fails_exactly_the_anchors(monkeypatch):
+    real = counting.count
+
+    def off_by_one(kind, upto):
+        return tuple(v + 1 for v in real(kind, upto))
+
+    monkeypatch.setattr(counting, "count", off_by_one)
+    result = suite.criterion_2()
+    failing = [r for r in result.reports if not r.passed]
+    assert not result.passed and len(failing) == 3
+    assert all(r.name == "anchor" for r in failing)
