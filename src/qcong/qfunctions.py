@@ -35,10 +35,11 @@ def euler_product(h: int, order: int) -> Series:
 # the kernel's slots widen with e; from 32 it loses (f1 and f2 at orders
 # 500 to 8000 on a 2-vCPU Xeon VM, CPython 3.11: 0.3-0.4 of the time at
 # e <= 6, 0.5-0.8 at 8 <= e <= 24, 1.0-1.2 at 32, 1.4-1.6 at 64).  Over
-# Z/mZ bases are inverted first, as the slots stay narrow: dividing once
-# takes 0.7 of the time at order 1000 mod 4, a few ms, but a numerator
-# built first would stay alive through a long Newton inverse, 1.1 MB more
-# peak memory for rstar(6) mod 3 at 146469 terms (3% of the suite's).
+# Z/mZ bases are inverted first, as the slots stay narrow.  A base that
+# the Hensel lift inverts, as phi(-q) mod 2, 4, 8 and 16, costs the same
+# either way: the lifted inverse and one product.  Any other would keep
+# a numerator built first alive through a long Newton inverse, 1.1 MB
+# more peak memory for rstar(6) mod 3 at 146469 terms (3% of the suite's).
 _MAX_DIVISIONS = 24
 
 

@@ -8,11 +8,15 @@ operation ever invents coefficients past known data.
 Products go through one Kronecker-substitution kernel with two exact
 backends: CPython big ints for small operands, and the standard
 library's `decimal` (libmpdec, whose multiply is a number-theoretic
-transform) once the packed operand passes about 150000 bits.  Quotients
-and inverses (a quotient with numerator 1) use one constant-term
-recurrence over the nonzero terms of the divisor, over Z and for sparse
-modular divisors, and Newton iteration over the kernel for modular
-divisors with more nonzero terms.
+transform) once the packed operand passes about 150000 bits.  A slot is
+as wide as the nonzero terms of the sparser operand need, so sparse
+operands pack narrow.  Quotients and inverses (a quotient with
+numerator 1) use one constant-term recurrence over the nonzero terms of
+the divisor, over Z and for sparse modular divisors, and Newton
+iteration over the kernel for modular divisors with more nonzero terms.
+A modular divisor that is its constant term modulo d = gcd(m, terms
+past it), with m | d^4, such as phi(-q) mod 2, 4, 8 and 16, is inverted
+by a Hensel lift instead: no product up to mod d^2, two up to d^4.
 
 Values are immutable after construction and safe to share between
 threads.
@@ -21,6 +25,7 @@ threads.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -203,7 +208,10 @@ class Series:
         constant-term recurrence of ``/`` with numerator 1.  Longer
         modular series use Newton iteration g <- g (2 - f g), which
         doubles the number of correct terms with two products each step,
-        O(M(order)).
+        O(M(order)).  Over Z/mZ a series that is its constant term
+        modulo d = gcd(m, self[1:]), with m | d^4, takes the same step
+        in the modulus instead, from mod d to mod d^2 and d^4, with at
+        most two products.
         """
         return Series._canonical(_quotient((1,), self.coeffs, self.modulus),
                                  self.modulus)
@@ -214,7 +222,8 @@ class Series:
         The constant-term recurrence F = (self - sum_k other[k] q^k F) /
         other[0] runs over the nonzero terms of ``other`` only, so a
         sparse divisor costs O(order * nonzero-terms) and no product.
-        Longer modular divisors take a Newton inverse and one product.
+        Longer modular divisors, and those that ``invert`` lifts, take
+        that inverse and one product.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -290,9 +299,10 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # with CPython 3.11: modular products with small moduli cross over
 # between 8192 and 16384 terms (131000 to 330000 bits), exact ones with
 # 60-bit coefficients near 2000 terms.  In `qcong verify-all` every exact
-# product (95 of them, at most 1000 terms) stays on ints, and decimal
-# serves 21 modular products, where at 147456 terms mod 3 a product takes
-# 0.12 s against 0.85 s.  Exact products reach decimal from `expand` and
+# product (95 of them, at most 1000 terms) stays on ints, as do 50
+# modular ones (at most 10004 terms), and decimal serves 12 modular
+# products, where at 147456 terms mod 3 a product takes 0.12 s against
+# 0.85 s.  Exact products reach decimal from `expand` and
 # `verify-lemma --order` at large orders: `expand --eta 1:2,2:1 --order
 # 60000` makes two signed decimal products.
 
@@ -409,8 +419,10 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
         bmax = max(b, default=0)
     if amax == 0 or bmax == 0:
         return [0] * n
-    # largest slot magnitude, doubled when the slot is biased by X/2
-    bound = min(len(a), len(b)) * amax * bmax
+    # largest slot magnitude, doubled when the slot is biased by X/2: a
+    # slot sums at most one product per nonzero term of either operand
+    bound = (min(len(a) - a.count(0), len(b) - b.count(0))
+             * amax * bmax)
     if modulus is None:
         bound *= 2
     if backend is None:
@@ -437,6 +449,12 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 # for a quotient, against a Newton inverse and one product, 0.93-0.94 at
 # 91 terms, 1.40-1.44 at 128.  f1 mod 3 and mod 4 are even at 45 terms
 # (order 768) for an inverse and at 74 (order 2048) for a quotient.
+#
+# The Hensel lift replaces both where m | d^4.  For 1/phi(-q) at order
+# 200000 (same VM) Newton takes 0.70 s mod 4 and the lift 0.016 s; mod 16
+# 0.79 and 0.46 s.  Lifting on past d^4 loses, as its products are as wide
+# as Newton's and more of them run at full order: mod 32 1.15 s against
+# Newton's 0.90 s, mod 256 1.60 against 0.95 s, mod 2^64 16.8 against 3.9 s.
 
 _NEWTON_MIN_TERMS = 50
 _NEWTON_MIN_DIVISION_TERMS = 96
@@ -452,7 +470,8 @@ def _newton_pays(coeffs: Sequence[int], min_terms: int) -> bool:
 def _quotient(num: Sequence[int], den: Sequence[int],
               m: Optional[int]) -> list[int]:
     """First len(den) coefficients of num/den.  A numerator of (1,) is
-    an inverse, which Newton returns without a product."""
+    an inverse, which the Hensel lift and Newton return without a
+    further product; any other takes one product with that inverse."""
     if not den:
         raise NotInvertibleError("cannot invert an order-0 series")
     inv0 = a0 = den[0]
@@ -466,11 +485,18 @@ def _quotient(num: Sequence[int], den: Sequence[int],
         except ValueError:
             raise NotInvertibleError(
                 f"constant term {a0} is not a unit mod {m}") from None
-    inverse = num == (1,)
-    if m is None or not _newton_pays(den, _NEWTON_MIN_TERMS if inverse
-                                     else _NEWTON_MIN_DIVISION_TERMS):
+    if m is None:
         return _divide(num, den, inv0, m)
-    g = _newton_inverse(den, inv0, m)
+    inverse = num == (1,)
+    # m | d^4 also puts every prime of m in d
+    d = math.gcd(m, *set(den[1:]))
+    if d ** 4 % m == 0:
+        g = _hensel_inverse(den, inv0, m, d)
+    elif _newton_pays(den, _NEWTON_MIN_TERMS if inverse
+                      else _NEWTON_MIN_DIVISION_TERMS):
+        g = _newton_inverse(den, inv0, m)
+    else:
+        return _divide(num, den, inv0, m)
     return g if inverse else _convolve(num, g, len(den), m)
 
 
@@ -498,6 +524,27 @@ def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
             s -= v * t
         F[n] = inv0 * s if m is None else inv0 * s % m
     return F
+
+
+def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
+                    d: int) -> list[int]:
+    """1/f mod m to len(coeffs) terms, where d = gcd(m, coeffs[1:]) and
+    m divides d^4.
+
+    f inv0 = 1 + d e, so the step g <- g (2 - f g) from g = inv0 gives
+    g = inv0 (2 - inv0 f), with f g = 1 - (d e)^2: correct mod d^2 and
+    no product, as sparse as f.  If m does not divide d^2, one more step
+    reaches d^4 with two products.
+    """
+    t = -inv0 * inv0 % m
+    g = [t * c % m for c in coeffs]
+    g[0] = inv0            # inv0 (2 - inv0 f[0]) = inv0 (mod m)
+    if d * d % m:
+        n = len(coeffs)
+        h = [(-c) % m for c in _convolve(coeffs, g, n, m)]
+        h[0] = (h[0] + 2) % m
+        g = _convolve(g, h, n, m)
+    return g
 
 
 def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:

@@ -11,16 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from qcong import congruence, counting, suite
+from qcong import congruence, counting, qfunctions, suite
+from qcong.series import EtaQuotient
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench/expected/suite.json"
 
 
 @pytest.fixture(scope="module")
-def results():
+def suite_run():
+    # the criteria and every base series they built, from a cold cache
+    congruence.clear_cache()
     out = {res.number: res for res in suite.run_all()}
     assert sorted(out) == list(range(1, 13))
-    return out
+    return out, dict(congruence._CACHE)
+
+
+@pytest.fixture(scope="module")
+def results(suite_run):
+    return suite_run[0]
 
 
 def _check(results, number):
@@ -109,6 +117,27 @@ def test_criterion_11_proof_internal_congruences(results):
 
 def test_criterion_12_search_rediscovery(results):
     _check(results, 12)
+
+
+def test_modular_bases_times_phi_are_f_ell(suite_run):
+    # rstar(ell) phi(-q) = f_ell: each modular base the suite built, at
+    # its full built order, checked by a product, a path that did not
+    # build it (the mod-2^k bases are Hensel lifts, r6 mod 3 Newton)
+    built = {}
+    for (factors, m), base in suite_run[1].items():
+        if m is None:
+            continue
+        ell = factors[-1][0]
+        assert EtaQuotient(factors) == EtaQuotient.rstar(ell)
+        built[ell, m] = base.order
+        phi = qfunctions.general_theta(1, 1, base.order, sign_x=-1,
+                                       sign_y=-1).reduce_mod(m)
+        assert (base * phi
+                == qfunctions.euler_product(ell, base.order).reduce_mod(m))
+    assert built == {(4, 4): 8004, (5, 2): 10002, (5, 4): 10004,
+                     (10, 2): 10002, (10, 4): 10004, (15, 2): 10002,
+                     (15, 4): 10004, (8, 4): 32014, (8, 8): 16008,
+                     (6, 3): 146469}
 
 
 def _without_seconds(value):

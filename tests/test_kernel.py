@@ -19,14 +19,24 @@ from test_series import BACKENDS, naive_product  # noqa: E402
 @st.composite
 def kernel_inputs(draw):
     """(n, modulus, a, b): operands of any length up to n + 3, signed and
-    up to 10^40 over Z, canonical residues over Z/mZ, sometimes all zero."""
+    up to 10^40 over Z, canonical residues over Z/mZ, sometimes all zero,
+    sometimes sparse with every nonzero term at the extreme magnitude
+    (+-bound, or m - 1), where slots sized by the nonzero count fill."""
     n = draw(st.integers(1, 40))
     m = draw(st.one_of(st.none(), st.sampled_from([1, 2, 3, 4, 8, 24, 97]),
                        st.integers(1, 10**20)))
 
     def operand():
         bound = draw(st.sampled_from([0, 1, 3, 10**6, 10**40]))
-        cs = draw(st.lists(st.integers(-bound, bound), max_size=n + 3))
+        if draw(st.booleans()):
+            cs = draw(st.lists(st.integers(-bound, bound), max_size=n + 3))
+        else:
+            cs = [0] * draw(st.integers(0, n + 3))
+            for i in draw(st.sets(st.integers(0, n + 2), max_size=4)):
+                if i < len(cs):
+                    cs[i] = draw(st.sampled_from([-bound, bound]))
+            if m is not None:
+                cs = [m - 1 if c else 0 for c in cs]
         return cs if m is None else [c % m for c in cs]
 
     return n, m, operand(), operand()
@@ -69,6 +79,39 @@ def test_newton_matches_division(n, m, density, rnd):
     want = series._divide((1,), f.coeffs, inv0, m)
     assert series._newton_inverse(f.coeffs, inv0, m) == want
     assert list(f.invert().coeffs) == want
+
+
+@st.composite
+def lifted_inputs(draw):
+    """(num, den, m): a divisor whose terms past the constant share
+    d = gcd(m, den[1:]) with m.  Over m in 2, 4, 8, 16, 36 and 2^64 they
+    are multiples of rad(m)^j, the Hensel lift's case once m | d^4; mod
+    12 and 3, of a step that misses a prime of m, which the lift leaves
+    to the recurrence and Newton."""
+    m = draw(st.sampled_from([2, 4, 8, 16, 36, 2**64, 12, 3]))
+    rad = math.prod(p for p in (2, 3) if m % p == 0)
+    if m in (12, 3):
+        step = draw(st.sampled_from([1, 2, 4] if m == 12 else [1, 2]))
+    else:
+        step = rad ** draw(st.sampled_from([1, 2, 3, 8, 16, 40]))
+    order = draw(st.one_of(st.integers(1, 60), st.integers(129, 2500)))
+    terms = draw(st.integers(0, 2 * series._NEWTON_MIN_DIVISION_TERMS))
+    rnd = draw(st.randoms(use_true_random=False))
+    den = [rnd.choice([u for u in range(1, min(m, 50))
+                       if math.gcd(u, m) == 1])] + [0] * (order - 1)
+    for k in rnd.sample(range(1, order), min(terms, order - 1)):
+        den[k] = step * rnd.randrange(1, m) % m
+    num = [rnd.randrange(m) for _ in range(order)]
+    return num, den, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_inputs())
+def test_quotient_matches_the_recurrence_on_lifted_divisors(case):
+    num, den, m = case
+    inv0 = pow(den[0], -1, m)
+    assert series._quotient((1,), den, m) == series._divide((1,), den, inv0, m)
+    assert series._quotient(num, den, m) == series._divide(num, den, inv0, m)
 
 
 @st.composite

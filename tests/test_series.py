@@ -13,7 +13,7 @@ from qcong import series
 from qcong.report import compare_coefficients
 from qcong.series import (EtaQuotient, ModulusMismatchError,
                           NotInvertibleError, Series, congruent_mod)
-from qcong.qfunctions import eta_quotient, euler_product
+from qcong.qfunctions import eta_quotient, euler_product, general_theta
 
 
 def naive_product(a, b, n, m=None):
@@ -250,6 +250,28 @@ def test_kernel_slots_at_their_extremes():
                 for backend in BACKENDS:
                     assert (series._convolve(a, b, n, None, backend)
                             == naive_product(a, b, n))
+    # sparse operands: slots are sized by the nonzero count k, not the
+    # length, so slot 3(k-1), which sums k products B^2, fills them
+    for k in (1, 2, 3):
+        n = 3 * k + 2
+        for top in [2**L for L in (8, 16, 64, 128)] + [10**L for L in (3, 20, 41)]:
+            big = math.isqrt((top - 1) // (2 * k))
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a = [sa * big if i % 3 == 0 and i < 3 * k else 0
+                     for i in range(n)]
+                b = [sb * abs(c) for c in a]
+                want = naive_product(a, b, n)
+                assert abs(want[3 * (k - 1)]) == k * big * big
+                for backend in BACKENDS:
+                    assert series._convolve(a, b, n, None, backend) == want
+            # modular: the largest residue, with an unbiased slot
+            m = math.isqrt((top - 1) // k) + 1
+            a = [m - 1 if i % 3 == 0 and i < 3 * k else 0 for i in range(n)]
+            want = naive_product(a, a, n, m)
+            assert naive_product(a, a, n)[3 * (k - 1)] == k * (m - 1) ** 2
+            for backend in BACKENDS:
+                assert series._convolve(a, a, n, m, backend) == want
+                assert series._convolve(a, list(a), n, m, backend) == want
 
 
 def test_decimal_context_is_exact_or_raises():
@@ -289,6 +311,69 @@ def test_newton_matches_division_at_32768_mod_4():
 def test_inverse_times_series_is_one_at_147456_mod_3():
     f = euler_product(1, 147456).reduce_mod(3)
     assert f * f.invert() == Series.one(147456, 3)
+
+
+def phi_neg_mod(order, h, m):
+    return general_theta(1, 1, order, h, sign_x=-1, sign_y=-1).reduce_mod(m)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_lifted_inverse_of_phi_matches_newton_at_suite_orders(h):
+    # phi(-q^h) = 1 + 2(...), so modulo 2, 4, 8 and 16 its inverse is a
+    # Hensel lift; the suite builds it at these orders, and r6 at 146469
+    for order in (8004, 10004, 16008, 32014):
+        for m in (2, 4, 8, 16):
+            f = phi_neg_mod(order, h, m)
+            assert (series._quotient((1,), f.coeffs, m)
+                    == series._newton_inverse(f.coeffs, 1, m))
+    # at 146469 one Newton inverse mod 16 is reduced to each modulus:
+    # an inverse mod m is unique, so it is the inverse mod every divisor
+    f = phi_neg_mod(146469, h, 16)
+    newton = series._newton_inverse(f.coeffs, 1, 16)
+    for m in (2, 4, 8, 16):
+        assert (series._quotient((1,), f.reduce_mod(m).coeffs, m)
+                == [c % m for c in newton])
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_lifted_quotient_by_phi_matches_the_recurrence(m):
+    rng = random.Random(20261018 + m)
+    for h in (1, 2, 3):
+        for order in (1, 2, 129, 3000):
+            f = phi_neg_mod(order, h, m)
+            assert (series._quotient((1,), f.coeffs, m)
+                    == series._divide((1,), f.coeffs, 1, m))
+            num = [rng.randrange(m) for _ in range(order)]
+            assert (series._quotient(num, f.coeffs, m)
+                    == series._divide(num, f.coeffs, 1, m))
+
+
+def test_phi_times_lifted_inverse_is_one_at_146469_mod_8():
+    f = phi_neg_mod(146469, 1, 8)
+    assert f * f.invert() == Series.one(146469, 8)
+
+
+def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
+        monkeypatch):
+    # rstar(ell) = f_ell / phi(-q): mod 2, 4 and 8 the inverse of phi(-q)
+    # is lifted, with no Newton iteration; mod 3 (d = 1), mod 32 and
+    # mod 2^64 (d = 2), and f1 mod 4 (d = 1) keep Newton
+    calls = []
+    for name in ("_newton_inverse", "_hensel_inverse"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for ell in (4, 5, 8, 10, 15):
+        for m in (2, 4, 8):
+            calls.clear()
+            eta_quotient(EtaQuotient.rstar(ell), 8004, m)
+            assert calls == ["_hensel_inverse"]
+    for factors, m in ((EtaQuotient.rstar(6), 3), (EtaQuotient.rstar(4), 32),
+                       (EtaQuotient.rstar(4), 2**64),
+                       (EtaQuotient([(1, -1)]), 4)):
+        calls.clear()
+        eta_quotient(factors, 8004, m)
+        assert calls == ["_newton_inverse"]
 
 
 def test_exact_square_at_8000_terms_matches_int_backend():
