@@ -30,9 +30,11 @@ _KIND_ALIASES = {"rstar": "nonoverlined-l-regular"}
 # to 10^4 9.4-12 s (2-vCPU Xeon VM, CPython 3.11); the suite counts to 1000
 COUNT_LIMIT = 10_000
 
-# largest |exponent| expand accepts: f^e takes about log2|e| products
-# whose slots widen with log|e|, so 1:-1000 at order 500 takes 0.3 s,
-# 1:-100000 1.3 s and 1:-10000000 7.7 s
+# largest |exponent| expand accepts.  An exact expansion is bounded by
+# the order * sum|e| guard of _cmd_expand; this cap bounds the modular
+# one, where f^e takes about 2 log2|e| products at full order: mod 2^64
+# at order 200000, 1:-1000 takes 26 s, 1:-100000 35 s and 1:-10000000
+# 52 s (2-vCPU Xeon VM, CPython 3.11)
 EXPONENT_LIMIT = 1000
 
 # largest expand --modulus: coefficient slots widen with its bits, so

@@ -27,7 +27,6 @@ DEFAULT_TERMS = 500
 DEFAULT_MAX_ORDER = 200_000
 PRIME_LIMIT = 31   # progression indices grow like p^(2 alpha + 2)
 ALPHA_LIMIT = 2
-ELL_LIMIT = 40     # largest ell a parametrized fixed family reaches
 
 
 class ClaimError(ValueError):
@@ -166,8 +165,9 @@ for _name, _row in (
 
 # families without a progression parameter: family -> (its one
 # parameter or None, claims as (params, ell, step, offset, modulus (None
-# = exact), rhs tag, halve)); a parameter v multiplies each ell by v,
-# up to ELL_LIMIT, and leads the claims' params
+# = exact), rhs tag, halve)); a parameter v multiplies each ell by v
+# and leads the claims' params; f_ell is 1 below order ell, so a large
+# ell costs nothing
 _FIXED = {
     "r4-fixed": (None, [((("xi", xi),), 4, 4, xi, 4, "ZERO", False)
                         for xi in (2, 3)]),
@@ -294,10 +294,6 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
     if not isinstance(v, int) or v < 1:
         raise ClaimError(
             f"{family}: {name} must be a positive integer, got {v!r}")
-    top = v * max(row[1] for row in rows)
-    if top > ELL_LIMIT:
-        raise ClaimError(
-            f"{family}: ell = {top} exceeds the supported bound {ELL_LIMIT}")
     head = ((name, v),) if name else ()
     return [CongruenceClaim(family, head + ps, v * ell, Progression(step, off),
                             m, rhs, halve)

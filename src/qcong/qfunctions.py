@@ -30,19 +30,6 @@ def euler_product(h: int, order: int) -> Series:
     return general_theta(1, 2, order, h, sign_x=-1, sign_y=-1)
 
 
-# Dividing by a sparse base e times beats inverting it and raising the
-# inverse to the e-th power over Z for every e measured up to 24, since
-# the kernel's slots widen with e; from 32 it loses (f1 and f2 at orders
-# 500 to 8000 on a 2-vCPU Xeon VM, CPython 3.11: 0.3-0.4 of the time at
-# e <= 6, 0.5-0.8 at 8 <= e <= 24, 1.0-1.2 at 32, 1.4-1.6 at 64).  Over
-# Z/mZ bases are inverted first, as the slots stay narrow.  A base that
-# the Hensel lift inverts, as phi(-q) mod 2, 4, 8 and 16, costs the same
-# either way: the lifted inverse and one product.  Any other would keep
-# a numerator built first alive through a long Newton inverse, 1.1 MB
-# more peak memory for rstar(6) mod 3 at 146469 terms (3% of the suite's).
-_MAX_DIVISIONS = 24
-
-
 def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
     """Expand a product of Euler factors prod_h f_h^{e_h}.
 
@@ -51,12 +38,13 @@ def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
     ascending order, and each f_{2h}/f_h^2 (or f_h^2/f_{2h}) the
     exponents hold is taken out as phi(-q^h)^-1 (or phi(-q^h)), since
     f_h^2/f_{2h} = phi(-q^h) is a theta series with O(sqrt(order))
-    terms.  Over Z the positive powers are multiplied into a numerator,
-    which is then divided by each sparse base with a small negative
-    exponent, once per unit of the exponent; a base with a larger one,
-    and every base over Z/mZ, is inverted and raised to its power.  So
+    terms.  The ring decides the rest.  Over Z the positive powers are
+    multiplied into a numerator, which is then divided by each sparse
+    base with a negative exponent, once per unit of the exponent, so
     exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one sparse division and
-    no product.
+    no product.  Over Z/mZ every base is inverted and raised to its
+    power: the slots stay narrow, and no numerator built first is kept
+    alive through a long Newton inverse.
     """
     if isinstance(factors, str):
         factors = EtaQuotient.parse(factors)
@@ -83,13 +71,12 @@ def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
             if e:
                 yield euler_product(h, order), e
 
-    max_divisions = _MAX_DIVISIONS if modulus is None else 0
     out = None
     divisors = []
     for base, e in bases():
         if modulus is not None:
             base = base.reduce_mod(modulus)
-        if -max_divisions <= e < 0:
+        elif e < 0:
             divisors += [base] * -e
             continue
         term = base ** e
@@ -159,12 +146,12 @@ def psi(order: int, scale: int = 1) -> Series:
 
 def phi_neg(order: int, scale: int = 1) -> Series:
     """phi(-q^scale), computed two independent ways and cross-checked:
-    the alternating square sum and the quotient f_s^2 / f_{2s}."""
+    the alternating square sum times f_{2s} against f_s^2, two sparse
+    products in place of the exact quotient f_s^2 / f_{2s}."""
     direct = general_theta(1, 1, order, scale, sign_x=-1, sign_y=-1)
-    # eta_quotient would expand this quotient from the same theta series
-    quotient = (euler_product(scale, order) ** 2
-                * euler_product(2 * scale, order).invert())
-    if direct != quotient:
+    # eta_quotient would expand f_s^2 / f_{2s} from the same theta series
+    f_s, f_2s = euler_product(scale, order), euler_product(2 * scale, order)
+    if direct * f_2s != f_s ** 2:
         raise AssertionError(
             "internal inconsistency expanding phi(-q^%d)" % scale)
     return direct

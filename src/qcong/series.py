@@ -5,18 +5,19 @@ either over Z (arbitrary precision) or over Z/mZ when a modulus is
 attached.  Every binary operation truncates to the shorter operand; no
 operation ever invents coefficients past known data.
 
-Products go through one Kronecker-substitution kernel with two exact
-backends: CPython big ints for small operands, and the standard
-library's `decimal` (libmpdec, whose multiply is a number-theoretic
-transform) once the packed operand passes about 150000 bits.  A slot is
-as wide as the nonzero terms of the sparser operand need, so sparse
-operands pack narrow.  Quotients and inverses (a quotient with
-numerator 1) use one constant-term recurrence over the nonzero terms of
-the divisor, over Z and for sparse modular divisors, and Newton
-iteration over the kernel for modular divisors with more nonzero terms.
-A modular divisor that is its constant term modulo d = gcd(m, terms
-past it), with m | d^4, such as phi(-q) mod 2, 4, 8 and 16, is inverted
-by a Hensel lift instead: no product up to mod d^2, two up to d^4.
+Products go through one Kronecker-substitution kernel that does one
+exact multiply in the standard library's `decimal` (libmpdec, whose
+multiply is a number-theoretic transform); only a slot too wide for
+int() to read back takes CPython ints.  A slot is as wide as the nonzero
+terms of the sparser operand need, so sparse operands pack narrow.
+Quotients and inverses (a quotient with numerator 1) use one
+constant-term recurrence over the nonzero terms of the divisor, over Z
+and for sparse modular divisors, and Newton iteration over the kernel
+for modular divisors with more nonzero terms.  A modular divisor that is
+its constant term modulo d = gcd(m, terms past it), with m | d^4, such as
+phi(-q) mod 2, 4, 8 and 16, is inverted by a Hensel lift instead: no
+product up to mod d^2, two up to d^4.  A quotient by a lifted or Newton
+inverse is that inverse times the numerator.
 
 Values are immutable after construction and safe to share between
 threads.
@@ -204,10 +205,11 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse: 1 / self.
 
-        Over Z, and over Z/mZ while the recurrence is cheap, this is the
-        constant-term recurrence of ``/`` with numerator 1.  Longer
-        modular series use Newton iteration g <- g (2 - f g), which
-        doubles the number of correct terms with two products each step,
+        Over Z, and over Z/mZ for a series with at most 50 nonzero
+        terms, this is the constant-term recurrence of ``/`` with
+        numerator 1.  Denser modular series use Newton iteration
+        g <- g (2 - f g) from the constant term's inverse, which doubles
+        the number of correct terms with two products each step,
         O(M(order)).  Over Z/mZ a series that is its constant term
         modulo d = gcd(m, self[1:]), with m | d^4, takes the same step
         in the modulus instead, from mod d to mod d^2 and d^4, with at
@@ -222,8 +224,8 @@ class Series:
         The constant-term recurrence F = (self - sum_k other[k] q^k F) /
         other[0] runs over the nonzero terms of ``other`` only, so a
         sparse divisor costs O(order * nonzero-terms) and no product.
-        Longer modular divisors, and those that ``invert`` lifts, take
-        that inverse and one product.
+        A modular divisor that ``invert`` lifts or inverts by Newton
+        iteration takes that inverse and one product.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -292,24 +294,19 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # n slots, so every slot holds c + X/2 in [0, X) and unpacks as an
 # unsigned digit string.
 #
-# Two backends do the one big multiply.  CPython ints (Karatsuba) win on
-# small operands; `decimal` (libmpdec, which multiplies with a
-# number-theoretic transform) wins once the packed operand is large.  The
-# switch is on the packed size in bits, as measured on a 2-vCPU Xeon VM
-# with CPython 3.11: modular products with small moduli cross over
-# between 8192 and 16384 terms (131000 to 330000 bits), exact ones with
-# 60-bit coefficients near 2000 terms.  In `qcong verify-all` every exact
-# product (95 of them, at most 1000 terms) stays on ints, as do 50
-# modular ones (at most 10004 terms), and decimal serves 12 modular
-# products, where at 147456 terms mod 3 a product takes 0.12 s against
-# 0.85 s.  Exact products reach decimal from `expand` and
-# `verify-lemma --order` at large orders: `expand --eta 1:2,2:1 --order
-# 60000` makes two signed decimal products.
+# `decimal` (libmpdec, which multiplies with a number-theoretic
+# transform) does the one big multiply.  CPython ints (Karatsuba) are no
+# faster on small products and far slower on large ones.  The 171
+# products of `qcong verify-all`, replayed on each (best of 3, 2-vCPU
+# Xeon VM, CPython 3.11): 95 exact ones of at most 2048 terms take 0.057 s
+# on ints and 0.050 s on decimal, 51 modular ones of at most 2048 terms
+# 0.013 s on both, 16 modular ones of up to 16384 terms 0.20 and 0.12 s,
+# and 9 longer ones 2.07 and 0.60 s.  A small exact product with wide
+# coefficients pays decimal's conversions: 100 terms of 60 bits take
+# 0.79 ms, against 0.34 ms on ints.
 
-# packed operands of at least this many bits go through decimal
-_DECIMAL_MIN_BITS = 150_000
-# wider slots stay on ints: int() refuses strings of more than 4300
-# digits by default (CPython 3.11+), and 13000 bits is 3914 digits
+# wider slots take ints: int() refuses strings of more than 4300 digits
+# by default (CPython 3.11+), and 13000 bits is 3914 digits
 _DECIMAL_MAX_SLOT_BITS = 13_000
 
 
@@ -405,7 +402,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 
     Operands may have any lengths; terms past n are ignored.  Over Z/mZ
     the operands must be canonical residues.  ``backend`` forces
-    _int_product or _decimal_product; by default the packed size picks.
+    _int_product or _decimal_product; by default the slot width picks.
     """
     # a square keeps one operand object, which the backends square
     square = b is a
@@ -426,10 +423,8 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
     if modulus is None:
         bound *= 2
     if backend is None:
-        bits = bound.bit_length()
         backend = (_decimal_product
-                   if bits * max(len(a), len(b)) >= _DECIMAL_MIN_BITS
-                   and bits <= _DECIMAL_MAX_SLOT_BITS
+                   if bound.bit_length() <= _DECIMAL_MAX_SLOT_BITS
                    else _int_product)
     values = backend(a, b, n, bound, max(amax, bmax), modulus is None)
     if modulus is not None:
@@ -443,12 +438,19 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 # F[n-k] over the k sharing one coefficient value, so the +-1 and +-2 of
 # Euler products and theta series cost one addition a term.  Newton's
 # products cost about the same per coefficient from order 2048 to 131072,
-# so the crossover is a count of nonzero terms.  Recurrence time over
-# Newton's, on phi(-q^h) mod 3 at orders 32768 and 131072 (2-vCPU Xeon VM,
-# CPython 3.11): for an inverse 0.72-0.79 at 41 terms, 1.03-1.06 at 61;
-# for a quotient, against a Newton inverse and one product, 0.93-0.94 at
-# 91 terms, 1.40-1.44 at 128.  f1 mod 3 and mod 4 are even at 45 terms
-# (order 768) for an inverse and at 74 (order 2048) for a quotient.
+# so the crossover is a count of nonzero terms, the one tuned number of
+# this layer.  Recurrence time over Newton's, on phi(-q^h) mod 3 at
+# orders 32768 and 131072 (2-vCPU Xeon VM, CPython 3.11): for an inverse
+# 0.72-0.79 at 41 terms, 1.03-1.06 at 61.  Sparse divisors with a wide
+# modulus gain most: 1/f_1000 mod 2^64 at order 200000 (23 terms) takes
+# 0.27 s by the recurrence and 2.7 s by Newton.  A quotient takes the
+# same rule; `verify-all`, `search` and the README's commands divide
+# modulo m only into 1.  Newton starts from the constant term's inverse,
+# and its first seven steps, to 128 terms, cost about what the recurrence
+# does there: 1/phi(-q) mod 3 at 146469 takes 0.49 s either way, and a
+# dense divisor mod 9 at 60, 100, 128 and 300 terms 0.31/0.41/0.46/0.88
+# ms, against 0.17/0.41/0.74/0.93 ms when the recurrence took every order
+# up to 128 and Newton's first 128 terms.
 #
 # The Hensel lift replaces both where m | d^4.  For 1/phi(-q) at order
 # 200000 (same VM) Newton takes 0.70 s mod 4 and the lift 0.016 s; mod 16
@@ -457,14 +459,6 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 # Newton's 0.90 s, mod 256 1.60 against 0.95 s, mod 2^64 16.8 against 3.9 s.
 
 _NEWTON_MIN_TERMS = 50
-_NEWTON_MIN_DIVISION_TERMS = 96
-# Newton's first approximation comes from the recurrence at this order
-_NEWTON_BASE_ORDER = 128
-
-
-def _newton_pays(coeffs: Sequence[int], min_terms: int) -> bool:
-    n = len(coeffs)
-    return n > _NEWTON_BASE_ORDER and n - coeffs.count(0) > min_terms
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
@@ -487,17 +481,15 @@ def _quotient(num: Sequence[int], den: Sequence[int],
                 f"constant term {a0} is not a unit mod {m}") from None
     if m is None:
         return _divide(num, den, inv0, m)
-    inverse = num == (1,)
     # m | d^4 also puts every prime of m in d
     d = math.gcd(m, *set(den[1:]))
     if d ** 4 % m == 0:
         g = _hensel_inverse(den, inv0, m, d)
-    elif _newton_pays(den, _NEWTON_MIN_TERMS if inverse
-                      else _NEWTON_MIN_DIVISION_TERMS):
+    elif len(den) - den.count(0) > _NEWTON_MIN_TERMS:
         g = _newton_inverse(den, inv0, m)
     else:
         return _divide(num, den, inv0, m)
-    return g if inverse else _convolve(num, g, len(den), m)
+    return g if num == (1,) else _convolve(num, g, len(den), m)
 
 
 def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
@@ -548,17 +540,18 @@ def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
 
 
 def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
-    """1/f mod m to len(coeffs) terms by Newton iteration.
+    """1/f mod m to len(coeffs) terms by Newton iteration from g = inv0.
 
     If f g = 1 + q^k e, then g' = g - q^k (g e) has f g' = 1 - q^{2k} e^2,
     so each step doubles the number of correct terms; only e's first
     k' - k terms and (g e)'s first k' - k terms are needed to reach k'.
     """
-    orders = [len(coeffs)]
-    while orders[-1] > _NEWTON_BASE_ORDER:
-        orders.append((orders[-1] + 1) // 2)
-    k = orders.pop()
-    g = _divide((1,), coeffs[:k], inv0, m)
+    orders = []
+    n = len(coeffs)
+    while n > 1:
+        orders.append(n)
+        n = (n + 1) // 2
+    g, k = [inv0], 1
     for k2 in reversed(orders):
         e = _convolve(coeffs, g, k2, m)[k:]
         ge = _convolve(g, e, k2 - k, m)

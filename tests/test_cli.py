@@ -216,6 +216,14 @@ def test_verify_theorem_pass_and_json(capsys):
     assert report["name"] == "r8-2n1-exact" and report["status"] == "pass"
 
 
+def test_verify_theorem_r5k_past_k_8(capsys):
+    # ell = 5k for any positive k: f_45 is 1 below order 45, so k = 9
+    # costs what k = 1 does
+    assert run(["verify-theorem", "--family", "r5k-fixed", "--k", "9",
+                "--terms", "2001"]) == 0
+    assert "PASS r5k-fixed [k=9, xi=2] (5n+2) mod 4" in capsys.readouterr().out
+
+
 def test_verify_theorem_failure_exit(capsys):
     assert run(["verify-theorem", "--family", "r6-iterated-alt",
                 "--alpha", "1", "--terms", "60"]) == 1

@@ -67,7 +67,7 @@ def test_series_product_and_inverse_laws(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(series._NEWTON_BASE_ORDER + 1, 700),
+@given(st.integers(1, 700),
        st.sampled_from([2, 3, 4, 8, 9, 24, 97, 2**61 - 1]),
        st.floats(0.05, 1.0), st.randoms(use_true_random=False))
 def test_newton_matches_division(n, m, density, rnd):
@@ -94,8 +94,8 @@ def lifted_inputs(draw):
         step = draw(st.sampled_from([1, 2, 4] if m == 12 else [1, 2]))
     else:
         step = rad ** draw(st.sampled_from([1, 2, 3, 8, 16, 40]))
-    order = draw(st.one_of(st.integers(1, 60), st.integers(129, 2500)))
-    terms = draw(st.integers(0, 2 * series._NEWTON_MIN_DIVISION_TERMS))
+    order = draw(st.one_of(st.integers(1, 60), st.integers(61, 2500)))
+    terms = draw(st.integers(0, 100))
     rnd = draw(st.randoms(use_true_random=False))
     den = [rnd.choice([u for u in range(1, min(m, 50))
                        if math.gcd(u, m) == 1])] + [0] * (order - 1)
@@ -117,12 +117,11 @@ def test_quotient_matches_the_recurrence_on_lifted_divisors(case):
 @st.composite
 def division_inputs(draw):
     """(num, den): a sparse den with a unit constant term, whose nonzero
-    terms sit below or above the Newton crossover for quotients, and a
-    numerator with coefficients up to 10^40."""
+    terms sit below or above the Newton crossover, and a numerator with
+    coefficients up to 10^40."""
     m = draw(st.sampled_from([None, 2, 3, 4, 8, 9, 10**9 + 7]))
-    order = draw(st.one_of(st.integers(1, 60),
-                           st.integers(series._NEWTON_BASE_ORDER + 1, 2500)))
-    terms = draw(st.integers(0, 2 * series._NEWTON_MIN_DIVISION_TERMS))
+    order = draw(st.one_of(st.integers(1, 60), st.integers(61, 2500)))
+    terms = draw(st.integers(0, 100))
     small = draw(st.booleans())    # +-1, +-2 as in Euler and theta series
     rnd = draw(st.randoms(use_true_random=False))
     units = ([1, -1] if m is None else
@@ -150,12 +149,11 @@ def test_division_matches_product_with_inverse(case):
 
 @st.composite
 def eta_inputs(draw):
-    """(factors, order, modulus): scales 1..8, exponents -4..4 or one
-    past the divisions an exact base may take, sometimes with an
+    """(factors, order, modulus): scales 1..8, exponents -4..4 or -25,
+    which over Z is 25 sparse divisions, sometimes with an
     f_h^{-2k} f_{2h}^k (or its inverse) pair put in, at orders up to past
     the Newton crossover."""
-    exponent = st.one_of(st.integers(-4, 4),
-                         st.just(-qf._MAX_DIVISIONS - 1))
+    exponent = st.one_of(st.integers(-4, 4), st.just(-25))
     factors = draw(st.lists(st.tuples(st.integers(1, 8), exponent),
                             max_size=4))
     if draw(st.booleans()):

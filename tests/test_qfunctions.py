@@ -147,20 +147,30 @@ def test_exact_rstar_matches_plain_product(ell, order):
             == plain_eta_quotient(eq.factors, order))
 
 
-@pytest.mark.parametrize("m, divisions", [(None, qf._MAX_DIVISIONS), (4, 0)])
-def test_large_exponents_are_inverted_then_raised(m, divisions, monkeypatch):
-    # one more than the divisions a base may take, over either ring
-    e = divisions + 1
-    factors = [(1, -e), (3, 2)]
+def spy_divisions(monkeypatch):
     divided = []
     real = Series.__truediv__
     monkeypatch.setattr(Series, "__truediv__",
                         lambda a, b: divided.append(b) or real(a, b))
-    assert (qf.eta_quotient(factors, 400, m)
-            == plain_eta_quotient(factors, 400, m))
+    return divided
+
+
+@pytest.mark.parametrize("e", [25, 100])
+def test_exact_exponents_divide_once_per_unit(e, monkeypatch):
+    divided = spy_divisions(monkeypatch)
+    factors = [(1, -e), (3, 2)]
+    assert (qf.eta_quotient(factors, 400)
+            == plain_eta_quotient(factors, 400))
+    assert len(divided) == e
+
+
+def test_modular_bases_are_inverted_then_raised(monkeypatch):
+    divided = spy_divisions(monkeypatch)
+    for e in (1, 2, 25):
+        factors = [(1, -e), (3, 2)]
+        assert (qf.eta_quotient(factors, 400, 4)
+                == plain_eta_quotient(factors, 400, 4))
     assert divided == []
-    qf.eta_quotient([(1, 1 - e), (3, 2)], 400, m)
-    assert len(divided) == e - 1
 
 
 def test_rstar6_times_f1_squared_at_criterion_6_order():

@@ -286,9 +286,9 @@ def test_decimal_context_is_exact_or_raises():
 
 
 def test_decimal_is_imported_lazily():
+    # every product takes decimal, so importing it is a product's cost,
+    # not a start-up cost
     code = ("import sys, qcong, qcong.cli, qcong.suite; "
-            "from qcong.series import Series; "
-            "Series(range(50), 7) * Series(range(50), 7); "
             "print('decimal' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -298,7 +298,7 @@ def test_decimal_is_imported_lazily():
 
 def test_newton_matches_division_at_32768_mod_4():
     f = euler_product(1, 32768).reduce_mod(4)
-    assert series._newton_pays(f.coeffs, series._NEWTON_MIN_TERMS)
+    assert 32768 - f.coeffs.count(0) > series._NEWTON_MIN_TERMS
     newton = f.invert()
     assert list(newton.coeffs) == series._divide((1,), f.coeffs, 1, 4)
     # and a dense series, whose recurrence is quadratic
@@ -389,21 +389,22 @@ def test_exact_square_at_8000_terms_matches_int_backend():
         series._int_product)
 
 
-def test_large_products_take_the_decimal_backend(monkeypatch):
+def test_wide_slots_take_the_int_backend(monkeypatch):
+    # int() cannot read back a decimal slot wider than the limit, so only
+    # such a slot takes ints; a slot just under it stays on decimal
     calls = []
-    real = series._decimal_product
-
-    def spy(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(series, "_decimal_product", spy)
-    f = euler_product(1, 16384).reduce_mod(4)
-    small = euler_product(1, 300)
-    assert f * f == Series(series._convolve(f.coeffs, f.coeffs, 16384, 4,
-                                            series._int_product), 4)
-    small * small
-    assert calls == [16384]
+    for name in ("_int_product", "_decimal_product"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    limit = series._DECIMAL_MAX_SLOT_BITS
+    for bits, backend in ((limit // 2 + 8, "_int_product"),
+                          (limit // 2 - 8, "_decimal_product")):
+        a = [(1 << bits) - 1, -(1 << bits) + 3, 0, 5]
+        b = [-(1 << bits) + 1, 7, (1 << bits) - 5]
+        calls.clear()
+        assert series._convolve(a, b, 4, None) == naive_product(a, b, 4)
+        assert calls == [backend]
 
 
 def test_no_product_is_spent_on_one(monkeypatch):
