@@ -25,11 +25,6 @@ USAGE_EXIT = 2
 
 _KIND_ALIASES = {"rstar": "nonoverlined-l-regular"}
 
-# largest count --upto: the oracles' DP is quadratic in it, so plain
-# partitions to 10^4 take 5.7-6.3 s and to 2*10^4 25 s, overpartitions
-# to 10^4 9.4-12 s (2-vCPU Xeon VM, CPython 3.11); the suite counts to 1000
-COUNT_LIMIT = 10_000
-
 # largest |exponent| expand accepts.  An exact expansion is bounded by
 # the order * sum|e| guard of _cmd_expand; this cap bounds the modular
 # one, where f^e takes about 2 log2|e| products at full order: mod 2^64
@@ -38,7 +33,7 @@ COUNT_LIMIT = 10_000
 EXPONENT_LIMIT = 1000
 
 # largest expand --modulus: coefficient slots widen with its bits, so
-# 1:-1 mod 10^4000+1 takes 15 s at order 2000, and mod 2^64 3.5 s at
+# 1:-1 mod 10^4000+1 takes 4.0 s at order 2000, and mod 2^64 3.8 s at
 # order 200000 (2-vCPU Xeon VM, CPython 3.11)
 MODULUS_LIMIT = 2 ** 64
 
@@ -183,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=sorted([*counting.KINDS, *_KIND_ALIASES]))
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--upto", type=bounded("--upto", 0, COUNT_LIMIT),
+    p.add_argument("--upto", type=bounded("--upto", 0, counting.COUNT_LIMIT),
                    required=True, metavar="N",
-                   help=f"largest n (at most {COUNT_LIMIT})")
+                   help=f"largest n (at most {counting.COUNT_LIMIT})")
     p.set_defaults(func=_cmd_count)
 
     p = subs.add_parser("verify-lemma",

@@ -401,6 +401,24 @@ _RHS = {
     "OVERPARTITION_CONV": _overpartition_conv_rhs,
     "D2": _d2_rhs,
 }
+# the right-hand sides that read the counting oracles to n = terms - 1
+_ORACLE_RHS = frozenset({"P_CONVOLUTION", "OVERPARTITION_CONV", "D2"})
+
+
+def _check_size(claim: CongruenceClaim, terms: int, max_order: int) -> None:
+    """Refuse a check whose base series would pass ``max_order`` or whose
+    oracle tables would pass `counting.COUNT_LIMIT`, before either is
+    built."""
+    need = _base(claim, terms)[1]
+    if need > max_order:
+        raise OrderShortfallError(
+            f"{claim.describe()}: needs base series order {need}, above the "
+            f"max-order guard {max_order}; lower terms")
+    if claim.rhs in _ORACLE_RHS and terms - 1 > counting.COUNT_LIMIT:
+        raise OrderShortfallError(
+            f"{claim.describe()}: reads the counting oracles to n = "
+            f"{terms - 1}, above the oracle size guard "
+            f"{counting.COUNT_LIMIT}; lower terms")
 
 
 def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
@@ -408,17 +426,14 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
     """Check the first ``terms`` progression coefficients of a claim.
 
     The base series is expanded to the needed order (refusing past
-    ``max_order``); counterexample indices are in the progression
-    variable n, so index i means coefficient step*i + offset.
+    ``max_order``, or oracle tables past `counting.COUNT_LIMIT`);
+    counterexample indices are in the progression variable n, so index
+    i means coefficient step*i + offset.
     """
     if terms < 1:
         raise ClaimError(f"terms must be >= 1, got {terms}")
     t0 = time.perf_counter()
-    need = _base(claim, terms)[1]
-    if need > max_order:
-        raise OrderShortfallError(
-            f"{claim.describe()}: needs base series order {need}, above the "
-            f"max-order guard {max_order}; lower terms")
+    _check_size(claim, terms, max_order)
     try:
         rhs = _RHS[claim.rhs]
     except KeyError:
@@ -432,10 +447,13 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
 def verify_many(claims: list[CongruenceClaim], terms: int = DEFAULT_TERMS,
                 max_order: int = DEFAULT_MAX_ORDER) -> list[VerificationReport]:
     """Verify a batch; output is sorted canonically (family, params,
-    progression)."""
+    progression).  Every claim meets the size guards before any series
+    is built."""
     ordered = sorted(
         claims, key=lambda c: (c.family, c.params, c.progression.step,
                                c.progression.offset, c.modulus or 0))
+    for c in ordered:
+        _check_size(c, terms, max_order)
     expand_for([(c, terms) for c in ordered], max_order)
     return [verify(c, terms, max_order) for c in ordered]
 

@@ -5,11 +5,11 @@ either over Z (arbitrary precision) or over Z/mZ when a modulus is
 attached.  Every binary operation truncates to the shorter operand; no
 operation ever invents coefficients past known data.
 
-Products go through one Kronecker-substitution kernel that does one
-exact multiply in the standard library's `decimal` (libmpdec, whose
-multiply is a number-theoretic transform); only a slot too wide for
-int() to read back takes CPython ints.  A slot is as wide as the nonzero
-terms of the sparser operand need, so sparse operands pack narrow.
+Every product is one Kronecker substitution with one exact multiply in
+the standard library's `decimal` (libmpdec, whose multiply is a
+number-theoretic transform), at any slot width.  A slot is as wide as
+the nonzero terms of the sparser operand need, so sparse operands pack
+narrow.
 Quotients and inverses (a quotient with numerator 1) use one
 constant-term recurrence over the nonzero terms of the divisor, over Z
 and for sparse modular divisors, and Newton iteration over the kernel
@@ -29,6 +29,7 @@ import functools
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -287,70 +288,20 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # -- multiplication kernel ----------------------------------------------------
 #
 # Exact truncated Cauchy product by Kronecker substitution: coefficients
-# become fixed-width slots of one huge number, wide enough that no slot
-# of the product carries into the next, the two numbers are multiplied
-# once, and the low n slots are read back.  Signed (exact) operands are
-# packed as pos - neg; the product then gets X/2 added to each of its low
-# n slots, so every slot holds c + X/2 in [0, X) and unpacks as an
-# unsigned digit string.
+# become fixed-width decimal slots of one huge number, wide enough that
+# no slot of the product carries into the next, the two numbers are
+# multiplied once, and the low n slots are read back.  Signed (exact)
+# operands are packed as pos - neg; the product then gets X/2 added to
+# each of its low n slots, so every slot holds c + X/2 in [0, X) and
+# unpacks as an unsigned digit string.
 #
 # `decimal` (libmpdec, which multiplies with a number-theoretic
-# transform) does the one big multiply.  CPython ints (Karatsuba) are no
-# faster on small products and far slower on large ones.  The 171
+# transform) does the one multiply, not CPython ints (Karatsuba): the 171
 # products of `qcong verify-all`, replayed on each (best of 3, 2-vCPU
-# Xeon VM, CPython 3.11): 95 exact ones of at most 2048 terms take 0.057 s
-# on ints and 0.050 s on decimal, 51 modular ones of at most 2048 terms
-# 0.013 s on both, 16 modular ones of up to 16384 terms 0.20 and 0.12 s,
-# and 9 longer ones 2.07 and 0.60 s.  A small exact product with wide
-# coefficients pays decimal's conversions: 100 terms of 60 bits take
-# 0.79 ms, against 0.34 ms on ints.
-
-# wider slots take ints: int() refuses strings of more than 4300 digits
-# by default (CPython 3.11+), and 13000 bits is 3914 digits
-_DECIMAL_MAX_SLOT_BITS = 13_000
-
-
-def _packer(empty, encode, top: int, count: int, to_number, subtract=None):
-    """Function packing up to count coefficients of magnitude at most top
-    into one number, slot i holding coefficient i.  Given ``subtract``,
-    negative coefficients are allowed: the number is pack(pos) - pack(neg).
-    """
-    if top < count:   # a table of every slot costs less than one operand
-        encode = [encode(v) for v in range(top + 1)].__getitem__
-
-    def pack(cs):
-        return to_number(empty.join(map(encode, reversed(cs))))
-
-    if subtract is None:
-        return pack
-    return lambda cs: subtract(pack([c if c > 0 else 0 for c in cs]),
-                               pack([-c if c < 0 else 0 for c in cs]))
-
-
-def _unpack(raw: bytes, width: int, count: int, parse, half: int):
-    """The count fixed-width slots of raw (most significant first) as
-    ints, least significant first, each less the bias half."""
-    fields = struct.Struct(f"{width}s" * count).unpack(raw)
-    values = map(parse, reversed(fields))
-    return map((-half).__add__, values) if half else values
-
-
-def _int_product(a, b, n: int, bound: int, top: int, signed: bool):
-    """Low n slots of the product, through a CPython big-int multiply."""
-    w = (bound.bit_length() + 7) // 8      # bytes a slot: 256**w > bound
-    pack = _packer(b"", functools.partial(int.to_bytes, length=w,
-                                          byteorder="big"),
-                   top, n, functools.partial(int.from_bytes, byteorder="big"),
-                   operator.sub if signed else None)
-    x = pack(a)
-    prod = x * (x if b is a else pack(b))
-    del x
-    half = 1 << (8 * w - 1) if signed else 0
-    if half:
-        prod += int.from_bytes(half.to_bytes(w, "big") * n, "big")
-    prod &= (1 << (8 * w * n)) - 1
-    return _unpack(prod.to_bytes(w * n, "big"), w, n,
-                   functools.partial(int.from_bytes, byteorder="big"), half)
+# Xeon VM, CPython 3.11), take 0.64 s on decimal against 1.85 s on ints.
+# A slot is written by %d and read back by int(); past the interpreter's
+# limit on those digit strings (sys.get_int_max_str_digits, 4300 digits
+# by default) it is converted through Decimal instead.
 
 
 @functools.cache
@@ -371,13 +322,36 @@ def _decimal():
     return decimal, ctx
 
 
-def _decimal_product(a, b, n: int, bound: int, top: int, signed: bool):
-    """Low n slots of the product, through one exact libmpdec multiply."""
+def _product(a, b, n: int, bound: int, top: int, signed: bool):
+    """Low n slots of the product of a and b, through one exact libmpdec
+    multiply: slots of d digits, 10**d > bound, hold coefficients of
+    magnitude at most top, negative ones too when ``signed``."""
     decimal, ctx = _decimal()
-    d = len(str(bound))                    # digits a slot: 10**d > bound
-    fmt = f"%0{d}d".__mod__
-    pack = _packer("", fmt, top, n, ctx.create_decimal,
-                   ctx.subtract if signed else None)
+    d = ctx.create_decimal(bound).adjusted() + 1
+    # 0, or no such function before CPython 3.11, is no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or d
+    if d <= limit:
+        encode, parse = f"%0{d}d".__mod__, int
+        if top < n:   # a table of every slot costs less than one operand
+            encode = [encode(v) for v in range(top + 1)].__getitem__
+    else:   # int() and %d refuse slots this wide; Decimal converts them
+        spec = f"0{d}"
+
+        def encode(v):
+            return format(ctx.create_decimal(v), spec)
+
+        def parse(field):
+            return int(ctx.create_decimal(field.decode()))
+
+    def number(cs):
+        return ctx.create_decimal("".join(map(encode, reversed(cs))))
+
+    def pack(cs):   # signed coefficients as pos - neg
+        if not signed:
+            return number(cs)
+        return ctx.subtract(number([c if c > 0 else 0 for c in cs]),
+                            number([-c if c < 0 else 0 for c in cs]))
+
     # the same operand object twice lets libmpdec square, with fewer
     # transforms and less memory
     x = pack(a)
@@ -385,7 +359,7 @@ def _decimal_product(a, b, n: int, bound: int, top: int, signed: bool):
     del x
     half = 5 * 10 ** (d - 1) if signed else 0
     if half:
-        prod = ctx.add(prod, ctx.create_decimal(fmt(half) * n))
+        prod = ctx.add(prod, ctx.create_decimal(("5" + "0" * (d - 1)) * n))
     # only the low n slots are formatted: prod - floor(prod / X^n) X^n
     high = ctx.scaleb(prod, -d * n).to_integral_value(
         rounding=decimal.ROUND_FLOOR, context=ctx)
@@ -393,18 +367,19 @@ def _decimal_product(a, b, n: int, bound: int, top: int, signed: bool):
     del prod, high
     raw = str(low).encode("ascii")
     del low
-    return _unpack(b"0" * (d * n - len(raw)) + raw, d, n, int, half)
+    fields = struct.Struct(f"{d}s" * n).unpack(b"0" * (d * n - len(raw)) + raw)
+    values = map(parse, reversed(fields))
+    return map((-half).__add__, values) if half else values
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int,
-              modulus: Optional[int], backend=None) -> list[int]:
+              modulus: Optional[int]) -> list[int]:
     """First n coefficients of the product of a and b.
 
     Operands may have any lengths; terms past n are ignored.  Over Z/mZ
-    the operands must be canonical residues.  ``backend`` forces
-    _int_product or _decimal_product; by default the slot width picks.
+    the operands must be canonical residues.
     """
-    # a square keeps one operand object, which the backends square
+    # a square keeps one operand object, which _product squares
     square = b is a
     a = a[:n]
     b = a if square else b[:n]
@@ -422,11 +397,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
              * amax * bmax)
     if modulus is None:
         bound *= 2
-    if backend is None:
-        backend = (_decimal_product
-                   if bound.bit_length() <= _DECIMAL_MAX_SLOT_BITS
-                   else _int_product)
-    values = backend(a, b, n, bound, max(amax, bmax), modulus is None)
+    values = _product(a, b, n, bound, max(amax, bmax), modulus is None)
     if modulus is not None:
         values = map(modulus.__rmod__, values)
     return list(values)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcong import congruence, counting, qfunctions, series, suite
+from qcong import congruence, counting, qfunctions, suite
 from qcong.series import EtaQuotient
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench/expected/suite.json"
@@ -19,17 +19,11 @@ RECORDED = Path(__file__).resolve().parent.parent / "perfbench/expected/suite.js
 
 @pytest.fixture(scope="module")
 def suite_run():
-    # the criteria and every base series they built, from a cold cache,
-    # and the order of every product that took the int backend
+    # the criteria and every base series they built, from a cold cache
     congruence.clear_cache()
-    int_products = []
-    real = series._int_product
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_int_product",
-                   lambda *args: int_products.append(args[2]) or real(*args))
-        out = {res.number: res for res in suite.run_all()}
+    out = {res.number: res for res in suite.run_all()}
     assert sorted(out) == list(range(1, 13))
-    return out, dict(congruence._CACHE), int_products
+    return out, dict(congruence._CACHE)
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +138,6 @@ def test_modular_bases_times_phi_are_f_ell(suite_run):
                      (10, 2): 10002, (10, 4): 10004, (15, 2): 10002,
                      (15, 4): 10004, (8, 4): 32014, (8, 8): 16008,
                      (6, 3): 146469}
-
-
-def test_suite_products_all_take_decimal(suite_run):
-    # no slot the suite packs is too wide for decimal
-    assert suite_run[2] == []
 
 
 def _without_seconds(value):

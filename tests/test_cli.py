@@ -245,6 +245,19 @@ def test_verify_theorem_order_guard_exit(capsys):
     assert not congruence._CACHE
 
 
+@pytest.mark.parametrize("family", [["conv-overpartition", "--ell", "2"],
+                                    ["r2-distinct"], ["r8-halved"]],
+                         ids=lambda family: family[0])
+def test_verify_theorem_oracle_guard_exit(capsys, family):
+    # these claims read the quadratic counting oracles to n = terms - 1:
+    # 10002 terms is n = 10001, refused before any series is built
+    congruence.clear_cache()
+    assert run(["verify-theorem", "--family", *family,
+                "--terms", "10002"]) == 2
+    assert "oracle size guard 10000" in capsys.readouterr().err
+    assert not congruence._CACHE
+
+
 def test_verify_theorem_guard_cannot_be_raised(capsys):
     # r6-iterated at alpha 2 and 10000 terms needs base order 809940
     congruence.clear_cache()

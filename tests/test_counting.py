@@ -59,6 +59,13 @@ def test_enumeration_guard():
         ct.enumerate_small(ct.PLAIN_P, ct.ENUMERATION_LIMIT + 1)
 
 
+def test_count_guard():
+    # the DP is quadratic in upto, so every caller meets the same cap
+    assert len(ct.count(ct.PLAIN_P, 0)) == 1
+    with pytest.raises(ValueError, match="oracle size guard 10000"):
+        ct.count(ct.OVERPARTITION, ct.COUNT_LIMIT + 1)
+
+
 def test_oracle_vs_series_sample():
     upto = 60
     pairs = [

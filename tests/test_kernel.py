@@ -1,5 +1,6 @@
 """Property tests of the multiplication kernel against the schoolbook
-convolution, on every backend, and of the ring laws built on it."""
+convolution, with slots read back by int() and through Decimal, and of
+the ring laws built on it."""
 
 import math
 
@@ -13,21 +14,23 @@ st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
 
 from test_qfunctions import plain_eta_quotient  # noqa: E402
-from test_series import BACKENDS, naive_product  # noqa: E402
+from test_series import int_max_str_digits, naive_product  # noqa: E402
 
 
 @st.composite
 def kernel_inputs(draw):
     """(n, modulus, a, b): operands of any length up to n + 3, signed and
-    up to 10^40 over Z, canonical residues over Z/mZ, sometimes all zero,
-    sometimes sparse with every nonzero term at the extreme magnitude
-    (+-bound, or m - 1), where slots sized by the nonzero count fill."""
+    up to 10^40 or 10^330 over Z, canonical residues over Z/mZ (m up to
+    10^20 or 10^330), sometimes all zero, sometimes sparse with every
+    nonzero term at the extreme magnitude (+-bound, or m - 1), where
+    slots sized by the nonzero count fill.  Two 10^330 operands make
+    slots past 640 digits."""
     n = draw(st.integers(1, 40))
     m = draw(st.one_of(st.none(), st.sampled_from([1, 2, 3, 4, 8, 24, 97]),
-                       st.integers(1, 10**20)))
+                       st.integers(1, 10**20), st.integers(1, 10**330)))
 
     def operand():
-        bound = draw(st.sampled_from([0, 1, 3, 10**6, 10**40]))
+        bound = draw(st.sampled_from([0, 1, 3, 10**6, 10**40, 10**330]))
         if draw(st.booleans()):
             cs = draw(st.lists(st.integers(-bound, bound), max_size=n + 3))
         else:
@@ -45,14 +48,17 @@ def kernel_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(kernel_inputs())
 def test_kernel_matches_naive_product_on_every_backend(case):
+    # at the default limit on int() digits and at 640, the lowest, under
+    # which the widest slots are read back through Decimal; one operand
+    # object twice is the squaring path
     n, m, a, b = case
     want = naive_product(a, b, n, m)
+    square = naive_product(a, a, n, m)
     assert series._convolve(a, b, n, m) == want
-    for backend in BACKENDS:
-        assert series._convolve(a, b, n, m, backend) == want
-        # one operand object twice is the squaring path
-        assert (series._convolve(a, a, n, m, backend)
-                == naive_product(a, a, n, m))
+    assert series._convolve(a, a, n, m) == square
+    with int_max_str_digits(640):
+        got = series._convolve(a, b, n, m), series._convolve(a, a, n, m)
+    assert got == (want, square)
 
 
 @settings(max_examples=50, deadline=None)

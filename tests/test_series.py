@@ -1,6 +1,7 @@
 """Core series arithmetic, checked against a naive convolution and
 against frozen small expansions."""
 
+import contextlib
 import math
 import os
 import random
@@ -236,25 +237,41 @@ def test_eta_quotient_parse_roundtrip():
 
 # -- the multiplication kernel and Newton inversion ---------------------------
 
-BACKENDS = (series._int_product, series._decimal_product)
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """Run a block under another limit on int()/str() digits, the limit
+    the kernel reads to pick its slot conversions (before CPython 3.11,
+    which has no such limit, under none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_kernel_slots_at_their_extremes():
-    # operands whose extreme product slot, n * B^2, sits just under half
-    # a slot's range in each backend (2^L bits or 10^L digits), both signs
+    # operands whose extreme product slot, n * B^2, sits just under a
+    # power of two or of ten, both signs; the slots of exactly `limit`
+    # digits are the widest int() reads back, those of limit + 1 digits
+    # go through Decimal
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    tops = ([2**L for L in (8, 16, 64, 128)]
+            + [10**L for L in (3, 20, 41, limit, limit + 1)])
     for n in (1, 3):
-        for top in [2**L for L in (8, 16, 64, 128)] + [10**L for L in (3, 20, 41)]:
+        for top in tops:
             big = math.isqrt((top - 1) // (2 * n))
             for a, b in (([big] * n, [big] * n), ([big] * n, [-big] * n),
                          ([-big] * n, [-big] * n)):
-                for backend in BACKENDS:
-                    assert (series._convolve(a, b, n, None, backend)
-                            == naive_product(a, b, n))
+                assert series._convolve(a, b, n, None) == naive_product(a, b, n)
     # sparse operands: slots are sized by the nonzero count k, not the
     # length, so slot 3(k-1), which sums k products B^2, fills them
     for k in (1, 2, 3):
         n = 3 * k + 2
-        for top in [2**L for L in (8, 16, 64, 128)] + [10**L for L in (3, 20, 41)]:
+        for top in tops:
             big = math.isqrt((top - 1) // (2 * k))
             for sa, sb in ((1, 1), (1, -1), (-1, -1)):
                 a = [sa * big if i % 3 == 0 and i < 3 * k else 0
@@ -262,16 +279,39 @@ def test_kernel_slots_at_their_extremes():
                 b = [sb * abs(c) for c in a]
                 want = naive_product(a, b, n)
                 assert abs(want[3 * (k - 1)]) == k * big * big
-                for backend in BACKENDS:
-                    assert series._convolve(a, b, n, None, backend) == want
+                assert series._convolve(a, b, n, None) == want
             # modular: the largest residue, with an unbiased slot
             m = math.isqrt((top - 1) // k) + 1
             a = [m - 1 if i % 3 == 0 and i < 3 * k else 0 for i in range(n)]
             want = naive_product(a, a, n, m)
             assert naive_product(a, a, n)[3 * (k - 1)] == k * (m - 1) ** 2
-            for backend in BACKENDS:
-                assert series._convolve(a, a, n, m, backend) == want
-                assert series._convolve(a, list(a), n, m, backend) == want
+            assert series._convolve(a, a, n, m) == want
+            assert series._convolve(a, list(a), n, m) == want
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit before CPython 3.11")
+def test_slots_past_a_lowered_str_digit_limit():
+    # under the lowest limit CPython allows, 640 digits, slots of 680 to
+    # 910 digits are converted through Decimal; one of 596 digits still
+    # takes int() and %d
+    rng = random.Random(20261019)
+    wide = (1 << 1200) + 7
+    cases = [([wide, 3, -(1 << 1200)], [wide, 3, -(1 << 1200)], 3, None),
+             ([10**340 - 1, 0, -10**340 + 3, 5], [-10**340, 7, 10**339], 4,
+              None),
+             ([10**295 + 1, -3], [-10**300, 10**299], 2, None)]
+    for m in (10**400 + 1, 2**1500):
+        cases.append(([rng.randrange(m) for _ in range(20)],
+                      [rng.randrange(m) for _ in range(17)], 20, m))
+    with int_max_str_digits(640):
+        got = [series._convolve(a, b, n, m) for a, b, n, m in cases]
+        squares = [series._convolve(a, a, n, m) for a, _, n, m in cases]
+        power = Series(cases[0][0]) ** 2
+    for (a, b, n, m), product, square in zip(cases, got, squares):
+        assert product == naive_product(a, b, n, m)
+        assert square == naive_product(a, a, n, m)
+    assert list(power.coeffs) == naive_product(cases[0][0], cases[0][0], 3)
 
 
 def test_decimal_context_is_exact_or_raises():
@@ -376,44 +416,22 @@ def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
         assert calls == ["_newton_inverse"]
 
 
-def test_exact_square_at_8000_terms_matches_int_backend():
-    # partition numbers to 8000 terms: the coefficients reach 316 bits
+def test_exact_square_at_8000_terms_matches_division():
+    # partition numbers to 8000 terms: the coefficients reach 316 bits;
+    # the exact eta quotients divide by f1 and take no product
     p = euler_product(1, 8000).invert()
     assert max(p.coeffs).bit_length() >= 300
-    square = p * p
-    assert list(square.coeffs) == series._convolve(p.coeffs, p.coeffs, 8000,
-                                                   None, series._int_product)
-    mixed = p * euler_product(16, 8000)
-    assert list(mixed.coeffs) == series._convolve(
-        p.coeffs, euler_product(16, 8000).coeffs, 8000, None,
-        series._int_product)
-
-
-def test_wide_slots_take_the_int_backend(monkeypatch):
-    # int() cannot read back a decimal slot wider than the limit, so only
-    # such a slot takes ints; a slot just under it stays on decimal
-    calls = []
-    for name in ("_int_product", "_decimal_product"):
-        real = getattr(series, name)
-        monkeypatch.setattr(series, name, lambda *args, real=real, name=name:
-                            calls.append(name) or real(*args))
-    limit = series._DECIMAL_MAX_SLOT_BITS
-    for bits, backend in ((limit // 2 + 8, "_int_product"),
-                          (limit // 2 - 8, "_decimal_product")):
-        a = [(1 << bits) - 1, -(1 << bits) + 3, 0, 5]
-        b = [-(1 << bits) + 1, 7, (1 << bits) - 5]
-        calls.clear()
-        assert series._convolve(a, b, 4, None) == naive_product(a, b, 4)
-        assert calls == [backend]
+    assert p * p == eta_quotient("1:-2", 8000)
+    assert p * euler_product(16, 8000) == eta_quotient("16:1,1:-1", 8000)
 
 
 def test_no_product_is_spent_on_one(monkeypatch):
     calls = []
     real = series._convolve
 
-    def spy(a, b, n, m, backend=None):
+    def spy(a, b, n, m):
         calls.append(n)
-        return real(a, b, n, m, backend)
+        return real(a, b, n, m)
 
     monkeypatch.setattr(series, "_convolve", spy)
     f = euler_product(1, 50)
