@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import counting
-from .qfunctions import _is_prime, eta_quotient, euler_product, psi
+from .qfunctions import _is_prime, eta_quotient, eta_terms, expand_terms
 from .report import VerificationReport, check
 from .series import EtaQuotient, Series
 
@@ -73,7 +73,7 @@ class CongruenceClaim:
     ell: int
     progression: Progression
     modulus: Optional[int]        # None: exact equality
-    rhs: str                      # tag into _RHS
+    rhs: str                      # name of a right-hand side in _RHS
     halve: bool = False           # claim is about value/2 (doubled comparison)
 
     @property
@@ -334,15 +334,10 @@ def _values(claim: CongruenceClaim, terms: int) -> tuple[tuple, Series]:
 
 
 # -- right-hand sides ------------------------------------------------------------
-# Each returns (found, expected, compare modulus, detail) for the first
-# ``terms`` progression indices of a claim.
-
-
-def _against(build):
-    # compare with an exact series; reduction happens at compare time,
-    # so one builder serves every modulus
-    return lambda claim, terms: (_values(claim, terms)[0], build(terms).coeffs,
-                                 claim.modulus, {})
+# A series right-hand side is a tuple of (c, s, EtaQuotient) terms,
+# expanded exactly and reduced at compare time.  The others are
+# functions returning (found, expected, compare modulus, detail) for
+# the first ``terms`` progression indices of a claim.
 
 
 def _self_rhs(claim, terms):
@@ -384,18 +379,18 @@ def _d2_rhs(claim, terms):
     return lhs, rhs, None, {"sources": "oracle vs oracle"}
 
 
+# f1 psi(q^2) = f1 f4^2/f2, psi(q) = f2^2/f1, f1 psi(q) = f2^2
 _RHS = {
-    "ZERO": _against(Series.zero),
-    "TWO_F1_PSI_Q2": _against(lambda n: 2 * (euler_product(1, n) * psi(n, 2))),
-    "TWO_PSI_PSI4": _against(lambda n: 2 * (psi(n) * psi(n, 4))),
-    "TWO_F1_PSI": _against(lambda n: 2 * (euler_product(1, n) * psi(n))),
-    "PSI_SQ": _against(lambda n: psi(n) ** 2),
-    "PSI_SQ_Q3": _against(lambda n: psi(n, 3) ** 2),
-    "TWO_F8_SQ": _against(lambda n: 2 * euler_product(8, n) ** 2),
-    "TWO_F4_SQ": _against(lambda n: 2 * euler_product(4, n) ** 2),
-    "TWO_F1_SQ": _against(lambda n: 2 * euler_product(1, n) ** 2),
-    "R8_ODD_EXACT": _against(
-        lambda n: 2 * eta_quotient([(2, 2), (8, 2), (1, -4)], n)),
+    "ZERO": (),
+    "TWO_F1_PSI_Q2": eta_terms((2, 0, "1:1,4:2,2:-1")),
+    "TWO_PSI_PSI4": eta_terms((2, 0, "2:2,8:2,1:-1,4:-1")),
+    "TWO_F1_PSI": eta_terms((2, 0, "2:2")),
+    "PSI_SQ": eta_terms((1, 0, "2:4,1:-2")),
+    "PSI_SQ_Q3": eta_terms((1, 0, "6:4,3:-2")),
+    "TWO_F8_SQ": eta_terms((2, 0, "8:2")),
+    "TWO_F4_SQ": eta_terms((2, 0, "4:2")),
+    "TWO_F1_SQ": eta_terms((2, 0, "1:2")),
+    "R8_ODD_EXACT": eta_terms((2, 0, "2:2,8:2,1:-4")),
     "SELF": _self_rhs,
     "P_CONVOLUTION": _p_convolution_rhs,
     "OVERPARTITION_CONV": _overpartition_conv_rhs,
@@ -438,7 +433,11 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
         rhs = _RHS[claim.rhs]
     except KeyError:
         raise ClaimError(f"unknown rhs tag {claim.rhs!r}") from None
-    found, expected, cmp_mod, detail = rhs(claim, terms)
+    if callable(rhs):
+        found, expected, cmp_mod, detail = rhs(claim, terms)
+    else:
+        found, cmp_mod, detail = _values(claim, terms)[0], claim.modulus, {}
+        expected = expand_terms(rhs, terms).coeffs
     return check(claim.family, found, expected, terms, cmp_mod, detail,
                  started=t0, params=dict(claim.params), modulus=claim.modulus,
                  progression=(claim.progression.step, claim.progression.offset))

@@ -9,9 +9,9 @@ own, to any order, and reports counterexamples rather than asserting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .report import VerificationReport, check, compare_coefficients
 from .series import EtaQuotient, Series
@@ -84,6 +84,20 @@ def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
     for base in divisors:
         out = base.invert() if out is None else out / base
     return Series.one(order, modulus) if out is None else out
+
+
+def eta_terms(*terms) -> tuple:
+    """The terms (c, s, "h:e,...") as (c, s, EtaQuotient): each stands
+    for c q^s prod f_h^e, and a tuple of them for their sum."""
+    return tuple((c, s, EtaQuotient.parse(f)) for c, s, f in terms)
+
+
+def expand_terms(terms, order: int, modulus: Optional[int] = None) -> Series:
+    """The sum of c q^s prod f_h^e over (c, s, EtaQuotient) ``terms``,
+    truncated below ``order``, over Z/modulus Z when one is given; the
+    empty sum is zero."""
+    return sum((c * eta_quotient(eq, order, modulus).shift(s)
+                for c, s, eq in terms), Series.zero(order, modulus))
 
 
 def general_theta(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
@@ -171,12 +185,13 @@ def y_series(order: int, scale: int = 1) -> Series:
 
 # -- identity catalog ------------------------------------------------------------
 #
-# Each builder returns (lhs, rhs, modulus, detail, ok): two series to
-# compare coefficientwise (exactly when modulus is None), what to record
-# beside the comparison, and whether the identity's side condition holds.  Identities with a
-# denominator are stated in cleared form so both sides are plain
-# products; equality of truncations then proves the quoted form to the
-# same order.
+# A row whose sides are sums of eta-quotient terms is data, (lhs terms,
+# rhs terms, modulus), compared exactly when modulus is None.  A row
+# with a side that is no eta quotient (one theta block per residue, X
+# and Y, or the phi-sqdiss-n2 adjudication) has a builder that returns
+# (lhs, rhs, detail, ok): two series to compare exactly, what to record
+# beside them, and whether the identity's side condition holds.
+# Denominators are cleared, so equal truncations prove the quoted form.
 
 
 def _is_prime(n: int) -> bool:
@@ -200,18 +215,17 @@ def _require_prime(p, minimum=2, odd=False):
         raise ValueError("parameter p must be an odd prime")
 
 
-def _build_inv_phineg_4diss(order):
-    # 1/phi(-q) = (phi(q^4)^3 + 2q phi(q^4)^2 psi(q^8) + 4q^2 phi(q^4) psi(q^8)^2
-    #              + 8q^3 psi(q^8)^3) / phi(-q^4)^4, cleared of the denominator
-    p4 = phi(order, 4)
-    s8 = psi(order, 8)
-    bracket = (p4 ** 3
-               + 2 * (p4 ** 2 * s8).shift(1)
-               + 4 * (p4 * s8 ** 2).shift(2)
-               + 8 * (s8 ** 3).shift(3))
-    lhs = phi_neg(order, 4) ** 4
-    rhs = phi_neg(order) * bracket
-    return lhs, rhs, None, {}, True
+def _fp_binom(p):
+    # f_p == f_1^p mod p (freshman's dream on the Euler product)
+    _require_prime(p)
+    return eta_terms((1, 0, f"{p}:1")), eta_terms((1, 0, f"1:{p}")), p
+
+
+def _fp2_binom(p):
+    # f_1^{p^2} == f_p^p mod p^2
+    _require_prime(p)
+    return (eta_terms((1, 0, f"1:{p * p}")), eta_terms((1, 0, f"{p}:{p}")),
+            p * p)
 
 
 def _build_inv_phi_5diss(order):
@@ -236,13 +250,7 @@ def _build_inv_phi_5diss(order):
                + 16 * (Y ** 4).shift(16))
     lhs = phi(order, 5) ** 6
     rhs = phi(order) * P * bracket
-    return lhs, rhs, None, {}, True
-
-
-def _build_psi_3diss(order):
-    lhs = psi(order)
-    rhs = general_theta(1, 2, order, scale=3) + psi(order, 9).shift(1)
-    return lhs, rhs, None, {}, True
+    return lhs, rhs, {}, True
 
 
 def _build_psi_pdiss(order, p):
@@ -266,7 +274,7 @@ def _build_psi_pdiss(order, p):
     detail = {"side_condition_ok": side_ok}
     if collisions:
         detail["colliding_indices"] = collisions
-    return lhs, rhs, None, detail, side_ok
+    return lhs, rhs, detail, side_ok
 
 
 def _build_f1_pdiss(order, p):
@@ -295,7 +303,7 @@ def _build_f1_pdiss(order, p):
     detail = {"side_condition_ok": side_ok, "tail_index": kstar}
     if collisions:
         detail["colliding_indices"] = collisions
-    return lhs, rhs, None, detail, side_ok
+    return lhs, rhs, detail, side_ok
 
 
 def _build_phi_sqdiss(order, n):
@@ -310,7 +318,7 @@ def _build_phi_sqdiss(order, n):
     for r in range(1, n):
         rhs = rhs + general_theta(n * (n - 2 * r), n * (n + 2 * r), order,
                                  shift=r * r)
-    return lhs, rhs, None, {}, True
+    return lhs, rhs, {}, True
 
 
 def _build_phi_sqdiss_n2(order):
@@ -329,87 +337,77 @@ def _build_phi_sqdiss_n2(order):
     }
     if bad1:
         detail["coefficient_1_first_counterexample"] = list(bad1[0])
-    return lhs, double, None, detail, n1 != 0
-
-
-def _build_fp_binom(order, p):
-    # f_p == f_1^p mod p (freshman's dream on the Euler product)
-    _require_prime(p)
-    lhs = euler_product(p, order).reduce_mod(p)
-    rhs = euler_product(1, order).reduce_mod(p) ** p
-    return lhs, rhs, p, {}, True
-
-
-def _build_fp2_binom(order, p):
-    # f_1^{p^2} == f_p^p mod p^2
-    _require_prime(p)
-    m = p * p
-    lhs = euler_product(1, order).reduce_mod(m) ** m
-    rhs = euler_product(p, order).reduce_mod(m) ** p
-    return lhs, rhs, m, {}, True
+    return lhs, double, detail, n1 != 0
 
 
 @dataclass(frozen=True)
 class Identity:
     tag: str
     summary: str
-    build: Optional[Callable]           # None: compare the two ``sums``
     order: int
+    # (lhs terms, rhs terms, modulus), or for a parametrized row a
+    # function of the parameter that validates it and returns them
+    sides: Union[tuple, Callable, None] = None
+    build: Optional[Callable] = None    # for a side that is no eta quotient
     param: Optional[str] = None         # "p" (prime) or "n" (integer >= 2)
-    defaults: tuple = field(default=())
-    # (lhs, rhs) of an eta-quotient identity, each a sum of
-    # (c, s, factors) terms c q^s prod f_h^e
-    sums: tuple = ()
+    defaults: tuple = ()
 
 
 _CATALOG = (
     Identity("f1sq-2diss",
-             "f1^2 = f2 f8^5 / (f4^2 f16^2) - 2q f2 f16^2 / f8",
-             None, 1000, sums=(((1, 0, "1:2"),),
-                               ((1, 0, "2:1,8:5,4:-2,16:-2"),
-                                (-2, 1, "2:1,16:2,8:-1")))),
+             "f1^2 = f2 f8^5 / (f4^2 f16^2) - 2q f2 f16^2 / f8", 1000,
+             (eta_terms((1, 0, "1:2")),
+              eta_terms((1, 0, "2:1,8:5,4:-2,16:-2"), (-2, 1, "2:1,16:2,8:-1")),
+              None)),
     Identity("inv-f1sq-2diss",
-             "1/f1^2 = f8^5 / (f2^5 f16^2) + 2q f4^2 f16^2 / (f2^5 f8)",
-             None, 1000, sums=(((1, 0, "1:-2"),),
-                               ((1, 0, "8:5,2:-5,16:-2"),
-                                (2, 1, "4:2,16:2,2:-5,8:-1")))),
+             "1/f1^2 = f8^5 / (f2^5 f16^2) + 2q f4^2 f16^2 / (f2^5 f8)", 1000,
+             (eta_terms((1, 0, "1:-2")),
+              eta_terms((1, 0, "8:5,2:-5,16:-2"), (2, 1, "4:2,16:2,2:-5,8:-1")),
+              None)),
     Identity("inv-f1-quad-2diss",
-             "1/f1^4 = f4^14 / (f2^14 f8^4) + 4q f4^2 f8^4 / f2^10",
-             None, 1000, sums=(((1, 0, "1:-4"),),
-                               ((1, 0, "4:14,2:-14,8:-4"),
-                                (4, 1, "4:2,8:4,2:-10")))),
+             "1/f1^4 = f4^14 / (f2^14 f8^4) + 4q f4^2 f8^4 / f2^10", 1000,
+             (eta_terms((1, 0, "1:-4")),
+              eta_terms((1, 0, "4:14,2:-14,8:-4"), (4, 1, "4:2,8:4,2:-10")),
+              None)),
     Identity("f1-quad-2diss",
-             "f1^4 = f4^10 / (f2^2 f8^4) - 4q f2^2 f8^4 / f4^2",
-             None, 1000, sums=(((1, 0, "1:4"),),
-                               ((1, 0, "4:10,2:-2,8:-4"),
-                                (-4, 1, "2:2,8:4,4:-2")))),
+             "f1^4 = f4^10 / (f2^2 f8^4) - 4q f2^2 f8^4 / f4^2", 1000,
+             (eta_terms((1, 0, "1:4")),
+              eta_terms((1, 0, "4:10,2:-2,8:-4"), (-4, 1, "2:2,8:4,4:-2")),
+              None)),
+    # 1/phi(-q) = (phi(q^4)^3 + 2q phi(q^4)^2 psi(q^8) + 4q^2 phi(q^4)
+    # psi(q^8)^2 + 8q^3 psi(q^8)^3) / phi(-q^4)^4, cleared, with phi(-q) =
+    # f1^2/f2, phi(q^4) = f8^5/(f4^2 f16^2) and psi(q^8) = f16^2/f8
     Identity("inv-phineg-4diss",
              "phi(-q^4)^4 / phi(-q) expanded in phi(q^4), psi(q^8) (cleared form)",
-             _build_inv_phineg_4diss, 500),
+             500, (eta_terms((1, 0, "4:8,8:-4")),
+                   eta_terms((1, 0, "1:2,2:-1,4:-6,8:15,16:-6"),
+                             (2, 1, "1:2,2:-1,4:-4,8:9,16:-2"),
+                             (4, 2, "1:2,2:-1,4:-2,8:3,16:2"),
+                             (8, 3, "1:2,2:-1,8:-3,16:6")), None)),
     Identity("inv-phi-5diss",
              "phi(q^5)^6 = phi(q) phi(q^25) [bracket in phi(q^25), X(q^5), Y(q^5)]",
-             _build_inv_phi_5diss, 300),
-    Identity("psi-3diss",
-             "psi(q) = F(q^3, q^6) + q psi(q^9)",
-             _build_psi_3diss, 1000),
+             300, build=_build_inv_phi_5diss),
+    # psi(q) = f2^2/f1, F(q^3, q^6) = f6 f9^2/(f3 f18), psi(q^9) = f18^2/f9
+    Identity("psi-3diss", "psi(q) = F(q^3, q^6) + q psi(q^9)", 1000,
+             (eta_terms((1, 0, "2:2,1:-1")),
+              eta_terms((1, 0, "6:1,9:2,3:-1,18:-1"), (1, 1, "18:2,9:-1")),
+              None)),
     Identity("psi-pdiss",
              "p-dissection of psi(q) into theta blocks plus q^{(p^2-1)/8} psi(q^{p^2})",
-             _build_psi_pdiss, 300, param="p", defaults=(3, 5, 7, 11, 13)),
+             300, build=_build_psi_pdiss, param="p", defaults=(3, 5, 7, 11, 13)),
     Identity("f1-pdiss",
              "p-dissection of f1 into signed theta blocks plus the f_{p^2} tail",
-             _build_f1_pdiss, 300, param="p", defaults=(5, 7, 11, 13)),
+             300, build=_build_f1_pdiss, param="p", defaults=(5, 7, 11, 13)),
     Identity("phi-sqdiss",
              "phi(q) = phi(q^{n^2}) + sum_r q^{r^2} F(q^{n(n-2r)}, q^{n(n+2r)})",
-             _build_phi_sqdiss, 300, param="n", defaults=(2, 3)),
+             300, build=_build_phi_sqdiss, param="n", defaults=(2, 3)),
     Identity("phi-sqdiss-n2",
              "adjudicate phi(q) = phi(q^4) + c q psi(q^8): c = 1 (as printed) vs 2",
-             _build_phi_sqdiss_n2, 300),
-    Identity("fp-binom",
-             "f_p == f_1^p (mod p)",
-             _build_fp_binom, 500, param="p", defaults=(2, 3, 5, 7)),
-    Identity("fp2-binom",
-             "f_1^{p^2} == f_p^p (mod p^2)",
-             _build_fp2_binom, 300, param="p", defaults=(2, 3, 5)),
+             300, build=_build_phi_sqdiss_n2),
+    Identity("fp-binom", "f_p == f_1^p (mod p)", 500, _fp_binom,
+             param="p", defaults=(2, 3, 5, 7)),
+    Identity("fp2-binom", "f_1^{p^2} == f_p^p (mod p^2)", 300, _fp2_binom,
+             param="p", defaults=(2, 3, 5)),
 )
 
 IDENTITIES = {ident.tag: ident for ident in _CATALOG}
@@ -443,11 +441,13 @@ def verify_identity(tag: str, order: Optional[int] = None,
         raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.perf_counter()
     if ident.build is None:
-        lhs, rhs = (sum((c * eta_quotient(f, n).shift(s) for c, s, f in side),
-                        Series.zero(n)) for side in ident.sums)
-        modulus, detail, ok = None, {}, True
+        sides = ident.sides(**params) if callable(ident.sides) else ident.sides
+        *terms, modulus = sides
+        lhs, rhs = (expand_terms(t, n, modulus) for t in terms)
+        detail, ok = {}, True
     else:
-        lhs, rhs, modulus, detail, ok = ident.build(n, **params)
+        lhs, rhs, detail, ok = ident.build(n, **params)
+        modulus = None
     return check(tag, lhs, rhs, min(lhs.order, rhs.order), modulus, detail,
                  ok, started=t0, params=dict(params))
 

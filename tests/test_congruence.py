@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from qcong import cli, congruence as cg, suite
-from qcong.qfunctions import eta_quotient
-from qcong.series import EtaQuotient
+from qcong import cli, congruence as cg, qfunctions as qf, suite
+from qcong.qfunctions import eta_quotient, eta_terms
+from qcong.series import EtaQuotient, Series
 
 # parameters that instantiate each parametrized family
 FAMILY_DEFAULT_PARAMS = {
@@ -206,6 +206,44 @@ def test_intermediates_all_pass():
                   "r8-16n1-mod4"):
         (report,) = cg.verify_many(cg.instantiate(ident), 120)
         assert report.passed and report.name == ident, ident
+
+
+# each series right-hand side built from theta and Euler series, apart
+# from its eta-quotient terms
+THETA_RHS = {
+    "ZERO": Series.zero,
+    "TWO_F1_PSI_Q2": lambda n: 2 * (qf.euler_product(1, n) * qf.psi(n, 2)),
+    "TWO_PSI_PSI4": lambda n: 2 * (qf.psi(n) * qf.psi(n, 4)),
+    "TWO_F1_PSI": lambda n: 2 * (qf.euler_product(1, n) * qf.psi(n)),
+    "PSI_SQ": lambda n: qf.psi(n) ** 2,
+    "PSI_SQ_Q3": lambda n: qf.psi(n, 3) ** 2,
+    "TWO_F8_SQ": lambda n: 2 * qf.euler_product(8, n) ** 2,
+    "TWO_F4_SQ": lambda n: 2 * qf.euler_product(4, n) ** 2,
+    "TWO_F1_SQ": lambda n: 2 * qf.euler_product(1, n) ** 2,
+    # 2 f2^2 f8^2 / f1^4 = 2 f8^2 / phi(-q)^2
+    "R8_ODD_EXACT": lambda n: 2 * (qf.euler_product(8, n) / qf.general_theta(
+        1, 1, n, sign_x=-1, sign_y=-1)) ** 2,
+}
+
+
+def test_every_series_rhs_has_a_theta_reference():
+    assert set(THETA_RHS) == {tag for tag, rhs in cg._RHS.items()
+                              if not callable(rhs)}
+
+
+@pytest.mark.parametrize("tag", sorted(THETA_RHS))
+def test_series_rhs_terms_match_their_theta_construction(tag):
+    n = 3000
+    assert qf.expand_terms(cg._RHS[tag], n) == THETA_RHS[tag](n)
+
+
+def test_corrupt_rhs_exponent_fails_its_claims(monkeypatch):
+    # psi(q)^2 = f2^4/f1^2; f2^4/f1^3 must fail r6-all-mod3, not pass
+    (claim,) = cg.instantiate("r6-all-mod3")
+    assert cg.verify(claim, 300).passed
+    monkeypatch.setitem(cg._RHS, "PSI_SQ", eta_terms((1, 0, "2:4,1:-3")))
+    report = cg.verify(claim, 300)
+    assert report.status == "fail" and report.counterexamples
 
 
 def test_order_guard():

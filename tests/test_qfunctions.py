@@ -215,14 +215,84 @@ def test_catalog_all_pass():
         assert r.passed, f"{r.describe()}: {r.counterexamples}"
 
 
-def test_eta_sum_rows_catch_a_corrupt_exponent(monkeypatch):
-    # the 2-dissections of f1^2 and f1^4 are data rows of (c, s, factors)
-    # terms: one wrong exponent must fail the check, not pass silently
-    ident = qf.IDENTITIES["f1-quad-2diss"]
-    lhs, (first, (c, s, _)) = ident.sums
-    bad = dataclasses.replace(ident, sums=(lhs, (first, (c, s, "2:2,8:4,4:-1"))))
-    monkeypatch.setitem(qf.IDENTITIES, "f1-quad-2diss", bad)
-    report = qf.verify_identity("f1-quad-2diss", 50)
+def _sides(ident, params):
+    return ident.sides(**params) if callable(ident.sides) else ident.sides
+
+
+# theta and Euler-product constructions of both sides of each row that
+# is eta-quotient data: the (lhs, rhs) series its terms must expand to
+
+
+def _old_inv_phineg_4diss(order):
+    p4 = qf.phi(order, 4)
+    s8 = qf.psi(order, 8)
+    bracket = (p4 ** 3
+               + 2 * (p4 ** 2 * s8).shift(1)
+               + 4 * (p4 * s8 ** 2).shift(2)
+               + 8 * (s8 ** 3).shift(3))
+    lhs = qf.phi_neg(order, 4) ** 4
+    rhs = qf.phi_neg(order) * bracket
+    return lhs, rhs
+
+
+def _old_psi_3diss(order):
+    lhs = qf.psi(order)
+    rhs = qf.general_theta(1, 2, order, scale=3) + qf.psi(order, 9).shift(1)
+    return lhs, rhs
+
+
+def _old_fp_binom(order, p):
+    lhs = qf.euler_product(p, order).reduce_mod(p)
+    rhs = qf.euler_product(1, order).reduce_mod(p) ** p
+    return lhs, rhs
+
+
+def _old_fp2_binom(order, p):
+    m = p * p
+    lhs = qf.euler_product(1, order).reduce_mod(m) ** m
+    rhs = qf.euler_product(p, order).reduce_mod(m) ** p
+    return lhs, rhs
+
+
+OLD_BUILDERS = {"inv-phineg-4diss": _old_inv_phineg_4diss,
+                "psi-3diss": _old_psi_3diss, "fp-binom": _old_fp_binom,
+                "fp2-binom": _old_fp2_binom}
+
+
+@pytest.mark.parametrize("tag", sorted(OLD_BUILDERS))
+def test_migrated_rows_match_their_old_builders(tag):
+    ident = qf.IDENTITIES[tag]
+    for params in [{"p": p} for p in ident.defaults] or [{}]:
+        *terms, m = _sides(ident, params)
+        for order in (ident.order, 3000):
+            new = tuple(qf.expand_terms(t, order, m) for t in terms)
+            assert new == OLD_BUILDERS[tag](order, **params), (params, order)
+
+
+# one wrong exponent in a data row: (tag, params, side, term, quotient)
+CORRUPTIONS = [
+    ("f1-quad-2diss", {}, 1, 1, "2:2,8:4,4:-1"),
+    ("psi-3diss", {}, 1, 1, "18:2,9:-2"),
+    ("inv-phineg-4diss", {}, 1, 3, "1:2,2:-1,8:-3,16:5"),
+    ("fp-binom", {"p": 3}, 1, 0, "1:2"),
+]
+
+
+@pytest.mark.parametrize("tag, params, side, index, quotient", CORRUPTIONS,
+                         ids=[row[0] for row in CORRUPTIONS])
+def test_eta_sum_rows_catch_a_corrupt_exponent(tag, params, side, index,
+                                               quotient, monkeypatch):
+    # every eta-quotient row is (c, s, EtaQuotient) data: one wrong
+    # exponent must fail the check, not pass silently
+    ident = qf.IDENTITIES[tag]
+    sides = list(_sides(ident, params))
+    terms = list(sides[side])
+    c, s, _ = terms[index]
+    terms[index] = (c, s, EtaQuotient.parse(quotient))
+    sides[side] = tuple(terms)
+    bad = dataclasses.replace(ident, sides=lambda **_: tuple(sides))
+    monkeypatch.setitem(qf.IDENTITIES, tag, bad)
+    report = qf.verify_identity(tag, 50, **params)
     assert report.status == "fail" and report.counterexamples
 
 
