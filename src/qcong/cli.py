@@ -134,8 +134,7 @@ def _cmd_verify_theorem(args):
     params = {k: v for k, v in
               (("p", args.p), ("alpha", args.alpha), ("k", args.k),
                ("ell", args.ell)) if v is not None}
-    claims = congruence.instantiate(args.family, **params)
-    reports = congruence.verify_many(claims, terms=args.terms)
+    reports = congruence.verify_rows([(args.family, params, args.terms)])
     return _verdict(reports, _report_lines(reports))
 
 

@@ -5,9 +5,10 @@ for vanishing progressions.
 
 A claim is data (family, parameters, progression, modulus, right-hand
 side tag); it reads one base series, the (quotient, order, modulus)
-given by `_base`.  `verify_many` first expands each (quotient,
-modulus) its claims read once, at the largest order any of them needs
-(`expand_for`), then slices every progression out of that one series.
+given by `_base`.  A batch is a list of (family, params, terms) rows:
+`verify_rows` size-checks every claim of every row, expands each
+(quotient, modulus) they read once, at the largest order any of them
+needs, then slices every progression out of that one series.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class CongruenceClaim:
     progression: Progression
     modulus: Optional[int]        # None: exact equality
     rhs: str                      # name of a right-hand side in _RHS
-    halve: bool = False           # claim is about value/2 (doubled comparison)
 
     @property
     def source_series(self) -> EtaQuotient:
@@ -84,7 +84,7 @@ class CongruenceClaim:
         ps = ",".join(f"{k}={v}" for k, v in self.params)
         head = f"{self.family}[{ps}]" if ps else self.family
         val = f"a({self.progression})"
-        if self.halve:
+        if self.rhs == "P_CONVOLUTION":   # a claim on value/2
             val = f"(1/2) {val}"
         rel = f"== {self.rhs} (mod {self.modulus})"
         if self.modulus is None:
@@ -165,33 +165,30 @@ for _name, _row in (
 
 # families without a progression parameter: family -> (its one
 # parameter or None, claims as (params, ell, step, offset, modulus (None
-# = exact), rhs tag, halve)); a parameter v multiplies each ell by v
+# = exact), rhs tag)); a parameter v multiplies each ell by v
 # and leads the claims' params; f_ell is 1 below order ell, so a large
 # ell costs nothing
 _FIXED = {
-    "r4-fixed": (None, [((("xi", xi),), 4, 4, xi, 4, "ZERO", False)
-                        for xi in (2, 3)]),
-    "r5k-fixed": ("k", [((("xi", xi),), 5, 5, xi, m, "ZERO", False)
+    "r4-fixed": (None, [((("xi", xi),), 4, 4, xi, 4, "ZERO") for xi in (2, 3)]),
+    "r5k-fixed": ("k", [((("xi", xi),), 5, 5, xi, m, "ZERO")
                         for xi, m in ((2, 4), (3, 4), (1, 2))]),
-    "r8-fixed-mod4": (None, [((), 8, a, b, 4, "ZERO", False) for a, b in
+    "r8-fixed-mod4": (None, [((), 8, a, b, 4, "ZERO") for a, b in
                              ((4, 2), (4, 3), (16, 5), (16, 9), (16, 13))]),
-    "r8-fixed-mod8": (None, [((), 8, a, b, 8, "ZERO", False) for a, b in
+    "r8-fixed-mod8": (None, [((), 8, a, b, 8, "ZERO") for a, b in
                              ((4, 3), (8, 3), (8, 5), (8, 7))]),
-    "r8-halved": (None, [((), 8, 16, 1, m, "P_CONVOLUTION", True)
-                         for m in (2, 4)]),
-    "conv-overpartition": ("ell", [((), 1, 1, 0, None, "OVERPARTITION_CONV",
-                                    False)]),
-    "r2-distinct": (None, [((), 2, 1, 0, None, "D2", False)]),
+    "r8-halved": (None, [((), 8, 16, 1, m, "P_CONVOLUTION") for m in (2, 4)]),
+    "conv-overpartition": ("ell", [((), 1, 1, 0, None, "OVERPARTITION_CONV")]),
+    "r2-distinct": (None, [((), 2, 1, 0, None, "D2")]),
     # proof-internal congruences, which catch transcription slips before
     # the headline claims run; each id spells ell, progression, modulus
-    "r4-4n1-mod4": (None, [((), 4, 4, 1, 4, "TWO_F1_PSI_Q2", False)]),
-    "r6-2n1-mod3": (None, [((), 6, 2, 1, 3, "TWO_PSI_PSI4", False)]),
-    "r6-3n2-mod3": (None, [((), 6, 3, 2, 3, "PSI_SQ_Q3", False)]),
-    "r6-all-mod3": (None, [((), 6, 1, 0, 3, "PSI_SQ", False)]),
-    "r8-2n1-exact": (None, [((), 8, 2, 1, None, "R8_ODD_EXACT", False)]),
-    "r8-2n1-mod8": (None, [((), 8, 2, 1, 8, "TWO_F8_SQ", False)]),
-    "r8-4n1-mod4": (None, [((), 8, 4, 1, 4, "TWO_F4_SQ", False)]),
-    "r8-16n1-mod4": (None, [((), 8, 16, 1, 4, "TWO_F1_SQ", False)]),
+    "r4-4n1-mod4": (None, [((), 4, 4, 1, 4, "TWO_F1_PSI_Q2")]),
+    "r6-2n1-mod3": (None, [((), 6, 2, 1, 3, "TWO_PSI_PSI4")]),
+    "r6-3n2-mod3": (None, [((), 6, 3, 2, 3, "PSI_SQ_Q3")]),
+    "r6-all-mod3": (None, [((), 6, 1, 0, 3, "PSI_SQ")]),
+    "r8-2n1-exact": (None, [((), 8, 2, 1, None, "R8_ODD_EXACT")]),
+    "r8-2n1-mod8": (None, [((), 8, 2, 1, 8, "TWO_F8_SQ")]),
+    "r8-4n1-mod4": (None, [((), 8, 4, 1, 4, "TWO_F4_SQ")]),
+    "r8-16n1-mod4": (None, [((), 8, 16, 1, 4, "TWO_F1_SQ")]),
 }
 
 FAMILIES = tuple(sorted({*_PROGRESSIONS, *_FIXED}))
@@ -296,8 +293,8 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
             f"{family}: {name} must be a positive integer, got {v!r}")
     head = ((name, v),) if name else ()
     return [CongruenceClaim(family, head + ps, v * ell, Progression(step, off),
-                            m, rhs, halve)
-            for ps, ell, step, off, m, rhs, halve in rows]
+                            m, rhs)
+            for ps, ell, step, off, m, rhs in rows]
 
 
 # -- verification -------------------------------------------------------------------
@@ -306,23 +303,13 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
 def _base(claim: CongruenceClaim, terms: int
           ) -> tuple[EtaQuotient, int, Optional[int]]:
     """The (quotient, order, modulus) whose expansion holds a claim's
-    first ``terms`` progression values; halved claims read it mod 2m."""
-    modulus = 2 * claim.modulus if claim.halve else claim.modulus
+    first ``terms`` progression values; halved claims, those against
+    P_CONVOLUTION, read it mod 2m."""
+    modulus = claim.modulus
+    if claim.rhs == "P_CONVOLUTION":
+        modulus *= 2
     return (claim.source_series, claim.progression.index(terms - 1) + 1,
             modulus)
-
-
-def expand_for(pairs, max_order: int = DEFAULT_MAX_ORDER) -> None:
-    """Expand each base series the ``(claim, terms)`` pairs read once, at
-    the largest order any of them needs; pairs past ``max_order`` are
-    left for `verify` to refuse."""
-    orders: dict[tuple, int] = {}
-    for claim, terms in pairs:
-        eq, order, modulus = _base(claim, terms)
-        if terms >= 1 and order <= max_order:
-            orders[eq, modulus] = max(order, orders.get((eq, modulus), 0))
-    for (eq, modulus), order in orders.items():
-        expand_quotient(eq, order, modulus)
 
 
 def _values(claim: CongruenceClaim, terms: int) -> tuple[tuple, Series]:
@@ -400,15 +387,17 @@ _RHS = {
 _ORACLE_RHS = frozenset({"P_CONVOLUTION", "OVERPARTITION_CONV", "D2"})
 
 
-def _check_size(claim: CongruenceClaim, terms: int, max_order: int) -> None:
-    """Refuse a check whose base series would pass ``max_order`` or whose
-    oracle tables would pass `counting.COUNT_LIMIT`, before either is
-    built."""
+def _check_size(claim: CongruenceClaim, terms: int) -> None:
+    """Refuse a check of fewer than one term, or one whose base series
+    would pass `DEFAULT_MAX_ORDER` or whose oracle tables would pass
+    `counting.COUNT_LIMIT`, before either is built."""
+    if terms < 1:
+        raise ClaimError(f"terms must be >= 1, got {terms}")
     need = _base(claim, terms)[1]
-    if need > max_order:
+    if need > DEFAULT_MAX_ORDER:
         raise OrderShortfallError(
             f"{claim.describe()}: needs base series order {need}, above the "
-            f"max-order guard {max_order}; lower terms")
+            f"max-order guard {DEFAULT_MAX_ORDER}; lower terms")
     if claim.rhs in _ORACLE_RHS and terms - 1 > counting.COUNT_LIMIT:
         raise OrderShortfallError(
             f"{claim.describe()}: reads the counting oracles to n = "
@@ -416,19 +405,17 @@ def _check_size(claim: CongruenceClaim, terms: int, max_order: int) -> None:
             f"{counting.COUNT_LIMIT}; lower terms")
 
 
-def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
-           max_order: int = DEFAULT_MAX_ORDER) -> VerificationReport:
+def verify(claim: CongruenceClaim,
+           terms: int = DEFAULT_TERMS) -> VerificationReport:
     """Check the first ``terms`` progression coefficients of a claim.
 
     The base series is expanded to the needed order (refusing past
-    ``max_order``, or oracle tables past `counting.COUNT_LIMIT`);
+    `DEFAULT_MAX_ORDER`, or oracle tables past `counting.COUNT_LIMIT`);
     counterexample indices are in the progression variable n, so index
     i means coefficient step*i + offset.
     """
-    if terms < 1:
-        raise ClaimError(f"terms must be >= 1, got {terms}")
     t0 = time.perf_counter()
-    _check_size(claim, terms, max_order)
+    _check_size(claim, terms)
     try:
         rhs = _RHS[claim.rhs]
     except KeyError:
@@ -443,18 +430,25 @@ def verify(claim: CongruenceClaim, terms: int = DEFAULT_TERMS,
                  progression=(claim.progression.step, claim.progression.offset))
 
 
-def verify_many(claims: list[CongruenceClaim], terms: int = DEFAULT_TERMS,
-                max_order: int = DEFAULT_MAX_ORDER) -> list[VerificationReport]:
-    """Verify a batch; output is sorted canonically (family, params,
-    progression).  Every claim meets the size guards before any series
-    is built."""
-    ordered = sorted(
-        claims, key=lambda c: (c.family, c.params, c.progression.step,
-                               c.progression.offset, c.modulus or 0))
-    for c in ordered:
-        _check_size(c, terms, max_order)
-    expand_for([(c, terms) for c in ordered], max_order)
-    return [verify(c, terms, max_order) for c in ordered]
+def verify_rows(rows) -> list[VerificationReport]:
+    """Verify ``(family, params, terms)`` rows: the reports of each row in
+    the order given, a row's claims sorted canonically (params,
+    progression, modulus).  Every claim meets the size guards before any
+    series is built; each base series is then expanded once, at the
+    largest order any claim of any row needs."""
+    batch = [(claim, terms) for family, params, terms in rows
+             for claim in sorted(
+                 instantiate(family, **params),
+                 key=lambda c: (c.params, c.progression.step,
+                                c.progression.offset, c.modulus or 0))]
+    orders: dict[tuple, int] = {}
+    for claim, terms in batch:
+        _check_size(claim, terms)
+        eq, order, modulus = _base(claim, terms)
+        orders[eq, modulus] = max(order, orders.get((eq, modulus), 0))
+    for (eq, modulus), order in orders.items():
+        expand_quotient(eq, order, modulus)
+    return [verify(claim, terms) for claim, terms in batch]
 
 
 # -- search --------------------------------------------------------------------------

@@ -30,27 +30,22 @@ def euler_product(h: int, order: int) -> Series:
     return general_theta(1, 2, order, h, sign_x=-1, sign_y=-1)
 
 
-def eta_quotient(factors, order: int, modulus: Optional[int] = None) -> Series:
+def eta_quotient(eq: EtaQuotient, order: int,
+                 modulus: Optional[int] = None) -> Series:
     """Expand a product of Euler factors prod_h f_h^{e_h}.
 
-    ``factors`` may be an EtaQuotient, a list of (scale, exponent)
-    pairs, or a string like "2:1,5:1,1:-2".  Scales are taken in
-    ascending order, and each f_{2h}/f_h^2 (or f_h^2/f_{2h}) the
-    exponents hold is taken out as phi(-q^h)^-1 (or phi(-q^h)), since
-    f_h^2/f_{2h} = phi(-q^h) is a theta series with O(sqrt(order))
-    terms.  The ring decides the rest.  Over Z the positive powers are
-    multiplied into a numerator, which is then divided by each sparse
-    base with a negative exponent, once per unit of the exponent, so
-    exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one sparse division and
-    no product.  Over Z/mZ every base is inverted and raised to its
+    Scales are taken in ascending order, and each f_{2h}/f_h^2 (or
+    f_h^2/f_{2h}) the exponents hold is taken out as phi(-q^h)^-1 (or
+    phi(-q^h)), since f_h^2/f_{2h} = phi(-q^h) is a theta series with
+    O(sqrt(order)) terms.  The ring decides the rest.  Over Z the
+    positive powers are multiplied into a numerator, which is then
+    divided by each sparse base with a negative exponent, once per unit
+    of the exponent, so exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one
+    sparse division and no product.  Over Z/mZ every base is inverted and raised to its
     power: the slots stay narrow, and no numerator built first is kept
     alive through a long Newton inverse.
     """
-    if isinstance(factors, str):
-        factors = EtaQuotient.parse(factors)
-    elif not isinstance(factors, EtaQuotient):
-        factors = EtaQuotient(factors)
-    exps = dict(factors.factors)   # scales ascending, as normalized
+    exps = dict(eq.factors)   # scales ascending, as normalized
     phis = []
     for h in exps:
         e, e2 = exps[h], exps.get(2 * h, 0)
@@ -191,7 +186,10 @@ def y_series(order: int, scale: int = 1) -> Series:
 # and Y, or the phi-sqdiss-n2 adjudication) has a builder that returns
 # (lhs, rhs, detail, ok): two series to compare exactly, what to record
 # beside them, and whether the identity's side condition holds.
-# Denominators are cleared, so equal truncations prove the quoted form.
+# Rows whose left side is an inverse power (inv-f1sq-2diss,
+# inv-f1-quad-2diss, inv-phineg-4diss, inv-phi-5diss) are cleared of
+# denominators, which expands faster; the other rows keep any they
+# quote and divide exactly.  Equal truncations prove the quoted form.
 
 
 def _is_prime(n: int) -> bool:
@@ -361,14 +359,14 @@ _CATALOG = (
               None)),
     Identity("inv-f1sq-2diss",
              "1/f1^2 = f8^5 / (f2^5 f16^2) + 2q f4^2 f16^2 / (f2^5 f8)", 1000,
-             (eta_terms((1, 0, "1:-2")),
-              eta_terms((1, 0, "8:5,2:-5,16:-2"), (2, 1, "4:2,16:2,2:-5,8:-1")),
-              None)),
+             # cleared: f2^5 f8 f16^2 = f1^2 f8^6 + 2q f1^2 f4^2 f16^4
+             (eta_terms((1, 0, "2:5,8:1,16:2")),
+              eta_terms((1, 0, "1:2,8:6"), (2, 1, "1:2,4:2,16:4")), None)),
     Identity("inv-f1-quad-2diss",
              "1/f1^4 = f4^14 / (f2^14 f8^4) + 4q f4^2 f8^4 / f2^10", 1000,
-             (eta_terms((1, 0, "1:-4")),
-              eta_terms((1, 0, "4:14,2:-14,8:-4"), (4, 1, "4:2,8:4,2:-10")),
-              None)),
+             # cleared: f2^14 f8^4 = f1^4 f4^14 + 4q f1^4 f2^4 f4^2 f8^8
+             (eta_terms((1, 0, "2:14,8:4")),
+              eta_terms((1, 0, "1:4,4:14"), (4, 1, "1:4,2:4,4:2,8:8")), None)),
     Identity("f1-quad-2diss",
              "f1^4 = f4^10 / (f2^2 f8^4) - 4q f2^2 f8^4 / f4^2", 1000,
              (eta_terms((1, 0, "1:4")),

@@ -170,7 +170,7 @@ def test_source_series_is_rstar():
 
 
 def test_fixed_claims_verify():
-    reports = cg.verify_many(cg.instantiate("r4-fixed"), terms=200)
+    reports = cg.verify_rows([("r4-fixed", {}, 200)])
     assert all(r.passed for r in reports)
     assert all(r.terms_checked == 200 for r in reports)
 
@@ -183,8 +183,7 @@ def test_documented_offset_variant_fails():
 
 
 def test_halved_claims():
-    reports = {r.modulus: r
-               for r in cg.verify_many(cg.instantiate("r8-halved"), terms=60)}
+    reports = {r.modulus: r for r in cg.verify_rows([("r8-halved", {}, 60)])}
     assert set(reports) == {2, 4}
     assert reports[2].passed
     # comparison is doubled so that odd left-hand values cannot sneak
@@ -193,10 +192,10 @@ def test_halved_claims():
 
 
 def test_convolution_and_d2_exact():
-    conv = cg.verify_many(cg.instantiate("conv-overpartition", ell=3),
-                          terms=150)
-    d2 = cg.verify_many(cg.instantiate("r2-distinct"), terms=150)
-    for r in conv + d2:
+    reports = cg.verify_rows([("conv-overpartition", {"ell": 3}, 150),
+                              ("r2-distinct", {}, 150)])
+    assert [r.name for r in reports] == ["conv-overpartition", "r2-distinct"]
+    for r in reports:
         assert r.passed and r.modulus is None
 
 
@@ -204,7 +203,7 @@ def test_intermediates_all_pass():
     for ident in ("r4-4n1-mod4", "r6-2n1-mod3", "r6-3n2-mod3", "r6-all-mod3",
                   "r8-2n1-exact", "r8-2n1-mod8", "r8-4n1-mod4",
                   "r8-16n1-mod4"):
-        (report,) = cg.verify_many(cg.instantiate(ident), 120)
+        (report,) = cg.verify_rows([(ident, {}, 120)])
         assert report.passed and report.name == ident, ident
 
 
@@ -247,26 +246,33 @@ def test_corrupt_rhs_exponent_fails_its_claims(monkeypatch):
 
 
 def test_order_guard():
-    (claim,) = cg.instantiate("r4-prime-series", p=13, alpha=0)
-    with pytest.raises(cg.OrderShortfallError, match="max-order guard"):
-        cg.verify(claim, terms=500, max_order=1000)
-    # oracle-backed right-hand sides are sized by the same guard
+    # a(729n + 425) to n = 299 needs base series order 218397
+    with pytest.raises(cg.OrderShortfallError,
+                       match="order 218397, above the max-order guard"):
+        cg.verify_rows([("r6-vanish-a", {"alpha": 2}, 300)])
+    # oracle-backed right-hand sides are sized by the same guard, and
+    # their tables by the oracle guard
     (claim,) = cg.instantiate("r2-distinct")
     with pytest.raises(cg.OrderShortfallError, match="max-order guard"):
-        cg.verify(claim, terms=1001, max_order=1000)
+        cg.verify(claim, terms=200001)
+    with pytest.raises(cg.OrderShortfallError, match="oracle size guard"):
+        cg.verify(claim, terms=10002)
 
 
-def test_verify_many_canonical_order():
-    claims = (cg.instantiate("r4-fixed")
-              + cg.instantiate("r8-fixed-mod8")
-              + cg.instantiate("r6-iterated", alpha=1))
-    rng = random.Random(11)
-    shuffled = claims[:]
-    rng.shuffle(shuffled)
-    reports = cg.verify_many(shuffled, terms=80)
-    keys = [(r.name, tuple(sorted(r.params.items())), r.progression)
-            for r in reports]
-    assert keys == sorted(keys)
+def test_verify_rows_canonical_order():
+    # rows come back in the order given, each row's claims canonically
+    # sorted (r5k-fixed instantiates xi = 2, 3, 1)
+    rows = [("r4-fixed", {}, 80), ("r8-fixed-mod8", {}, 80),
+            ("r6-iterated", {"alpha": 1}, 80), ("r5k-fixed", {"k": 2}, 80)]
+    random.Random(11).shuffle(rows)
+    reports = iter(cg.verify_rows(rows))
+    for family, params, _ in rows:
+        got = [next(reports) for _ in cg.instantiate(family, **params)]
+        assert {r.name for r in got} == {family}
+        keys = [(tuple(r.params.values()), r.progression, r.modulus)
+                for r in got]
+        assert keys == sorted(keys)
+    assert next(reports, None) is None
 
 
 def test_report_json_roundtrip(capsys):
@@ -306,11 +312,11 @@ def _count_builds(monkeypatch):
     return builds
 
 
-def test_verify_many_expands_each_base_once(monkeypatch):
+def test_verify_rows_expands_each_base_once(monkeypatch):
     # 4n+2 needs order 8003 and 16n+13 order 32014: one build serves both
     cg.clear_cache()
     builds = _count_builds(monkeypatch)
-    reports = cg.verify_many(cg.instantiate("r8-fixed-mod4"), 2001)
+    reports = cg.verify_rows([("r8-fixed-mod4", {}, 2001)])
     assert all(r.passed and r.terms_checked == 2001 for r in reports)
     assert builds == [(EtaQuotient.rstar(8), 4)]
 
@@ -322,13 +328,24 @@ def test_criterion_6_expands_its_base_once(monkeypatch):
     assert builds == [(EtaQuotient.rstar(6), 3)]
 
 
-def test_expand_for_skips_claims_past_the_guard(monkeypatch):
-    (claim,) = cg.instantiate("r4-prime-series", p=13, alpha=0)
+def test_cold_suite_builds_each_base_once(monkeypatch):
+    # the first criterion to read a base reads it deepest, so a cold run
+    # builds each (quotient, modulus) once
     cg.clear_cache()
     builds = _count_builds(monkeypatch)
+    assert all(result.passed for result in suite.run_all())
+    assert builds and len(builds) == len(set(builds))
+
+
+def test_verify_rows_refuses_a_batch_before_any_build(monkeypatch):
+    cg.clear_cache()
+    builds = _count_builds(monkeypatch)
+    # the last row is past the guard: the first is not built either
     with pytest.raises(cg.OrderShortfallError, match="max-order guard"):
-        cg.verify_many([claim], terms=500, max_order=1000)
-    cg.expand_for([(claim, 0)])
+        cg.verify_rows([("r4-fixed", {}, 200),
+                        ("r6-vanish-a", {"alpha": 2}, 300)])
+    with pytest.raises(cg.ClaimError, match="terms must be >= 1"):
+        cg.verify_rows([("r4-fixed", {}, 200), ("r8-fixed-mod8", {}, 0)])
     assert builds == []
 
 

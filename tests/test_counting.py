@@ -78,7 +78,7 @@ def test_oracle_vs_series_sample():
     ]
     for kind, factors in pairs:
         table = ct.count(kind, upto)
-        series = qf.eta_quotient(list(factors), upto + 1)
+        series = qf.eta_quotient(EtaQuotient(factors), upto + 1)
         assert list(table) == list(series.coeffs)[: upto + 1], kind
 
 
@@ -86,7 +86,7 @@ def test_plain_oracle_matches_series_at_suite_depth():
     # criterion 2 reads p(n) to n = 3306 from the 1/f1 series; the oracle
     # must agree with it there, coefficient for coefficient
     table = ct.count(ct.PLAIN_P, 11 * 300 + 6)
-    series = qf.eta_quotient([(1, -1)], 11 * 300 + 7)
+    series = qf.eta_quotient(EtaQuotient([(1, -1)]), 11 * 300 + 7)
     assert table == series.coeffs
 
 

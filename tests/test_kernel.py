@@ -8,7 +8,7 @@ import pytest
 
 from qcong import qfunctions as qf
 from qcong import series
-from qcong.series import Series
+from qcong.series import EtaQuotient, Series
 
 st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
@@ -175,5 +175,5 @@ def eta_inputs(draw):
 @given(eta_inputs())
 def test_eta_quotient_matches_plain_product(case):
     factors, order, m = case
-    assert (qf.eta_quotient(factors, order, m)
+    assert (qf.eta_quotient(EtaQuotient(factors), order, m)
             == plain_eta_quotient(factors, order, m))

@@ -89,18 +89,19 @@ def test_theta_eta_dualities():
 
 def test_eta_quotient_matches_manual_build():
     n = 200
-    got = qf.eta_quotient([(2, 1), (5, 1), (1, -2)], n)
+    got = qf.eta_quotient(EtaQuotient([(2, 1), (5, 1), (1, -2)]), n)
     manual = (qf.euler_product(2, n) * qf.euler_product(5, n)
               * qf.euler_product(1, n).invert() ** 2)
     assert got == manual
-    assert qf.eta_quotient("2:1,5:1,1:-2", n) == got
+    assert qf.eta_quotient(EtaQuotient.parse("2:1,5:1,1:-2"), n) == got
     assert qf.eta_quotient(EtaQuotient.rstar(5), n) == got
 
 
 def test_eta_quotient_modular_matches_exact_reduction():
     n = 300
-    exact = qf.eta_quotient([(2, 1), (6, 1), (1, -2)], n)
-    modular = qf.eta_quotient([(2, 1), (6, 1), (1, -2)], n, 3)
+    eq = EtaQuotient([(2, 1), (6, 1), (1, -2)])
+    exact = qf.eta_quotient(eq, n)
+    modular = qf.eta_quotient(eq, n, 3)
     assert modular == exact.reduce_mod(3)
     assert modular.modulus == 3
 
@@ -123,7 +124,7 @@ def test_eta_quotient_takes_out_phi_pairs():
                     [(1, -5), (2, 1), (4, -1)], [(1, -2), (2, 3), (4, -3)],
                     [(1, 3), (2, -2)], [(2, -2), (4, 1), (1, -2)]):
         for m in (None, 2, 4, 9):
-            assert (qf.eta_quotient(factors, 300, m)
+            assert (qf.eta_quotient(EtaQuotient(factors), 300, m)
                     == plain_eta_quotient(factors, 300, m)), (factors, m)
 
 
@@ -159,7 +160,7 @@ def spy_divisions(monkeypatch):
 def test_exact_exponents_divide_once_per_unit(e, monkeypatch):
     divided = spy_divisions(monkeypatch)
     factors = [(1, -e), (3, 2)]
-    assert (qf.eta_quotient(factors, 400)
+    assert (qf.eta_quotient(EtaQuotient(factors), 400)
             == plain_eta_quotient(factors, 400))
     assert len(divided) == e
 
@@ -168,7 +169,7 @@ def test_modular_bases_are_inverted_then_raised(monkeypatch):
     divided = spy_divisions(monkeypatch)
     for e in (1, 2, 25):
         factors = [(1, -e), (3, 2)]
-        assert (qf.eta_quotient(factors, 400, 4)
+        assert (qf.eta_quotient(EtaQuotient(factors), 400, 4)
                 == plain_eta_quotient(factors, 400, 4))
     assert divided == []
 
@@ -269,9 +270,33 @@ def test_migrated_rows_match_their_old_builders(tag):
             assert new == OLD_BUILDERS[tag](order, **params), (params, order)
 
 
+# the rows stated with denominators cleared: (quoted lhs, quoted rhs,
+# the denominators each side was multiplied by)
+QUOTED = {
+    "inv-f1sq-2diss": (qf.eta_terms((1, 0, "1:-2")), qf.eta_terms(
+        (1, 0, "8:5,2:-5,16:-2"), (2, 1, "4:2,16:2,2:-5,8:-1")),
+        "1:2,2:5,8:1,16:2"),
+    "inv-f1-quad-2diss": (qf.eta_terms((1, 0, "1:-4")), qf.eta_terms(
+        (1, 0, "4:14,2:-14,8:-4"), (4, 1, "4:2,8:4,2:-10")), "1:4,2:14,8:4"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(QUOTED))
+def test_cleared_rows_are_their_quoted_form_times_its_denominators(tag):
+    *quoted, cleared_by = QUOTED[tag]
+    *sides, m = qf.IDENTITIES[tag].sides
+    assert m is None
+    for order in (qf.IDENTITIES[tag].order, 3000):
+        d = qf.eta_quotient(EtaQuotient.parse(cleared_by), order)
+        for side, quoted_side in zip(sides, quoted):
+            assert (qf.expand_terms(side, order)
+                    == qf.expand_terms(quoted_side, order) * d)
+
+
 # one wrong exponent in a data row: (tag, params, side, term, quotient)
 CORRUPTIONS = [
     ("f1-quad-2diss", {}, 1, 1, "2:2,8:4,4:-1"),
+    ("inv-f1-quad-2diss", {}, 1, 1, "1:4,2:4,4:2,8:7"),
     ("psi-3diss", {}, 1, 1, "18:2,9:-2"),
     ("inv-phineg-4diss", {}, 1, 3, "1:2,2:-1,8:-3,16:5"),
     ("fp-binom", {"p": 3}, 1, 0, "1:2"),

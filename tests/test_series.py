@@ -421,8 +421,9 @@ def test_exact_square_at_8000_terms_matches_division():
     # the exact eta quotients divide by f1 and take no product
     p = euler_product(1, 8000).invert()
     assert max(p.coeffs).bit_length() >= 300
-    assert p * p == eta_quotient("1:-2", 8000)
-    assert p * euler_product(16, 8000) == eta_quotient("16:1,1:-1", 8000)
+    assert p * p == eta_quotient(EtaQuotient.parse("1:-2"), 8000)
+    assert p * euler_product(16, 8000) == eta_quotient(
+        EtaQuotient.parse("16:1,1:-1"), 8000)
 
 
 def test_no_product_is_spent_on_one(monkeypatch):
@@ -447,5 +448,5 @@ def test_no_product_is_spent_on_one(monkeypatch):
                               ([(1, -2)], 0), ([(1, -2), (2, 1), (6, 1)], 0),
                               ([(1, -2), (2, 2)], 0)):
         calls.clear()
-        eta_quotient(factors, 50)
+        eta_quotient(EtaQuotient(factors), 50)
         assert len(calls) == products
