@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache, reduce
 from math import isqrt
 from typing import Callable, Optional, Union
 
@@ -82,17 +83,31 @@ def eta_quotient(eq: EtaQuotient, order: int,
 
 
 def eta_terms(*terms) -> tuple:
-    """The terms (c, s, "h:e,...") as (c, s, EtaQuotient): each stands
-    for c q^s prod f_h^e, and a tuple of them for their sum."""
-    return tuple((c, s, EtaQuotient.parse(f)) for c, s, f in terms)
+    """The terms (c, s, "h:e,...", *blocks) as (c, s, EtaQuotient, blocks):
+    each stands for c q^s prod f_h^e prod F(sign q^a, sign q^b)^k over its
+    blocks (a, b, sign, k), k >= 1, and a tuple of them for their sum;
+    the quotient "1" has no factor."""
+    return tuple((c, s, EtaQuotient.parse(f), tuple(blocks))
+                 for c, s, f, *blocks in terms)
 
 
 def expand_terms(terms, order: int, modulus: Optional[int] = None) -> Series:
-    """The sum of c q^s prod f_h^e over (c, s, EtaQuotient) ``terms``,
-    truncated below ``order``, over Z/modulus Z when one is given; the
-    empty sum is zero."""
-    return sum((c * eta_quotient(eq, order, modulus).shift(s)
-                for c, s, eq in terms), Series.zero(order, modulus))
+    """The sum of (c, s, EtaQuotient, blocks) ``terms`` below ``order``,
+    over Z/modulus Z when one is given; the empty sum is zero.  A term's
+    quotient, skipped when empty if it has blocks, is multiplied by each
+    block power, and each distinct block power is expanded once."""
+    @cache
+    def power(a, b, sign, k):
+        base = general_theta(a, b, order, sign_x=sign, sign_y=sign)
+        return (base if modulus is None else base.reduce_mod(modulus)) ** k
+
+    def factors(eq, blocks):    # lazily: no factor outlives the product
+        if eq.factors or not blocks:
+            yield eta_quotient(eq, order, modulus)
+        yield from (power(*block) for block in blocks)
+
+    return sum((c * reduce(Series.__mul__, factors(eq, blocks)).shift(s)
+                for c, s, eq, blocks in terms), Series.zero(order, modulus))
 
 
 def general_theta(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
@@ -180,12 +195,12 @@ def y_series(order: int, scale: int = 1) -> Series:
 
 # -- identity catalog ------------------------------------------------------------
 #
-# A row whose sides are sums of eta-quotient terms is data, (lhs terms,
-# rhs terms, modulus), compared exactly when modulus is None.  A row
-# with a side that is no eta quotient (one theta block per residue, X
-# and Y, or the phi-sqdiss-n2 adjudication) has a builder that returns
-# (lhs, rhs, detail, ok): two series to compare exactly, what to record
-# beside them, and whether the identity's side condition holds.
+# Every row is term data, (lhs terms, rhs terms, modulus) compared
+# exactly when modulus is None, or a function of its parameter that
+# checks it and returns them.  Sides that are no eta quotient are theta
+# blocks: one per residue in the p- and n^2-dissections, X(q^5) and
+# Y(q^5) in inv-phi-5diss.  The p-dissections add the detail of a side
+# condition and pass only where it holds; phi-sqdiss-n2 has a judge.
 # Rows whose left side is an inverse power (inv-f1sq-2diss,
 # inv-f1-quad-2diss, inv-phineg-4diss, inv-phi-5diss) are cleared of
 # denominators, which expands faster; the other rows keep any they
@@ -226,116 +241,88 @@ def _fp2_binom(p):
             p * p)
 
 
-def _build_inv_phi_5diss(order):
-    # 1/phi(q) = phi(q^25)/phi(q^5)^6 * [14-term bracket in phi(q^25),
-    # X(q^5), Y(q^5)], cleared to: phi(q^5)^6 = phi(q) phi(q^25) bracket
-    P = phi(order, 25)
-    X = x_series(order, 5)
-    Y = y_series(order, 5)
-    bracket = (P ** 4
-               - 2 * (P ** 3 * X).shift(1)
-               + 4 * (P ** 2 * X ** 2).shift(2)
-               - 8 * (P * X ** 3).shift(3)
-               + (16 * X ** 4 - 2 * P ** 3 * Y).shift(4)
-               - 12 * (P ** 2 * X * Y).shift(5)
-               + 16 * (P * X ** 2 * Y).shift(6)
-               - 16 * (X ** 3 * Y).shift(7)
-               + 4 * (P ** 2 * Y ** 2).shift(8)
-               + 16 * (P * X * Y ** 2).shift(9)
-               + 16 * (X ** 2 * Y ** 2).shift(10)
-               - 8 * (P * Y ** 3).shift(12)
-               - 16 * (X * Y ** 3).shift(13)
-               + 16 * (Y ** 4).shift(16))
-    lhs = phi(order, 5) ** 6
-    rhs = phi(order) * P * bracket
-    return lhs, rhs, {}, True
+def _side_condition(p, offsets, tail, **detail):
+    # no summand's offset {index: s} may share the tail's residue mod p
+    collisions = [i for i, s in offsets.items() if s % p == tail % p]
+    detail = {"side_condition_ok": not collisions, **detail}
+    return {**detail, "colliding_indices": collisions} if collisions else detail
 
 
-def _build_psi_pdiss(order, p):
+def _psi_pdiss(p):
     # psi(q) = sum_{j=0}^{(p-3)/2} q^{(j^2+j)/2} F(q^{(p^2+(2j+1)p)/2},
-    #          q^{(p^2-(2j+1)p)/2}) + q^{(p^2-1)/8} psi(q^{p^2}),
-    # and no summand exponent collides with the tail's mod p
+    #          q^{(p^2-(2j+1)p)/2}) + q^{(p^2-1)/8} psi(q^{p^2})
     _require_prime(p, minimum=3, odd=True)
-    lhs = psi(order)
-    rhs = psi(order, p * p).shift((p * p - 1) // 8)
-    tail_residue = ((p * p - 1) // 8) % p
-    side_ok = True
-    collisions = []
-    for j in range((p - 1) // 2):
-        a = (p * p + (2 * j + 1) * p) // 2
-        b = (p * p - (2 * j + 1) * p) // 2
-        off = (j * j + j) // 2
-        rhs = rhs + general_theta(a, b, order, shift=off)
-        if off % p == tail_residue:
-            side_ok = False
-            collisions.append(j)
-    detail = {"side_condition_ok": side_ok}
-    if collisions:
-        detail["colliding_indices"] = collisions
-    return lhs, rhs, detail, side_ok
+    offsets = {j: (j * j + j) // 2 for j in range((p - 1) // 2)}
+    tail = (p * p - 1) // 8
+    rhs = eta_terms(*((1, s, "1", ((p * p + (2 * j + 1) * p) // 2,
+                                   (p * p - (2 * j + 1) * p) // 2, 1, 1))
+                      for j, s in offsets.items()),
+                    (1, tail, "1", (p * p, 3 * p * p, 1, 1)))
+    return (eta_terms((1, 0, "1", (1, 3, 1, 1))), rhs, None,
+            _side_condition(p, offsets, tail))
 
 
-def _build_f1_pdiss(order, p):
+def _f1_pdiss(p):
     # f_1 as a sum of (p-1) signed theta blocks plus a signed tail
     # (-1)^{k*} q^{(p^2-1)/24} f_{p^2}, k* = (p-1)/6 or -(p+1)/6
     _require_prime(p, minimum=5)
     kstar = (p - 1) // 6 if p % 6 == 1 else -((p + 1) // 6)
-    lhs = euler_product(1, order)
-    rhs = Series.zero(order)
-    tail_residue = ((p * p - 1) // 24) % p
-    side_ok = True
-    collisions = []
-    for k in range(-(p - 1) // 2, (p - 1) // 2 + 1):
-        if k == kstar:
-            continue
-        a = (3 * p * p + (6 * k + 1) * p) // 2
-        b = (3 * p * p - (6 * k + 1) * p) // 2
-        off = (3 * k * k + k) // 2
-        blk = general_theta(a, b, order, shift=off, sign_x=-1, sign_y=-1)
-        rhs = rhs + (blk if k % 2 == 0 else -blk)
-        if off % p == tail_residue:
-            side_ok = False
-            collisions.append(k)
-    tail = euler_product(p * p, order).shift((p * p - 1) // 24)
-    rhs = rhs + (tail if kstar % 2 == 0 else -tail)
-    detail = {"side_condition_ok": side_ok, "tail_index": kstar}
-    if collisions:
-        detail["colliding_indices"] = collisions
-    return lhs, rhs, detail, side_ok
+    offsets = {k: (3 * k * k + k) // 2
+               for k in range(-(p - 1) // 2, (p - 1) // 2 + 1) if k != kstar}
+    tail = (p * p - 1) // 24
+    rhs = eta_terms(*((1 - 2 * (k % 2), s, "1",
+                       ((3 * p * p + (6 * k + 1) * p) // 2,
+                        (3 * p * p - (6 * k + 1) * p) // 2, -1, 1))
+                      for k, s in offsets.items()),
+                    (1 - 2 * (kstar % 2), tail, f"{p * p}:1"))
+    return (eta_terms((1, 0, "1:1")), rhs, None,
+            _side_condition(p, offsets, tail, tail_index=kstar))
 
 
-def _build_phi_sqdiss(order, n):
+def _phi_sqdiss(n):
     # phi(q) = phi(q^{n^2}) + sum_{r=1}^{n-1} q^{r^2} F(q^{n(n-2r)}, q^{n(n+2r)});
-    # summand exponents are (n t - r)^2, so blocks with n(n-2r) < 0 are
-    # still power series
+    # summand r is the sum over t of q^{(n t - r)^2}, as is summand n - r,
+    # so each r > n/2 is written as n - r and no block has a < 0
     _require_guarded("n", n)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"parameter n must be an integer >= 2, got {n!r}")
-    lhs = phi(order)
-    rhs = phi(order, n * n)
-    for r in range(1, n):
-        rhs = rhs + general_theta(n * (n - 2 * r), n * (n + 2 * r), order,
-                                 shift=r * r)
-    return lhs, rhs, {}, True
+    rs = [min(r, n - r) for r in range(1, n)]
+    return (eta_terms((1, 0, "1", (1, 1, 1, 1))),
+            eta_terms((1, 0, "1", (n * n, n * n, 1, 1)),
+                      *((1, r * r, "1", (n * (n - 2 * r), n * (n + 2 * r), 1, 1))
+                        for r in rs)), None)
 
 
-def _build_phi_sqdiss_n2(order):
-    # adjudication: at n=2 the dissection reads phi(q) = phi(q^4) + c q psi(q^8);
-    # decide c in {1, 2} by expansion (F(1, y) = 2 psi(y) forces c = 2):
-    # c = 2 must hold and the printed c = 1 must be refuted
-    lhs = phi(order)
-    base = phi(order, 4)
-    tail = psi(order, 8).shift(1)
-    double = base + 2 * tail
-    bad1, n1 = compare_coefficients(lhs, base + tail, order, None)
-    detail = {
-        "coefficient_1_matches": n1 == 0,
-        "coefficient_2_matches": lhs == double,
-        "adopted": "phi(q^4) + 2q psi(q^8)",
-    }
+# 1/phi(q) = phi(q^25)/phi(q^5)^6 * [bracket], cleared to phi(q^5)^6 =
+# phi(q) phi(q^25) [bracket]; the bracket is the sum of c q^s P^i X^j Y^k
+# over (c, s, i, j, k), with P = phi(q^25), X = X(q^5) and Y = Y(q^5)
+_PHI_5_BRACKET = (
+    (1, 0, 4, 0, 0), (-2, 1, 3, 1, 0), (4, 2, 2, 2, 0), (-8, 3, 1, 3, 0),
+    (16, 4, 0, 4, 0), (-2, 4, 3, 0, 1), (-12, 5, 2, 1, 1), (16, 6, 1, 2, 1),
+    (-16, 7, 0, 3, 1), (4, 8, 2, 0, 2), (16, 9, 1, 1, 2), (16, 10, 0, 2, 2),
+    (-8, 12, 1, 0, 3), (-16, 13, 0, 1, 3), (16, 16, 0, 0, 4))
+
+
+def _phi_5_term(c, s, i, j, k):
+    blocks = ((25, 25, 1, i + 1), (35, 15, 1, j), (45, 5, 1, k))
+    return (c, s, "1", (1, 1, 1, 1), *(b for b in blocks if b[3]))
+
+
+def _phi_4_psi_8(c):    # phi(q^4) + c q psi(q^8)
+    return eta_terms((1, 0, "1", (4, 4, 1, 1)), (c, 1, "1", (8, 24, 1, 1)))
+
+
+def _judge_phi_sqdiss_n2(lhs, rhs, order):
+    # phi(q) = phi(q^4) + c q psi(q^8) has c = 2, as F(1, y) = 2 psi(y):
+    # the rhs (c = 2) must hold and the printed c = 1 must be refuted
+    bad1, n1 = compare_coefficients(
+        lhs, expand_terms(_phi_4_psi_8(1), order), order, None)
+    detail = {"coefficient_1_matches": n1 == 0,
+              "coefficient_2_matches": lhs == rhs,
+              "adopted": "phi(q^4) + 2q psi(q^8)"}
     if bad1:
         detail["coefficient_1_first_counterexample"] = list(bad1[0])
-    return lhs, double, detail, n1 != 0
+    return detail, n1 != 0
 
 
 @dataclass(frozen=True)
@@ -343,12 +330,12 @@ class Identity:
     tag: str
     summary: str
     order: int
-    # (lhs terms, rhs terms, modulus), or for a parametrized row a
-    # function of the parameter that validates it and returns them
-    sides: Union[tuple, Callable, None] = None
-    build: Optional[Callable] = None    # for a side that is no eta quotient
+    # (lhs terms, rhs terms, modulus[, detail]), or for a parametrized row
+    # a function of the parameter that validates it and returns them
+    sides: Union[tuple, Callable]
     param: Optional[str] = None         # "p" (prime) or "n" (integer >= 2)
     defaults: tuple = ()
+    judge: Optional[Callable] = None    # (lhs, rhs, order) -> (detail, ok)
 
 
 _CATALOG = (
@@ -384,7 +371,8 @@ _CATALOG = (
                              (8, 3, "1:2,2:-1,8:-3,16:6")), None)),
     Identity("inv-phi-5diss",
              "phi(q^5)^6 = phi(q) phi(q^25) [bracket in phi(q^25), X(q^5), Y(q^5)]",
-             300, build=_build_inv_phi_5diss),
+             300, (eta_terms((1, 0, "1", (5, 5, 1, 6))),
+                   eta_terms(*(_phi_5_term(*t) for t in _PHI_5_BRACKET)), None)),
     # psi(q) = f2^2/f1, F(q^3, q^6) = f6 f9^2/(f3 f18), psi(q^9) = f18^2/f9
     Identity("psi-3diss", "psi(q) = F(q^3, q^6) + q psi(q^9)", 1000,
              (eta_terms((1, 0, "2:2,1:-1")),
@@ -392,16 +380,17 @@ _CATALOG = (
               None)),
     Identity("psi-pdiss",
              "p-dissection of psi(q) into theta blocks plus q^{(p^2-1)/8} psi(q^{p^2})",
-             300, build=_build_psi_pdiss, param="p", defaults=(3, 5, 7, 11, 13)),
+             300, _psi_pdiss, param="p", defaults=(3, 5, 7, 11, 13)),
     Identity("f1-pdiss",
              "p-dissection of f1 into signed theta blocks plus the f_{p^2} tail",
-             300, build=_build_f1_pdiss, param="p", defaults=(5, 7, 11, 13)),
+             300, _f1_pdiss, param="p", defaults=(5, 7, 11, 13)),
     Identity("phi-sqdiss",
              "phi(q) = phi(q^{n^2}) + sum_r q^{r^2} F(q^{n(n-2r)}, q^{n(n+2r)})",
-             300, build=_build_phi_sqdiss, param="n", defaults=(2, 3)),
+             300, _phi_sqdiss, param="n", defaults=(2, 3)),
     Identity("phi-sqdiss-n2",
              "adjudicate phi(q) = phi(q^4) + c q psi(q^8): c = 1 (as printed) vs 2",
-             300, build=_build_phi_sqdiss_n2),
+             300, (eta_terms((1, 0, "1", (1, 1, 1, 1))), _phi_4_psi_8(2), None),
+             judge=_judge_phi_sqdiss_n2),
     Identity("fp-binom", "f_p == f_1^p (mod p)", 500, _fp_binom,
              param="p", defaults=(2, 3, 5, 7)),
     Identity("fp2-binom", "f_1^{p^2} == f_p^p (mod p^2)", 300, _fp2_binom,
@@ -438,16 +427,15 @@ def verify_identity(tag: str, order: Optional[int] = None,
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.perf_counter()
-    if ident.build is None:
-        sides = ident.sides(**params) if callable(ident.sides) else ident.sides
-        *terms, modulus = sides
-        lhs, rhs = (expand_terms(t, n, modulus) for t in terms)
-        detail, ok = {}, True
-    else:
-        lhs, rhs, detail, ok = ident.build(n, **params)
-        modulus = None
-    return check(tag, lhs, rhs, min(lhs.order, rhs.order), modulus, detail,
-                 ok, started=t0, params=dict(params))
+    sides = ident.sides(**params) if callable(ident.sides) else ident.sides
+    lhs_terms, rhs_terms, modulus, *detail = sides
+    lhs, rhs = (expand_terms(t, n, modulus) for t in (lhs_terms, rhs_terms))
+    detail = detail[0] if detail else {}
+    ok = detail.get("side_condition_ok", True)
+    if ident.judge is not None:
+        detail, ok = ident.judge(lhs, rhs, n)
+    return check(tag, lhs, rhs, n, modulus, detail, ok, started=t0,
+                 params=dict(params))
 
 
 def run_catalog(order: Optional[int] = None) -> list[VerificationReport]:

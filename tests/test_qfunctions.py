@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qcong import qfunctions as qf
+from qcong.report import compare_coefficients
 from qcong.series import EtaQuotient, Series
 
 
@@ -220,8 +221,14 @@ def _sides(ident, params):
     return ident.sides(**params) if callable(ident.sides) else ident.sides
 
 
-# theta and Euler-product constructions of both sides of each row that
-# is eta-quotient data: the (lhs, rhs) series its terms must expand to
+def _default_params(ident):
+    return [{ident.param: v} for v in ident.defaults] or [{}]
+
+
+# theta and Euler-product constructions of both sides of each row, as
+# the rows were built before they were term data: each returns (lhs,
+# rhs) or, for a row that records a verdict beside them, (lhs, rhs,
+# detail, ok)
 
 
 def _old_inv_phineg_4diss(order):
@@ -255,19 +262,158 @@ def _old_fp2_binom(order, p):
     return lhs, rhs
 
 
+def _old_inv_phi_5diss(order):
+    P = qf.phi(order, 25)
+    X = qf.x_series(order, 5)
+    Y = qf.y_series(order, 5)
+    bracket = (P ** 4
+               - 2 * (P ** 3 * X).shift(1)
+               + 4 * (P ** 2 * X ** 2).shift(2)
+               - 8 * (P * X ** 3).shift(3)
+               + (16 * X ** 4 - 2 * P ** 3 * Y).shift(4)
+               - 12 * (P ** 2 * X * Y).shift(5)
+               + 16 * (P * X ** 2 * Y).shift(6)
+               - 16 * (X ** 3 * Y).shift(7)
+               + 4 * (P ** 2 * Y ** 2).shift(8)
+               + 16 * (P * X * Y ** 2).shift(9)
+               + 16 * (X ** 2 * Y ** 2).shift(10)
+               - 8 * (P * Y ** 3).shift(12)
+               - 16 * (X * Y ** 3).shift(13)
+               + 16 * (Y ** 4).shift(16))
+    lhs = qf.phi(order, 5) ** 6
+    rhs = qf.phi(order) * P * bracket
+    return lhs, rhs, {}, True
+
+
+def _old_psi_pdiss(order, p):
+    lhs = qf.psi(order)
+    rhs = qf.psi(order, p * p).shift((p * p - 1) // 8)
+    tail_residue = ((p * p - 1) // 8) % p
+    side_ok = True
+    collisions = []
+    for j in range((p - 1) // 2):
+        a = (p * p + (2 * j + 1) * p) // 2
+        b = (p * p - (2 * j + 1) * p) // 2
+        off = (j * j + j) // 2
+        rhs = rhs + qf.general_theta(a, b, order, shift=off)
+        if off % p == tail_residue:
+            side_ok = False
+            collisions.append(j)
+    detail = {"side_condition_ok": side_ok}
+    if collisions:
+        detail["colliding_indices"] = collisions
+    return lhs, rhs, detail, side_ok
+
+
+def _old_f1_pdiss(order, p):
+    kstar = (p - 1) // 6 if p % 6 == 1 else -((p + 1) // 6)
+    lhs = qf.euler_product(1, order)
+    rhs = Series.zero(order)
+    tail_residue = ((p * p - 1) // 24) % p
+    side_ok = True
+    collisions = []
+    for k in range(-(p - 1) // 2, (p - 1) // 2 + 1):
+        if k == kstar:
+            continue
+        a = (3 * p * p + (6 * k + 1) * p) // 2
+        b = (3 * p * p - (6 * k + 1) * p) // 2
+        off = (3 * k * k + k) // 2
+        blk = qf.general_theta(a, b, order, shift=off, sign_x=-1, sign_y=-1)
+        rhs = rhs + (blk if k % 2 == 0 else -blk)
+        if off % p == tail_residue:
+            side_ok = False
+            collisions.append(k)
+    tail = qf.euler_product(p * p, order).shift((p * p - 1) // 24)
+    rhs = rhs + (tail if kstar % 2 == 0 else -tail)
+    detail = {"side_condition_ok": side_ok, "tail_index": kstar}
+    if collisions:
+        detail["colliding_indices"] = collisions
+    return lhs, rhs, detail, side_ok
+
+
+def _old_phi_sqdiss(order, n):
+    lhs = qf.phi(order)
+    rhs = qf.phi(order, n * n)
+    for r in range(1, n):
+        rhs = rhs + qf.general_theta(n * (n - 2 * r), n * (n + 2 * r), order,
+                                     shift=r * r)
+    return lhs, rhs, {}, True
+
+
+def _old_phi_sqdiss_n2(order):
+    lhs = qf.phi(order)
+    base = qf.phi(order, 4)
+    tail = qf.psi(order, 8).shift(1)
+    double = base + 2 * tail
+    bad1, n1 = compare_coefficients(lhs, base + tail, order, None)
+    detail = {
+        "coefficient_1_matches": n1 == 0,
+        "coefficient_2_matches": lhs == double,
+        "adopted": "phi(q^4) + 2q psi(q^8)",
+    }
+    if bad1:
+        detail["coefficient_1_first_counterexample"] = list(bad1[0])
+    return lhs, double, detail, n1 != 0
+
+
 OLD_BUILDERS = {"inv-phineg-4diss": _old_inv_phineg_4diss,
                 "psi-3diss": _old_psi_3diss, "fp-binom": _old_fp_binom,
-                "fp2-binom": _old_fp2_binom}
+                "fp2-binom": _old_fp2_binom,
+                "inv-phi-5diss": _old_inv_phi_5diss,
+                "psi-pdiss": _old_psi_pdiss, "f1-pdiss": _old_f1_pdiss,
+                "phi-sqdiss": _old_phi_sqdiss,
+                "phi-sqdiss-n2": _old_phi_sqdiss_n2}
+# the old builders that also returned (detail, ok)
+OLD_VERDICTS = ("inv-phi-5diss", "psi-pdiss", "f1-pdiss", "phi-sqdiss",
+                "phi-sqdiss-n2")
 
 
 @pytest.mark.parametrize("tag", sorted(OLD_BUILDERS))
 def test_migrated_rows_match_their_old_builders(tag):
     ident = qf.IDENTITIES[tag]
-    for params in [{"p": p} for p in ident.defaults] or [{}]:
-        *terms, m = _sides(ident, params)
+    for params in _default_params(ident):
+        lhs, rhs, m, *_ = _sides(ident, params)
         for order in (ident.order, 3000):
-            new = tuple(qf.expand_terms(t, order, m) for t in terms)
-            assert new == OLD_BUILDERS[tag](order, **params), (params, order)
+            new = tuple(qf.expand_terms(t, order, m) for t in (lhs, rhs))
+            old = OLD_BUILDERS[tag](order, **params)[:2]
+            assert new == old, (params, order)
+
+
+@pytest.mark.parametrize("tag", OLD_VERDICTS)
+def test_migrated_rows_keep_their_old_verdicts(tag):
+    # the detail and the verdict the old builder returned, report for
+    # report; phi-sqdiss-n2 also where its c = 1 form is not refuted
+    ident = qf.IDENTITIES[tag]
+    orders = (1, 2, ident.order, 3000) if tag == "phi-sqdiss-n2" else (
+        ident.order, 3000)
+    for params in _default_params(ident):
+        for order in orders:
+            _, _, detail, ok = OLD_BUILDERS[tag](order, **params)
+            r = qf.verify_identity(tag, order, **params)
+            assert (r.detail, r.passed) == (detail, ok), (params, order)
+
+
+def test_every_row_is_term_data():
+    assert "build" not in {f.name for f in dataclasses.fields(qf.Identity)}
+    for ident in qf.IDENTITIES.values():
+        for params in _default_params(ident):
+            lhs, rhs, *_ = _sides(ident, params)
+            for term in lhs + rhs:
+                assert tuple(map(type, term)) == (int, int, EtaQuotient,
+                                                  tuple), (ident.tag, term)
+                for a, b, sign, k in term[3]:
+                    assert sign in (1, -1) and k >= 1 and min(a, b) >= 0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_square_dissection_block_of_r_is_the_block_of_n_minus_r(n):
+    # summand r of phi-sqdiss is the sum over t of q^{(n t - r)^2}
+    def summand(r):
+        return qf.general_theta(n * (n - 2 * r), n * (n + 2 * r), 2000,
+                                shift=r * r)
+
+    for r in range(1, n):
+        assert summand(r) == summand(n - r), r
 
 
 # the rows stated with denominators cleared: (quoted lhs, quoted rhs,
@@ -293,6 +439,18 @@ def test_cleared_rows_are_their_quoted_form_times_its_denominators(tag):
                     == qf.expand_terms(quoted_side, order) * d)
 
 
+def _verify_with_term(tag, params, side, index, replace, monkeypatch):
+    # verify_identity on the row with one term of one side replaced
+    ident = qf.IDENTITIES[tag]
+    sides = list(_sides(ident, params))
+    terms = list(sides[side])
+    terms[index] = replace(terms[index])
+    sides[side] = tuple(terms)
+    bad = dataclasses.replace(ident, sides=lambda **_: tuple(sides))
+    monkeypatch.setitem(qf.IDENTITIES, tag, bad)
+    return qf.verify_identity(tag, 50, **params)
+
+
 # one wrong exponent in a data row: (tag, params, side, term, quotient)
 CORRUPTIONS = [
     ("f1-quad-2diss", {}, 1, 1, "2:2,8:4,4:-1"),
@@ -307,17 +465,41 @@ CORRUPTIONS = [
                          ids=[row[0] for row in CORRUPTIONS])
 def test_eta_sum_rows_catch_a_corrupt_exponent(tag, params, side, index,
                                                quotient, monkeypatch):
-    # every eta-quotient row is (c, s, EtaQuotient) data: one wrong
-    # exponent must fail the check, not pass silently
-    ident = qf.IDENTITIES[tag]
-    sides = list(_sides(ident, params))
-    terms = list(sides[side])
-    c, s, _ = terms[index]
-    terms[index] = (c, s, EtaQuotient.parse(quotient))
-    sides[side] = tuple(terms)
-    bad = dataclasses.replace(ident, sides=lambda **_: tuple(sides))
-    monkeypatch.setitem(qf.IDENTITIES, tag, bad)
-    report = qf.verify_identity(tag, 50, **params)
+    # every eta-quotient row is (c, s, EtaQuotient, blocks) data: one
+    # wrong exponent must fail the check, not pass silently
+    def replace(term):
+        c, s, _, blocks = term
+        return c, s, EtaQuotient.parse(quotient), blocks
+
+    report = _verify_with_term(tag, params, side, index, replace, monkeypatch)
+    assert report.status == "fail" and report.counterexamples
+
+
+# one wrong block or coefficient in a theta row: (tag, params, side,
+# term, the term as the row states it, the corrupted term)
+THETA_CORRUPTIONS = [
+    ("psi-pdiss", {"p": 5}, 1, 0,      # a block exponent, b = 10 -> 11
+     (1, 0, "1", (15, 10, 1, 1)), (1, 0, "1", (15, 11, 1, 1))),
+    ("inv-phi-5diss", {}, 1, 6,        # a bracket coefficient, -12 -> -11
+     (-12, 5, "1", (1, 1, 1, 1), (25, 25, 1, 3), (35, 15, 1, 1), (45, 5, 1, 1)),
+     (-11, 5, "1", (1, 1, 1, 1), (25, 25, 1, 3), (35, 15, 1, 1), (45, 5, 1, 1))),
+    ("f1-pdiss", {"p": 7}, 1, 5,       # a block sign, -1 -> +1
+     (-1, 15, "1", (140, 7, -1, 1)), (-1, 15, "1", (140, 7, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("tag, params, side, index, stated, corrupt",
+                         THETA_CORRUPTIONS,
+                         ids=[row[0] for row in THETA_CORRUPTIONS])
+def test_theta_rows_catch_a_corrupt_block(tag, params, side, index, stated,
+                                          corrupt, monkeypatch):
+    (stated,), (corrupt,) = qf.eta_terms(stated), qf.eta_terms(corrupt)
+
+    def replace(term):
+        assert term == stated
+        return corrupt
+
+    report = _verify_with_term(tag, params, side, index, replace, monkeypatch)
     assert report.status == "fail" and report.counterexamples
 
 
@@ -337,6 +519,20 @@ def test_dissection_side_conditions_recorded():
         r = qf.verify_identity(tag, 80, p=p)
         assert r.passed
         assert r.detail["side_condition_ok"] is True
+
+
+def test_a_failed_side_condition_fails_the_row(monkeypatch):
+    # no default prime has a collision, so make one: an offset on the
+    # tail's residue mod p is recorded, and the row fails on equal sides
+    detail = qf._side_condition(5, {0: 0, 1: 8}, 3)
+    assert detail == {"side_condition_ok": False, "colliding_indices": [1]}
+    ident = qf.IDENTITIES["psi-pdiss"]
+    lhs, rhs, m, _ = ident.sides(5)
+    monkeypatch.setitem(qf.IDENTITIES, "psi-pdiss", dataclasses.replace(
+        ident, sides=lambda p: (lhs, rhs, m, detail)))
+    r = qf.verify_identity("psi-pdiss", 50, p=5)
+    assert r.status == "fail" and r.counterexamples == []
+    assert r.detail == detail
 
 
 def test_invalid_dissection_primes():
