@@ -312,30 +312,24 @@ def _base(claim: CongruenceClaim, terms: int
             modulus)
 
 
-def _values(claim: CongruenceClaim, terms: int) -> tuple[tuple, Series]:
-    """a(step n + offset) for n < terms (mod 2m for halved claims), and
-    the base series they were sliced from."""
-    base = expand_quotient(*_base(claim, terms))
-    prog = claim.progression
-    return base.coeffs[prog.offset::prog.step], base
+def _values(claim: CongruenceClaim, terms: int) -> tuple:
+    """a(step n + offset) for n < terms, mod 2m for halved claims."""
+    base, prog = expand_quotient(*_base(claim, terms)), claim.progression
+    return base.coeffs[prog.offset::prog.step]
 
 
 # -- right-hand sides ------------------------------------------------------------
-# A series right-hand side is a tuple of (c, s, EtaQuotient) terms,
-# expanded exactly and reduced at compare time.  The others are
-# functions returning (found, expected, compare modulus, detail) for
-# the first ``terms`` progression indices of a claim.
-
-
-def _self_rhs(claim, terms):
-    vals, base = _values(claim, terms)
-    return vals, base.coeffs[:terms], claim.modulus, {}
+# A right-hand side is term data, (c, s, EtaQuotient, blocks) terms as
+# `eta_terms` builds them, expanded exactly and reduced at compare time,
+# or a function that reads the counting oracles and returns (found,
+# expected, compare modulus, detail) for the first ``terms``
+# progression indices of a claim.
 
 
 def _p_convolution_rhs(claim, terms):
     # (1/2) a(step n + offset) == sum_{nu>=0} p(n - nu(nu+1)/2) mod m,
     # compared in doubled form mod 2m so odd values fail honestly
-    vals, _ = _values(claim, terms)
+    vals = _values(claim, terms)
     ptab = counting.count(counting.PLAIN_P, terms - 1)
     expected = []
     for n in range(terms):
@@ -351,7 +345,7 @@ def _p_convolution_rhs(claim, terms):
 
 def _overpartition_conv_rhs(claim, terms):
     # sum_{nu>=0} a(n - ell nu) p(nu) = pbar(n), exactly
-    a, _ = _values(claim, terms)
+    a = _values(claim, terms)
     ptab = counting.count(counting.PLAIN_P, (terms - 1) // claim.ell)
     pbar = counting.count(counting.OVERPARTITION, terms - 1)
     # a[n::-ell] is a(n), a(n - ell), ...; ptab[0] = p(0) = 1
@@ -366,7 +360,8 @@ def _d2_rhs(claim, terms):
     return lhs, rhs, None, {"sources": "oracle vs oracle"}
 
 
-# f1 psi(q^2) = f1 f4^2/f2, psi(q) = f2^2/f1, f1 psi(q) = f2^2
+# f1 psi(q^2) = f1 f4^2/f2, psi(q) = f2^2/f1, f1 psi(q) = f2^2; SELF
+# is the generating function f2 f6/f1^2 of the ell = 6 claims that use it
 _RHS = {
     "ZERO": (),
     "TWO_F1_PSI_Q2": eta_terms((2, 0, "1:1,4:2,2:-1")),
@@ -378,13 +373,11 @@ _RHS = {
     "TWO_F4_SQ": eta_terms((2, 0, "4:2")),
     "TWO_F1_SQ": eta_terms((2, 0, "1:2")),
     "R8_ODD_EXACT": eta_terms((2, 0, "2:2,8:2,1:-4")),
-    "SELF": _self_rhs,
+    "SELF": eta_terms((1, 0, "2:1,6:1,1:-2")),
     "P_CONVOLUTION": _p_convolution_rhs,
     "OVERPARTITION_CONV": _overpartition_conv_rhs,
     "D2": _d2_rhs,
 }
-# the right-hand sides that read the counting oracles to n = terms - 1
-_ORACLE_RHS = frozenset({"P_CONVOLUTION", "OVERPARTITION_CONV", "D2"})
 
 
 def _check_size(claim: CongruenceClaim, terms: int) -> None:
@@ -398,7 +391,7 @@ def _check_size(claim: CongruenceClaim, terms: int) -> None:
         raise OrderShortfallError(
             f"{claim.describe()}: needs base series order {need}, above the "
             f"max-order guard {DEFAULT_MAX_ORDER}; lower terms")
-    if claim.rhs in _ORACLE_RHS and terms - 1 > counting.COUNT_LIMIT:
+    if callable(_RHS.get(claim.rhs)) and terms - 1 > counting.COUNT_LIMIT:
         raise OrderShortfallError(
             f"{claim.describe()}: reads the counting oracles to n = "
             f"{terms - 1}, above the oracle size guard "
@@ -423,7 +416,7 @@ def verify(claim: CongruenceClaim,
     if callable(rhs):
         found, expected, cmp_mod, detail = rhs(claim, terms)
     else:
-        found, cmp_mod, detail = _values(claim, terms)[0], claim.modulus, {}
+        found, cmp_mod, detail = _values(claim, terms), claim.modulus, {}
         expected = expand_terms(rhs, terms).coeffs
     return check(claim.family, found, expected, terms, cmp_mod, detail,
                  started=t0, params=dict(claim.params), modulus=claim.modulus,

@@ -28,7 +28,7 @@ def euler_product(h: int, order: int) -> Series:
     over nu in Z of (-1)^nu q^{h nu(3nu+1)/2}.  The result is sparse:
     O(sqrt(order/h)) nonzero terms.
     """
-    return general_theta(1, 2, order, h, sign_x=-1, sign_y=-1)
+    return general_theta(h, 2 * h, order, -1)
 
 
 def eta_quotient(eq: EtaQuotient, order: int,
@@ -62,7 +62,7 @@ def eta_quotient(eq: EtaQuotient, order: int,
 
     def bases():
         for h, k in phis:
-            yield general_theta(1, 1, order, h, sign_x=-1, sign_y=-1), k
+            yield general_theta(h, h, order, -1), k
         for h, e in exps.items():
             if e:
                 yield euler_product(h, order), e
@@ -98,7 +98,7 @@ def expand_terms(terms, order: int, modulus: Optional[int] = None) -> Series:
     block power, and each distinct block power is expanded once."""
     @cache
     def power(a, b, sign, k):
-        base = general_theta(a, b, order, sign_x=sign, sign_y=sign)
+        base = general_theta(a, b, order, sign)
         return (base if modulus is None else base.reduce_mod(modulus)) ** k
 
     def factors(eq, blocks):    # lazily: no factor outlives the product
@@ -110,11 +110,12 @@ def expand_terms(terms, order: int, modulus: Optional[int] = None) -> Series:
                 for c, s, eq, blocks in terms), Series.zero(order, modulus))
 
 
-def general_theta(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
-                  sign_x: int = 1, sign_y: int = 1) -> Series:
-    """q^shift F(sign_x q^(scale a), sign_y q^(scale b)) truncated below
-    ``order``, where F(x, y) = sum over t in Z of x^{t(t+1)/2} y^{t(t-1)/2}
-    is the bilateral theta series.
+def general_theta(a: int, b: int, order: int, sign: int = 1,
+                  shift: int = 0) -> Series:
+    """q^shift F(sign q^a, sign q^b) truncated below ``order``, where
+    F(x, y) = sum over t in Z of x^{t(t+1)/2} y^{t(t-1)/2} is the
+    bilateral theta series; term t has sign ``sign`` when t is odd and
+    1 when even, as t(t+1)/2 + t(t-1)/2 = t^2.
 
     Needs a + b > 0 (exponents then grow like (a+b) t^2 / 2).  Either of
     a and b may be negative, as dissection summands need, but any term
@@ -122,29 +123,20 @@ def general_theta(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
     """
     if a + b <= 0:
         raise ValueError(f"divergent theta block: a + b = {a + b} <= 0")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if sign_x not in (1, -1) or sign_y not in (1, -1):
-        raise ValueError(f"signs must be +1 or -1, got ({sign_x}, {sign_y})")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     terms = []
 
     def visit(t: int) -> bool:
-        tp = t * (t + 1) // 2
-        tm = t * (t - 1) // 2
-        e = shift + scale * (a * tp + b * tm)
+        e = shift + a * (t * (t + 1) // 2) + b * (t * (t - 1) // 2)
         if e < 0:
             raise ValueError(
                 f"theta term q^{e} at t={t}: not a power series")
         if e >= order:
             return False
-        s = 1
-        if sign_x == -1 and tp % 2:
-            s = -s
-        if sign_y == -1 and tm % 2:
-            s = -s
-        terms.append((e, s))
+        terms.append((e, sign if t % 2 else 1))
         return True
 
     # exponent is a parabola in t with vertex at t = (b-a)/(2(a+b));
@@ -160,19 +152,19 @@ def general_theta(a: int, b: int, order: int, scale: int = 1, shift: int = 0,
 
 def phi(order: int, scale: int = 1) -> Series:
     """phi(q^scale) = F(q^scale, q^scale) = 1 + 2 sum_{nu>=1} q^{scale nu^2}."""
-    return general_theta(1, 1, order, scale)
+    return general_theta(scale, scale, order)
 
 
 def psi(order: int, scale: int = 1) -> Series:
     """psi(q^scale) = F(q^scale, q^(3 scale)) = sum_{nu>=0} q^{scale nu(nu+1)/2}."""
-    return general_theta(1, 3, order, scale)
+    return general_theta(scale, 3 * scale, order)
 
 
 def phi_neg(order: int, scale: int = 1) -> Series:
     """phi(-q^scale), computed two independent ways and cross-checked:
     the alternating square sum times f_{2s} against f_s^2, two sparse
     products in place of the exact quotient f_s^2 / f_{2s}."""
-    direct = general_theta(1, 1, order, scale, sign_x=-1, sign_y=-1)
+    direct = general_theta(scale, scale, order, -1)
     # eta_quotient would expand f_s^2 / f_{2s} from the same theta series
     f_s, f_2s = euler_product(scale, order), euler_product(2 * scale, order)
     if direct * f_2s != f_s ** 2:
@@ -184,13 +176,13 @@ def phi_neg(order: int, scale: int = 1) -> Series:
 def x_series(order: int, scale: int = 1) -> Series:
     """X(q^scale) = F(q^(7 scale), q^(3 scale)) = sum over r in Z of
     q^{scale (5r^2+2r)}."""
-    return general_theta(7, 3, order, scale)
+    return general_theta(7 * scale, 3 * scale, order)
 
 
 def y_series(order: int, scale: int = 1) -> Series:
     """Y(q^scale) = F(q^(9 scale), q^(scale)) = sum over r in Z of
     q^{scale (5r^2+4r)}."""
-    return general_theta(9, 1, order, scale)
+    return general_theta(9 * scale, scale, order)
 
 
 # -- identity catalog ------------------------------------------------------------
@@ -338,7 +330,7 @@ class Identity:
     judge: Optional[Callable] = None    # (lhs, rhs, order) -> (detail, ok)
 
 
-_CATALOG = (
+IDENTITIES = {ident.tag: ident for ident in (
     Identity("f1sq-2diss",
              "f1^2 = f2 f8^5 / (f4^2 f16^2) - 2q f2 f16^2 / f8", 1000,
              (eta_terms((1, 0, "1:2")),
@@ -395,9 +387,7 @@ _CATALOG = (
              param="p", defaults=(2, 3, 5, 7)),
     Identity("fp2-binom", "f_1^{p^2} == f_p^p (mod p^2)", 300, _fp2_binom,
              param="p", defaults=(2, 3, 5)),
-)
-
-IDENTITIES = {ident.tag: ident for ident in _CATALOG}
+)}
 
 # largest p or n the CLI accepts, and the largest p any identity takes:
 # the p- and n^2-dissections build one theta block per residue, so their
@@ -445,7 +435,7 @@ def run_catalog(order: Optional[int] = None) -> list[VerificationReport]:
     smoke runs; acceptance uses the defaults).
     """
     reports = []
-    for ident in _CATALOG:
+    for ident in IDENTITIES.values():
         if ident.param is None:
             reports.append(verify_identity(ident.tag, order))
         else:

@@ -130,8 +130,7 @@ def test_modular_bases_times_phi_are_f_ell(suite_run):
         ell = factors[-1][0]
         assert EtaQuotient(factors) == EtaQuotient.rstar(ell)
         built[ell, m] = base.order
-        phi = qfunctions.general_theta(1, 1, base.order, sign_x=-1,
-                                       sign_y=-1).reduce_mod(m)
+        phi = qfunctions.general_theta(1, 1, base.order, -1).reduce_mod(m)
         assert (base * phi
                 == qfunctions.euler_product(ell, base.order).reduce_mod(m))
     assert built == {(4, 4): 8004, (5, 2): 10002, (5, 4): 10004,

@@ -221,7 +221,9 @@ THETA_RHS = {
     "TWO_F1_SQ": lambda n: 2 * qf.euler_product(1, n) ** 2,
     # 2 f2^2 f8^2 / f1^4 = 2 f8^2 / phi(-q)^2
     "R8_ODD_EXACT": lambda n: 2 * (qf.euler_product(8, n) / qf.general_theta(
-        1, 1, n, sign_x=-1, sign_y=-1)) ** 2,
+        1, 1, n, -1)) ** 2,
+    # f2 f6 / f1^2 = f6 / phi(-q)
+    "SELF": lambda n: qf.euler_product(6, n) / qf.phi_neg(n),
 }
 
 
@@ -236,13 +238,29 @@ def test_series_rhs_terms_match_their_theta_construction(tag):
     assert qf.expand_terms(cg._RHS[tag], n) == THETA_RHS[tag](n)
 
 
-def test_corrupt_rhs_exponent_fails_its_claims(monkeypatch):
+@pytest.mark.parametrize("tag, family, params, corrupt", [
     # psi(q)^2 = f2^4/f1^2; f2^4/f1^3 must fail r6-all-mod3, not pass
-    (claim,) = cg.instantiate("r6-all-mod3")
+    ("PSI_SQ", "r6-all-mod3", {}, "2:4,1:-3"),
+    # SELF = f2 f6/f1^2; f2 f6/f1^3 must fail r6-iterated at alpha = 1
+    ("SELF", "r6-iterated", {"alpha": 1}, "2:1,6:1,1:-3"),
+], ids=["PSI_SQ", "SELF"])
+def test_corrupt_rhs_exponent_fails_its_claims(monkeypatch, tag, family,
+                                               params, corrupt):
+    (claim,) = cg.instantiate(family, **params)
     assert cg.verify(claim, 300).passed
-    monkeypatch.setitem(cg._RHS, "PSI_SQ", eta_terms((1, 0, "2:4,1:-3")))
+    monkeypatch.setitem(cg._RHS, tag, eta_terms((1, 0, corrupt)))
     report = cg.verify(claim, 300)
     assert report.status == "fail" and report.counterexamples
+
+
+def test_self_rhs_is_the_ell6_generating_function():
+    # SELF is f2 f6/f1^2, so only claims on ell = 6 may compare with it
+    ((_, _, eq, _),) = cg._RHS["SELF"]
+    assert eq == EtaQuotient.rstar(6)
+    rows = [row for row in cg._PROGRESSIONS.values() if row.rhs == "SELF"]
+    assert rows and all(row.ell == 6 for row in rows)
+    assert all(rhs != "SELF" for _, claims in cg._FIXED.values()
+               for *_, rhs in claims)
 
 
 def test_order_guard():

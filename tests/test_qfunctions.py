@@ -66,16 +66,15 @@ def test_quintic_theta_pieces():
 
 def test_general_theta_euler_specialization():
     # F(-q, -q^2) is the pentagonal-number series
-    assert (qf.general_theta(1, 2, 500, sign_x=-1, sign_y=-1)
-            == qf.euler_product(1, 500))
+    assert qf.general_theta(1, 2, 500, -1) == qf.euler_product(1, 500)
     for order in THETA_ORDERS:
         for scale in THETA_SCALES:
             want = _closed_form(
                 lambda nu: (nu * (3 * nu + 1) // 2, -1 if nu % 2 else 1),
                 order, scale)
             assert qf.euler_product(scale, order).coeffs == want
-            assert qf.general_theta(1, 2, order, scale, sign_x=-1,
-                                    sign_y=-1).coeffs == want
+            assert qf.general_theta(scale, 2 * scale, order,
+                                    -1).coeffs == want
 
 
 def test_theta_eta_dualities():
@@ -186,13 +185,13 @@ def test_phi_neg_cross_check_catches_a_corrupt_spec(monkeypatch):
     # itself: corrupt only the (1, 1) theta, so the Euler side stays right
     real = qf.general_theta
 
-    def corrupt(a, b, order, scale=1, shift=0, sign_x=1, sign_y=1):
+    def corrupt(a, b, order, sign=1, shift=0):
         if (a, b) == (1, 1):
-            sign_x = -sign_x
-        return real(a, b, order, scale, shift, sign_x, sign_y)
+            sign = -sign
+        return real(a, b, order, sign, shift)
 
     monkeypatch.setattr(qf, "general_theta", corrupt)
-    assert qf.euler_product(1, 50) == real(1, 2, 50, sign_x=-1, sign_y=-1)
+    assert qf.euler_product(1, 50) == real(1, 2, 50, -1)
     with pytest.raises(AssertionError, match="phi"):
         qf.phi_neg(50)
 
@@ -202,8 +201,8 @@ def test_theta_rejects_negative_exponents():
         qf.general_theta(0, 0, 10)
     with pytest.raises(ValueError, match="not a power series"):
         qf.general_theta(-1, 2, 10)
-    with pytest.raises(ValueError, match="signs"):
-        qf.general_theta(1, 1, 10, sign_x=2)
+    with pytest.raises(ValueError, match="sign"):
+        qf.general_theta(1, 1, 10, 2)
     with pytest.raises(ValueError, match="order"):
         qf.general_theta(1, 1, 0)
     with pytest.raises(ValueError):
@@ -245,7 +244,7 @@ def _old_inv_phineg_4diss(order):
 
 def _old_psi_3diss(order):
     lhs = qf.psi(order)
-    rhs = qf.general_theta(1, 2, order, scale=3) + qf.psi(order, 9).shift(1)
+    rhs = qf.general_theta(3, 6, order) + qf.psi(order, 9).shift(1)
     return lhs, rhs
 
 
@@ -318,7 +317,7 @@ def _old_f1_pdiss(order, p):
         a = (3 * p * p + (6 * k + 1) * p) // 2
         b = (3 * p * p - (6 * k + 1) * p) // 2
         off = (3 * k * k + k) // 2
-        blk = qf.general_theta(a, b, order, shift=off, sign_x=-1, sign_y=-1)
+        blk = qf.general_theta(a, b, order, -1, shift=off)
         rhs = rhs + (blk if k % 2 == 0 else -blk)
         if off % p == tail_residue:
             side_ok = False

@@ -354,7 +354,7 @@ def test_inverse_times_series_is_one_at_147456_mod_3():
 
 
 def phi_neg_mod(order, h, m):
-    return general_theta(1, 1, order, h, sign_x=-1, sign_y=-1).reduce_mod(m)
+    return general_theta(h, h, order, -1).reduce_mod(m)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
