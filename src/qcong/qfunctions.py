@@ -95,19 +95,39 @@ def expand_terms(terms, order: int, modulus: Optional[int] = None) -> Series:
     """The sum of (c, s, EtaQuotient, blocks) ``terms`` below ``order``,
     over Z/modulus Z when one is given; the empty sum is zero.  A term's
     quotient, skipped when empty if it has blocks, is multiplied by each
-    block power, and each distinct block power is expanded once."""
+    block power, and each distinct block power is expanded once.  A
+    block that every term of a longer sum has is multiplied once, into
+    the sum, at the smallest power any term has."""
     @cache
     def power(a, b, sign, k):
         base = general_theta(a, b, order, sign)
         return (base if modulus is None else base.reduce_mod(modulus)) ** k
 
-    def factors(eq, blocks):    # lazily: no factor outlives the product
-        if eq.factors or not blocks:
-            yield eta_quotient(eq, order, modulus)
-        yield from (power(*block) for block in blocks)
+    def powers(blocks):     # {(a, b, sign): k}, repeated blocks merged
+        ks = {}
+        for a, b, sign, k in blocks:
+            ks[a, b, sign] = ks.get((a, b, sign), 0) + k
+        return ks
 
-    return sum((c * reduce(Series.__mul__, factors(eq, blocks)).shift(s)
-                for c, s, eq, blocks in terms), Series.zero(order, modulus))
+    shared = {}
+    if len(terms) > 1:
+        shared = powers(terms[0][3])
+        for *_, blocks in terms[1:]:
+            ks = powers(blocks)
+            shared = {key: min(k, ks[key])
+                      for key, k in shared.items() if key in ks}
+
+    def factors(eq, blocks):    # lazily: no factor outlives the product
+        rest = [(*key, k - shared.get(key, 0))
+                for key, k in powers(blocks).items() if k > shared.get(key, 0)]
+        if eq.factors or not rest:
+            yield eta_quotient(eq, order, modulus)
+        yield from (power(*block) for block in rest)
+
+    total = sum((c * reduce(Series.__mul__, factors(eq, blocks)).shift(s)
+                 for c, s, eq, blocks in terms), Series.zero(order, modulus))
+    return reduce(Series.__mul__,
+                  (power(*key, k) for key, k in shared.items()), total)
 
 
 def general_theta(a: int, b: int, order: int, sign: int = 1,

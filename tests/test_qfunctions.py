@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qcong import qfunctions as qf
+from qcong import series
 from qcong.report import compare_coefficients
 from qcong.series import EtaQuotient, Series
 
@@ -402,6 +403,30 @@ def test_every_row_is_term_data():
                                                   tuple), (ident.tag, term)
                 for a, b, sign, k in term[3]:
                     assert sign in (1, -1) and k >= 1 and min(a, b) >= 0
+
+
+def test_blocks_every_term_shares_are_multiplied_once(monkeypatch):
+    # X = F(q, q) is in every term, at powers 1, 2 and 1 + 1 (repeated in
+    # the third term); Y = F(-q^2, -q^3) only in two: only X^1 is taken
+    # out of the sum, and the sum equals its terms expanded one by one
+    X, Y = (1, 1, 1), (2, 3, -1)
+    terms = qf.eta_terms((3, 0, "2:1", (*X, 1), (*Y, 2)), (-1, 2, "1", (*X, 2)),
+                         (5, 1, "1:-1", (*X, 1), (*X, 1), (*Y, 1)))
+    for order, m in ((1, None), (60, None), (60, 4)):
+        by_term = sum((qf.expand_terms((t,), order, m) for t in terms),
+                      Series.zero(order, m))
+        assert qf.expand_terms(terms, order, m) == by_term
+    calls = []
+    real = series._convolve
+
+    def spy(a, b, n, m):
+        calls.append(n)
+        return real(a, b, n, m)
+
+    monkeypatch.setattr(series, "_convolve", spy)
+    rhs = qf.IDENTITIES["inv-phi-5diss"].sides[1]
+    qf.expand_terms(rhs, 300)
+    assert len(calls) == 32     # 53 with phi(q) phi(q^25) in every term
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -312,6 +313,48 @@ def test_slots_past_a_lowered_str_digit_limit():
         assert product == naive_product(a, b, n, m)
         assert square == naive_product(a, a, n, m)
     assert list(power.coeffs) == naive_product(cases[0][0], cases[0][0], 3)
+
+
+def test_product_reads_back_across_block_seams():
+    # slots are read back _BLOCK at a time, whole blocks from the low
+    # slots up and then a front block of n % _BLOCK; n on either side of
+    # each seam.
+    # a is sparse, which keeps the naive product fast, and b dense, so
+    # every slot of the product is filled; a with itself is the square.
+    # Under a 640-digit limit the 10^330 operands' 662-digit slots are
+    # read through Decimal, the others by int()
+    B = series._BLOCK
+    rng = random.Random(1024)
+    cases = ((10**6, None), (10**330, None), (3, 3), (2**61 - 1, 2**61 - 1))
+    for n in (1, B - 1, B, B + 1, 2 * B, 2 * B + 1):
+        for bound, m in cases:
+            a = [0] * n
+            for i in {0, n - 1, *rng.sample(range(n), min(n, 10))}:
+                a[i] = rng.randint(-bound, bound)
+            b = [rng.randint(-bound, bound) for _ in range(n)]
+            if m is not None:
+                a, b = [c % m for c in a], [c % m for c in b]
+            with int_max_str_digits(640):
+                got = series._convolve(a, b, n, m), series._convolve(a, a, n, m)
+            assert got == (naive_product(a, b, n, m), naive_product(a, a, n, m))
+
+
+def test_dense_product_memory_stays_bounded():
+    # a dense mod-3 product at the order of R*_6 in criterion 6: read back
+    # one slot format of n fields and n bytes objects at once, it peaked
+    # at 12.7 MB; read a block at a time, 3.9 MB
+    n = 146469
+    rng = random.Random(n)
+    a = tuple(rng.randrange(3) for _ in range(n))
+    b = tuple(rng.randrange(3) for _ in range(n))
+    series._convolve(a[:8], b[:8], 8, 3)    # imports decimal untraced
+    tracemalloc.start()
+    try:
+        series._convolve(a, b, n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_decimal_context_is_exact_or_raises():
