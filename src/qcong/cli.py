@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import congruence, counting, qfunctions, suite
 from .series import EtaQuotient
@@ -38,7 +37,7 @@ EXPONENT_LIMIT = 1000
 MODULUS_LIMIT = 2 ** 64
 
 
-def bounded(flag: str, low: int, high: Optional[int] = None):
+def bounded(flag: str, low: int, high: int | None = None):
     """argparse type for an int option ``flag`` that is at least ``low``
     and, when ``high`` is given, at most that size guard."""
 
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, data, lines = args.func(args)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
-from typing import Optional
+from collections import namedtuple
 
 from . import counting
 from .qfunctions import _is_prime, eta_quotient, eta_terms, expand_terms
@@ -46,19 +45,18 @@ class OrderShortfallError(ClaimError):
     """The requested check needs a longer series than the guard allows."""
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(namedtuple("Progression", "step offset")):
     """Indices {step*n + offset : n >= 0}.  Offsets keep their natural
     theorem form and may exceed the step."""
 
-    step: int
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
+    def __new__(cls, step, offset):
+        if step < 1:
+            raise ValueError(f"step must be >= 1, got {step}")
+        if offset < 0:
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        return super().__new__(cls, step, offset)
 
     def index(self, n: int) -> int:
         return self.step * n + self.offset
@@ -67,14 +65,13 @@ class Progression:
         return f"{self.step}n+{self.offset}"
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
-    family: str
-    params: tuple[tuple[str, int], ...]
-    ell: int
-    progression: Progression
-    modulus: Optional[int]        # None: exact equality
-    rhs: str                      # name of a right-hand side in _RHS
+class CongruenceClaim(namedtuple(
+        "CongruenceClaim", "family params ell progression modulus rhs")):
+    """A claim on the coefficients of f2 f_ell / f1^2 along a
+    Progression: params are (name, value) pairs, modulus None means exact
+    equality, and rhs names a right-hand side in _RHS."""
+
+    __slots__ = ()
 
     @property
     def source_series(self) -> EtaQuotient:
@@ -98,7 +95,7 @@ _CACHE: dict[tuple, Series] = {}
 
 
 def expand_quotient(eq: EtaQuotient, order: int,
-                    modulus: Optional[int] = None) -> Series:
+                    modulus: int | None = None) -> Series:
     """The expansion of ``eq`` to exactly ``order`` terms.
 
     The cache keeps the longest series built so far per (quotient,
@@ -119,38 +116,26 @@ def clear_cache() -> None:
 # -- family catalog ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Progressions:
-    """Claims on a(b p^(2 alpha + d) n + b p^(2 alpha + 1) r
-    + (mult p^(2 alpha + d) - 1) / div) on ell, mod ``modulus``.
-
-    d = 0 (r = 0) is one claim against the ``rhs`` series; d = 2 is one
-    vanishing claim per r in ``rs``.  With ``p`` None the prime is a
-    parameter, eligible from ``min_p`` when (witness/p) = -1 (the
-    default witness 0 admits none), and r, a claim parameter, runs over
-    1..p-1 (``rs`` None); with a fixed ``p`` the claims take alpha alone.
-    """
-
-    ell: int
-    modulus: int
-    rhs: str
-    b: int
-    mult: int
-    div: int
-    d: int = 0
-    rs: Optional[tuple[int, ...]] = (0,)
-    p: Optional[int] = None
-    min_p: int = 0
-    witness: int = 0
+# Claims on a(b p^(2 alpha + d) n + b p^(2 alpha + 1) r
+# + (mult p^(2 alpha + d) - 1) / div) on ell, mod ``modulus``.
+#
+# d = 0 (r = 0) is one claim against the ``rhs`` series; d = 2 is one
+# vanishing claim per r in ``rs``.  With ``p`` None the prime is a
+# parameter, eligible from ``min_p`` when (witness/p) = -1 (the default
+# witness 0 admits none), and r, a claim parameter, runs over 1..p-1
+# (``rs`` None); with a fixed ``p`` the claims take alpha alone.
+_Progressions = namedtuple(
+    "_Progressions", "ell modulus rhs b mult div d rs p min_p witness",
+    defaults=(0, (0,), None, 0, 0))
 
 
 # the 9-adic ell = 6 families are the formula at p = 3
 _R6 = _Progressions(ell=6, modulus=3, rhs="SELF", b=1, mult=1, div=4, p=3)
 _PROGRESSIONS = {
     "r6-iterated": _R6,
-    "r6-iterated-alt": replace(_R6, div=2),   # kept to document its failure
-    "r6-vanish-a": replace(_R6, rhs="ZERO", d=2, rs=(1,)),
-    "r6-vanish-b": replace(_R6, rhs="ZERO", d=2, rs=(2,)),
+    "r6-iterated-alt": _R6._replace(div=2),   # kept to document its failure
+    "r6-vanish-a": _R6._replace(rhs="ZERO", d=2, rs=(1,)),
+    "r6-vanish-b": _R6._replace(rhs="ZERO", d=2, rs=(2,)),
 }
 # each prime family is a series row and its vanishing (d = 2) twin
 for _name, _row in (
@@ -161,7 +146,7 @@ for _name, _row in (
         ("r8-prime", _Progressions(ell=8, modulus=8, rhs="TWO_F1_PSI",
                                    b=8, mult=4, div=3, min_p=5, witness=-3))):
     _PROGRESSIONS[_name + "-series"] = _row
-    _PROGRESSIONS[_name + "-vanish"] = replace(_row, rhs="ZERO", d=2, rs=None)
+    _PROGRESSIONS[_name + "-vanish"] = _row._replace(rhs="ZERO", d=2, rs=None)
 
 # families without a progression parameter: family -> (its one
 # parameter or None, claims as (params, ell, step, offset, modulus (None
@@ -301,7 +286,7 @@ def instantiate(family: str, **params) -> list[CongruenceClaim]:
 
 
 def _base(claim: CongruenceClaim, terms: int
-          ) -> tuple[EtaQuotient, int, Optional[int]]:
+          ) -> tuple[EtaQuotient, int, int | None]:
     """The (quotient, order, modulus) whose expansion holds a claim's
     first ``terms`` progression values; halved claims, those against
     P_CONVOLUTION, read it mod 2m."""
@@ -447,17 +432,14 @@ def verify_rows(rows) -> list[VerificationReport]:
 # -- search --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(namedtuple(
+        "Candidate", "ell step offset modulus evidence rediscovers")):
     """A progression step*n + offset on which every checked coefficient
-    of f2 f_ell / f1^2 vanishes mod modulus (maximal such <= bound)."""
+    of f2 f_ell / f1^2 vanishes mod modulus (maximal such <= bound), on
+    ``evidence`` coefficients; ``rediscovers`` holds the labels of the
+    known claims it matches."""
 
-    ell: int
-    step: int
-    offset: int
-    modulus: int
-    evidence: int                  # number of supporting coefficients
-    rediscovers: tuple[str, ...]   # matching known-claim labels
+    __slots__ = ()
 
     def describe(self) -> str:
         tag = f"a({self.step}n+{self.offset}) == 0 mod {self.modulus}"

@@ -9,8 +9,7 @@ against, so any common code would defeat the cross-validation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 ENUMERATION_LIMIT = 12
 
@@ -20,26 +19,25 @@ ENUMERATION_LIMIT = 12
 COUNT_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class PartitionKind:
+class PartitionKind(namedtuple("PartitionKind", "family ell")):
     """A family of decorated partitions.
 
-    family selects the rule set; ell parametrizes the regularity
-    constraint where one applies.  Use the module-level constructors
-    rather than instantiating directly.
+    family selects the rule set; ell (default None) parametrizes the
+    regularity constraint where one applies.  Use the module-level
+    constructors rather than instantiating directly.
     """
 
-    family: str
-    ell: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in KINDS:
-            raise ValueError(f"unknown partition family {self.family!r}")
-        needs_ell = KINDS[self.family]
-        if needs_ell and (self.ell is None or self.ell < 1):
-            raise ValueError(f"{self.family} needs a positive ell, got {self.ell}")
-        if not needs_ell and self.ell is not None:
-            raise ValueError(f"{self.family} takes no ell parameter")
+    def __new__(cls, family, ell=None):
+        if family not in KINDS:
+            raise ValueError(f"unknown partition family {family!r}")
+        needs_ell = KINDS[family]
+        if needs_ell and (ell is None or ell < 1):
+            raise ValueError(f"{family} needs a positive ell, got {ell}")
+        if not needs_ell and ell is not None:
+            raise ValueError(f"{family} takes no ell parameter")
+        return super().__new__(cls, family, ell)
 
     # -- factor structure: which part sizes repeat freely, and which
     #    carry at-most-once decorated copies --------------------------------

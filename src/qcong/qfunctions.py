@@ -9,10 +9,9 @@ own, to any order, and reports counterexamples rather than asserting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 from math import isqrt
-from typing import Callable, Optional, Union
 
 from .report import VerificationReport, check, compare_coefficients
 from .series import EtaQuotient, Series
@@ -32,7 +31,7 @@ def euler_product(h: int, order: int) -> Series:
 
 
 def eta_quotient(eq: EtaQuotient, order: int,
-                 modulus: Optional[int] = None) -> Series:
+                 modulus: int | None = None) -> Series:
     """Expand a product of Euler factors prod_h f_h^{e_h}.
 
     Scales are taken in ascending order, and each f_{2h}/f_h^2 (or
@@ -91,7 +90,7 @@ def eta_terms(*terms) -> tuple:
                  for c, s, f, *blocks in terms)
 
 
-def expand_terms(terms, order: int, modulus: Optional[int] = None) -> Series:
+def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     """The sum of (c, s, EtaQuotient, blocks) ``terms`` below ``order``,
     over Z/modulus Z when one is given; the empty sum is zero.  A term's
     quotient, skipped when empty if it has blocks, is multiplied by each
@@ -337,17 +336,13 @@ def _judge_phi_sqdiss_n2(lhs, rhs, order):
     return detail, n1 != 0
 
 
-@dataclass(frozen=True)
-class Identity:
-    tag: str
-    summary: str
-    order: int
-    # (lhs terms, rhs terms, modulus[, detail]), or for a parametrized row
-    # a function of the parameter that validates it and returns them
-    sides: Union[tuple, Callable]
-    param: Optional[str] = None         # "p" (prime) or "n" (integer >= 2)
-    defaults: tuple = ()
-    judge: Optional[Callable] = None    # (lhs, rhs, order) -> (detail, ok)
+# sides: (lhs terms, rhs terms, modulus[, detail]), or for a parametrized
+# row a function of the parameter that validates it and returns them;
+# param: None, "p" (prime) or "n" (integer >= 2); judge: None or
+# (lhs, rhs, order) -> (detail, ok)
+Identity = namedtuple("Identity",
+                      "tag summary order sides param defaults judge",
+                      defaults=(None, (), None))
 
 
 IDENTITIES = {ident.tag: ident for ident in (
@@ -415,7 +410,7 @@ IDENTITIES = {ident.tag: ident for ident in (
 DISSECTION_LIMIT = 1000
 
 
-def verify_identity(tag: str, order: Optional[int] = None,
+def verify_identity(tag: str, order: int | None = None,
                     **params) -> VerificationReport:
     """Check one catalog identity to the given order (default per entry).
 
@@ -448,7 +443,7 @@ def verify_identity(tag: str, order: Optional[int] = None,
                  params=dict(params))
 
 
-def run_catalog(order: Optional[int] = None) -> list[VerificationReport]:
+def run_catalog(order: int | None = None) -> list[VerificationReport]:
     """Verify every catalog identity at its default parameters.
 
     ``order`` overrides each entry's default order (mostly for quick

@@ -4,26 +4,32 @@ and `check`, through which every coefficient comparison becomes one."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 MAX_RECORDED_COUNTEREXAMPLES = 5
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport", "name params status terms_checked "
+        "counterexamples progression modulus detail seconds")):
     """Outcome of one verification: an identity, a congruence claim, or
-    an adjudication between candidate statements."""
+    an adjudication between candidate statements.
 
-    name: str
-    params: dict = field(default_factory=dict)
-    status: str = "pass"          # "pass" | "fail"
-    terms_checked: int = 0
-    counterexamples: list = field(default_factory=list)  # (index, found, expected)
-    progression: Optional[tuple[int, int]] = None        # (step, offset)
-    modulus: Optional[int] = None                        # None = exact equality
-    detail: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    status is "pass" or "fail"; counterexamples are (index, found,
+    expected); progression is (step, offset) or None; modulus None means
+    exact equality.  params, counterexamples and detail default to a new
+    dict, list and dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, params=None, status="pass", terms_checked=0,
+                counterexamples=None, progression=None, modulus=None,
+                detail=None, seconds=0.0):
+        return super().__new__(
+            cls, name, {} if params is None else params, status,
+            terms_checked, [] if counterexamples is None else counterexamples,
+            progression, modulus, {} if detail is None else detail, seconds)
 
     @property
     def passed(self) -> bool:
@@ -56,7 +62,7 @@ class VerificationReport:
         return d
 
 
-def compare_coefficients(lhs, rhs, terms: int, modulus: Optional[int]):
+def compare_coefficients(lhs, rhs, terms: int, modulus: int | None):
     """Coefficientwise comparison of exponents 0..terms-1, exactly when
     modulus is None and mod modulus otherwise.
 
@@ -84,9 +90,9 @@ def compare_coefficients(lhs, rhs, terms: int, modulus: Optional[int]):
     return bad, total_bad
 
 
-def check(name: str, found, expected, terms: int, cmp_mod: Optional[int],
-          detail: Optional[dict] = None, ok: bool = True,
-          started: Optional[float] = None, **fields) -> VerificationReport:
+def check(name: str, found, expected, terms: int, cmp_mod: int | None,
+          detail: dict | None = None, ok: bool = True,
+          started: float | None = None, **fields) -> VerificationReport:
     """The report of comparing ``found`` with ``expected`` on exponents
     0..terms-1, exactly when cmp_mod is None and mod cmp_mod otherwise.
 

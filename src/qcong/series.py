@@ -31,8 +31,8 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .report import compare_coefficients
 
@@ -49,7 +49,7 @@ class NotInvertibleError(SeriesError):
     """Constant term is not a unit, so no power-series inverse exists."""
 
 
-def _check_modulus(m) -> Optional[int]:
+def _check_modulus(m) -> int | None:
     if m is None:
         return None
     m = int(m)
@@ -68,7 +68,7 @@ class Series:
 
     __slots__ = ("coeffs", "modulus")
 
-    def __init__(self, coeffs: Iterable[int], modulus: Optional[int] = None):
+    def __init__(self, coeffs: Iterable[int], modulus: int | None = None):
         m = _check_modulus(modulus)
         if m is not None:
             cs = tuple(int(c) % m for c in coeffs)
@@ -79,7 +79,7 @@ class Series:
 
     @classmethod
     def _canonical(cls, coeffs: Iterable[int],
-                   modulus: Optional[int]) -> "Series":
+                   modulus: int | None) -> "Series":
         """Wrap coefficients that are already canonical (ints, reduced to
         0..m-1 when a modulus is given, which is itself already checked),
         skipping the per-coefficient pass of __init__."""
@@ -89,7 +89,7 @@ class Series:
         return s
 
     @classmethod
-    def _reduced(cls, coeffs: Iterable[int], modulus: Optional[int]) -> "Series":
+    def _reduced(cls, coeffs: Iterable[int], modulus: int | None) -> "Series":
         """Wrap ints, reducing them when a (checked) modulus is given."""
         if modulus is not None:
             coeffs = [c % modulus for c in coeffs]
@@ -101,18 +101,18 @@ class Series:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, modulus: Optional[int] = None) -> "Series":
+    def zero(cls, order: int, modulus: int | None = None) -> "Series":
         return cls._canonical((0,) * order, _check_modulus(modulus))
 
     @classmethod
-    def one(cls, order: int, modulus: Optional[int] = None) -> "Series":
+    def one(cls, order: int, modulus: int | None = None) -> "Series":
         if order < 1:
             raise ValueError("order must be >= 1 for the unit series")
         return cls([1] + [0] * (order - 1), modulus)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]], order: int,
-                   modulus: Optional[int] = None) -> "Series":
+                   modulus: int | None = None) -> "Series":
         """Build from sparse (exponent, coefficient) pairs; exponents
         at or past ``order`` are dropped, duplicates accumulate."""
         cs = [0] * order
@@ -151,7 +151,7 @@ class Series:
 
     # -- ring operations ----------------------------------------------------
 
-    def _common(self, other: "Series") -> tuple[int, Optional[int]]:
+    def _common(self, other: "Series") -> tuple[int, int | None]:
         if self.modulus != other.modulus:
             raise ModulusMismatchError(
                 f"incompatible moduli: {self.modulus} vs {other.modulus}")
@@ -262,11 +262,9 @@ class Series:
         return Series._canonical(self.coeffs[:order], self.modulus)
 
 
-class CongruenceCheck(NamedTuple):
-    ok: bool
-    index: Optional[int]  # first disagreeing exponent, if any
-    left: Optional[int]   # its residue on the left
-    right: Optional[int]  # its residue on the right
+# ok, then the first disagreeing exponent and its residues on the left
+# and on the right (all three None when ok)
+CongruenceCheck = namedtuple("CongruenceCheck", "ok index left right")
 
 
 def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
@@ -404,16 +402,18 @@ def _product(a, b, n: int, bound: int, top: int, signed: bool):
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int,
-              modulus: Optional[int]) -> list[int]:
+              modulus: int | None) -> list[int]:
     """First n coefficients of the product of a and b.
 
     Operands may have any lengths; terms past n are ignored.  Over Z/mZ
     the operands must be canonical residues.
     """
-    # a square keeps one operand object, which _product squares
+    # a square keeps one operand object, which _product squares; only an
+    # operand longer than n is cut, since slicing a list copies it
     square = b is a
-    a = a[:n]
-    b = a if square else b[:n]
+    if len(a) > n:
+        a = a[:n]
+    b = a if square else (b[:n] if len(b) > n else b)
     if modulus is None:
         amax = max(map(abs, a), default=0)
         bmax = max(map(abs, b), default=0)
@@ -464,7 +464,7 @@ _NEWTON_MIN_TERMS = 50
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
-              m: Optional[int]) -> list[int]:
+              m: int | None) -> list[int]:
     """First len(den) coefficients of num/den.  A numerator of (1,) is
     an inverse, which the Hensel lift and Newton return without a
     further product; any other takes one product with that inverse."""
@@ -495,7 +495,7 @@ def _quotient(num: Sequence[int], den: Sequence[int],
 
 
 def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
-            m: Optional[int]) -> list[int]:
+            m: int | None) -> list[int]:
     """First len(den) coefficients of num/den by the constant-term
     recurrence F[n] = inv0 (num[n] - sum_k den[k] F[n-k]), over the
     nonzero den[k] with 1 <= k <= n; inv0 is the inverse of den[0]."""
@@ -555,7 +555,8 @@ def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
         n = (n + 1) // 2
     g, k = [inv0], 1
     for k2 in reversed(orders):
-        e = _convolve(coeffs, g, k2, m)[k:]
+        e = _convolve(coeffs, g, k2, m)
+        del e[:k]
         ge = _convolve(g, e, k2 - k, m)
         g += [(-c) % m for c in ge]
         k = k2
@@ -565,8 +566,7 @@ def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
 # -- eta quotients -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(namedtuple("EtaQuotient", "factors")):
     """A finite product of Euler factors: prod over (h, e) of f_h^e.
 
     Factors are normalized: scales ascending, duplicate scales merged,
@@ -574,17 +574,17 @@ class EtaQuotient:
     constant term 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[tuple[int, int]]):
+    def __new__(cls, factors: Iterable[tuple[int, int]]):
         merged: dict[int, int] = {}
         for h, e in factors:
             h, e = int(h), int(e)
             if h < 1:
                 raise ValueError(f"scale must be positive, got {h}")
             merged[h] = merged.get(h, 0) + e
-        norm = tuple(sorted((h, e) for h, e in merged.items() if e != 0))
-        object.__setattr__(self, "factors", norm)
+        return super().__new__(
+            cls, tuple(sorted((h, e) for h, e in merged.items() if e != 0)))
 
     @classmethod
     def rstar(cls, ell: int) -> "EtaQuotient":

@@ -9,21 +9,25 @@ zero counterexamples at the stated number of terms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import congruence, counting, qfunctions
 from .report import VerificationReport, check
 from .series import EtaQuotient
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    reports: list[VerificationReport] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+class CriterionResult(namedtuple(
+        "CriterionResult", "number title passed reports notes seconds")):
+    """One numbered criterion: its verdict, its reports and notes (a new
+    list each by default) and the seconds it took."""
+
+    __slots__ = ()
+
+    def __new__(cls, number, title, passed, reports=None, notes=None,
+                seconds=0.0):
+        return super().__new__(cls, number, title, passed,
+                               [] if reports is None else reports,
+                               [] if notes is None else notes, seconds)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -233,9 +237,7 @@ def run_criterion(number: int) -> CriterionResult:
         raise ValueError(f"criterion number must be 1..{len(_CRITERIA)}")
     fn = _CRITERIA[number - 1]
     t0 = time.perf_counter()
-    result = fn()
-    result.seconds = time.perf_counter() - t0
-    return result
+    return fn()._replace(seconds=time.perf_counter() - t0)
 
 
 def run_all() -> list[CriterionResult]:

@@ -1,6 +1,5 @@
 """Theta functions, eta quotients, and the identity catalog."""
 
-import dataclasses
 import math
 
 import pytest
@@ -394,7 +393,7 @@ def test_migrated_rows_keep_their_old_verdicts(tag):
 
 
 def test_every_row_is_term_data():
-    assert "build" not in {f.name for f in dataclasses.fields(qf.Identity)}
+    assert "build" not in qf.Identity._fields
     for ident in qf.IDENTITIES.values():
         for params in _default_params(ident):
             lhs, rhs, *_ = _sides(ident, params)
@@ -470,7 +469,7 @@ def _verify_with_term(tag, params, side, index, replace, monkeypatch):
     terms = list(sides[side])
     terms[index] = replace(terms[index])
     sides[side] = tuple(terms)
-    bad = dataclasses.replace(ident, sides=lambda **_: tuple(sides))
+    bad = ident._replace(sides=lambda **_: tuple(sides))
     monkeypatch.setitem(qf.IDENTITIES, tag, bad)
     return qf.verify_identity(tag, 50, **params)
 
@@ -552,8 +551,8 @@ def test_a_failed_side_condition_fails_the_row(monkeypatch):
     assert detail == {"side_condition_ok": False, "colliding_indices": [1]}
     ident = qf.IDENTITIES["psi-pdiss"]
     lhs, rhs, m, _ = ident.sides(5)
-    monkeypatch.setitem(qf.IDENTITIES, "psi-pdiss", dataclasses.replace(
-        ident, sides=lambda p: (lhs, rhs, m, detail)))
+    monkeypatch.setitem(qf.IDENTITIES, "psi-pdiss", ident._replace(
+        sides=lambda p: (lhs, rhs, m, detail)))
     r = qf.verify_identity("psi-pdiss", 50, p=5)
     assert r.status == "fail" and r.counterexamples == []
     assert r.detail == detail
