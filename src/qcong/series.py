@@ -9,7 +9,10 @@ Every product is one Kronecker substitution with one exact multiply in
 the standard library's `decimal` (libmpdec, whose multiply is a
 number-theoretic transform), at any slot width.  A slot is as wide as
 the nonzero terms of the sparser operand need, so sparse operands pack
-narrow.
+narrow.  Values that fit a byte are packed a digit column at a time,
+and a product over Z/mZ whose d-digit slots have d (m - 1) < 256 is read
+back the same way, by a few passes over bytes with no int() or % per
+slot; other products read their slots back a block at a time.
 Quotients and inverses (a quotient with numerator 1) use one
 constant-term recurrence over the nonzero terms of the divisor, over Z
 and for sparse modular divisors, and Newton iteration over the kernel
@@ -298,20 +301,42 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # transform) does the one multiply, not CPython ints (Karatsuba): the 171
 # products of `qcong verify-all`, replayed on each (best of 3, 2-vCPU
 # Xeon VM, CPython 3.11), take 0.64 s on decimal against 1.85 s on ints.
-# A slot is written by %d and read back by int(); past the interpreter's
-# limit on those digit strings (sys.get_int_max_str_digits, 4300 digits
-# by default) it is converted through Decimal instead.
+# Values of 256 and more are written by %d and read back by int(); past
+# the interpreter's limit on those digit strings
+# (sys.get_int_max_str_digits, 4300 digits by default) they are
+# converted through Decimal instead.
 #
-# The low n slots are read back a block of _BLOCK = 1024 at a time: one
-# struct format of 1024 fields per slot width, compiled once (32 KB),
-# reads whole blocks from the end of the digit string, where the low
-# slots are, each block reversed and parsed before the next is read; the
-# front n % 1024 slots take a format of their own, so a short product
-# reads only its slots.  One format of n fields (5.0 MB) and a tuple of
-# n bytes objects (6.9 MB), read at once, held 11.9 MB of a dense mod-3
-# product's 12.7 MB traced peak at the 146469 slots of R*_6 in criterion
-# 6, which set the suite's peak RSS; by blocks it peaks at 3.9 MB.  The
-# block size sets memory, not speed: reading 146469 six-digit slots took
+# Byte columns.  Values below 256 (every residue mod m <= 256, and the
+# pos and neg parts of exact theta and Euler series) are packed a digit
+# column at a time: the values as one bytes object, each column one
+# bytes.translate to ASCII digits, written into every d-th byte of the
+# digit string.  A product over Z/mZ whose slots of d digits have
+# d (m - 1) < 256, as for every modulus the suite and the benchmark take
+# (2, 3, 4 and 8; at most 12, mod 3 with 6-digit slots), is read back
+# the same way: column j of the low n slots is raw[j::d], their digits
+# at 10^(d-1-j); each column translated to digit * 10^(d-1-j) mod m is
+# one byte a slot, the d columns summed as integers by int.from_bytes
+# carry nothing from slot to slot, and one 256-entry table reduces each
+# byte mod m.  Neither int() nor % runs once a slot, and residues mod
+# m <= 256 are scanned for their largest value and their zeros as bytes
+# too.  The dense mod-3 product at the 146469 slots of R*_6 in criterion
+# 6 took 123-178 ms with the %d pack and int() read-back: operand scan
+# 9-11, pack 19-20, multiply 66-86, low-slot split and read-back 31-40.
+# By bytes it takes 86-111 ms: scan 4-5, pack 9-11, multiply 65-86,
+# split and read-back 7-8 (medians of 9, three runs each, 2-vCPU Xeon
+# VM, CPython 3.11.7).  Its traced peak went from 3.9 to 4.2 MB, the
+# operands' bytes held through the multiply, which sets it.
+#
+# Other products (exact ones and wide moduli) read the low n slots back
+# a block of _BLOCK = 1024 at a time: one struct format of 1024 fields
+# per slot width, compiled once (32 KB), reads whole blocks from the end
+# of the digit string, where the low slots are, each block reversed and
+# parsed before the next is read; the front n % 1024 slots take a format
+# of their own, so a short product reads only its slots.  One format of
+# n fields (5.0 MB) and a tuple of n bytes objects (6.9 MB), read at
+# once, held 11.9 MB of a dense mod-3 product's 12.7 MB traced peak at
+# 146469 slots; by blocks it peaked at 3.9 MB.  The block size sets
+# memory, not speed: reading 146469 six-digit slots took
 # 17-27 ms for blocks of 128 to 8192 slots against 21-28 ms for one
 # format, and 40 slots about 0.01 ms either way (2-vCPU Xeon VM, CPython
 # 3.11.7); 1024 keeps a block's bytes objects near 40 KB.
@@ -344,42 +369,74 @@ def _block_reader(d: int):
     return struct.Struct(f"{d}s" * _BLOCK).unpack_from
 
 
-def _product(a, b, n: int, bound: int, top: int, signed: bool):
+@functools.cache
+def _digit_column(p: int) -> bytes:
+    """translate table from a byte v to the ASCII digit of v at 10**p."""
+    return bytes(48 + v // 10 ** p % 10 for v in range(256))
+
+
+@functools.cache
+def _column_residues(p: int, m: int) -> bytes:
+    """translate table from an ASCII digit k at 10**p to k 10**p mod m."""
+    return bytes(48) + bytes(k * 10 ** p % m for k in range(10)) + bytes(198)
+
+
+@functools.cache
+def _lane_residues(m: int) -> bytes:
+    """translate table from a byte v to v mod m."""
+    return bytes(v % m for v in range(256))
+
+
+def _byte_digits(cs, d: int, top: int) -> str:
+    """Slots of d digits holding cs, each 0 <= c <= top < 256, the last
+    first: each digit column that top reaches is one translate of the
+    values, written into every d-th byte."""
+    values = bytes(cs)[::-1]
+    digits = bytearray(b"0") * (d * len(values))
+    for p in range(len(str(top))):
+        digits[d - 1 - p::d] = values.translate(_digit_column(p))
+    return digits.decode("ascii")
+
+
+def _product(a, b, n: int, bound: int, top: int, m: int | None):
     """Low n slots of the product of a and b, through one exact libmpdec
     multiply: slots of d digits, 10**d > bound, hold coefficients of
-    magnitude at most top, negative ones too when ``signed``."""
+    magnitude at most top.  Over Z (m None) they may be negative; over
+    Z/mZ they are canonical and the slots come back reduced mod m."""
     decimal, ctx = _decimal()
     d = ctx.create_decimal(bound).adjusted() + 1
     # 0, or no such function before CPython 3.11, is no limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or d
-    if d <= limit:
-        encode, parse = f"%0{d}d".__mod__, int
-        if top < n:   # a table of every slot costs less than one operand
-            encode = [encode(v) for v in range(top + 1)].__getitem__
-    else:   # int() and %d refuse slots this wide; Decimal converts them
-        spec = f"0{d}"
+    if top < 256:
+        def digits(cs):
+            return _byte_digits(cs, d, top)
+    else:
+        if d <= limit:
+            encode = f"%0{d}d".__mod__
+            if top < n:   # a table of every slot costs less than one operand
+                encode = [encode(v) for v in range(top + 1)].__getitem__
+        else:   # %d refuses slots this wide; Decimal converts them
+            spec = f"0{d}"
 
-        def encode(v):
-            return format(ctx.create_decimal(v), spec)
+            def encode(v):
+                return format(ctx.create_decimal(v), spec)
 
-        def parse(field):
-            return int(ctx.create_decimal(field.decode()))
-
-    def number(cs):
-        return ctx.create_decimal("".join(map(encode, reversed(cs))))
+        def digits(cs):
+            return "".join(map(encode, reversed(cs)))
 
     def pack(cs):   # signed coefficients as pos - neg
-        if not signed:
-            return number(cs)
-        return ctx.subtract(number([c if c > 0 else 0 for c in cs]),
-                            number([-c if c < 0 else 0 for c in cs]))
+        if m is not None:
+            return ctx.create_decimal(digits(cs))
+        return ctx.subtract(
+            ctx.create_decimal(digits([c if c > 0 else 0 for c in cs])),
+            ctx.create_decimal(digits([-c if c < 0 else 0 for c in cs])))
 
     # the same operand object twice lets libmpdec square, with fewer
     # transforms and less memory
     x = pack(a)
     prod = ctx.multiply(x, x if b is a else pack(b))
     del x
-    half = 5 * 10 ** (d - 1) if signed else 0
+    half = 5 * 10 ** (d - 1) if m is None else 0
     if half:
         prod = ctx.add(prod, ctx.create_decimal(("5" + "0" * (d - 1)) * n))
     # only the low n slots are formatted: prod - floor(prod / X^n) X^n
@@ -389,6 +446,21 @@ def _product(a, b, n: int, bound: int, top: int, signed: bool):
     del prod, high
     raw = str(low).encode("ascii").rjust(d * n, b"0")
     del low
+    if m is not None and d * (m - 1) < 256:
+        # column j of every slot is its digit at 10**(d-1-j); the residues
+        # of the d columns sum to at most d (m - 1) < 256 a slot, so as
+        # integers of one byte a slot they add without a carry.  Slot i is
+        # byte n-1-i of the big-endian sum: little-endian bytes put slot 0
+        # first
+        lanes = sum(int.from_bytes(
+            raw[j::d].translate(_column_residues(d - 1 - j, m)), "big")
+            for j in range(d))
+        return lanes.to_bytes(n, "little").translate(_lane_residues(m))
+    if d <= limit:
+        parse = int
+    else:   # int() refuses slots this wide; Decimal converts them
+        def parse(field):
+            return int(ctx.create_decimal(field.decode()))
     # slot i is field n-1-i: whole blocks from the end, each reversed,
     # then the front n % _BLOCK fields with a format of their own
     front, size = n % _BLOCK * d, _BLOCK * d
@@ -398,7 +470,16 @@ def _product(a, b, n: int, bound: int, top: int, signed: bool):
         itertools.chain.from_iterable(map(reversed, blocks)),
         reversed(struct.unpack_from(f"{d}s" * (n % _BLOCK), raw)))
     values = map(parse, fields)
-    return map((-half).__add__, values) if half else values
+    if m is None:
+        return map((-half).__add__, values)
+    return map(m.__rmod__, values)
+
+
+def _top_residue(values: bytes, m: int) -> int:
+    """Largest residue mod m in values, by C-level membership tests from
+    m - 1 down: for dense residues one test, where max() compares every
+    byte."""
+    return next((v for v in range(m - 1, 0, -1) if v in values), 0)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int,
@@ -417,6 +498,11 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
     if modulus is None:
         amax = max(map(abs, a), default=0)
         bmax = max(map(abs, b), default=0)
+    elif modulus <= 256:
+        # residues that fit a byte are scanned and packed as bytes
+        a = bytes(a)
+        b = a if square else bytes(b)
+        amax, bmax = _top_residue(a, modulus), _top_residue(b, modulus)
     else:
         amax = max(a, default=0)
         bmax = max(b, default=0)
@@ -428,10 +514,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
              * amax * bmax)
     if modulus is None:
         bound *= 2
-    values = _product(a, b, n, bound, max(amax, bmax), modulus is None)
-    if modulus is not None:
-        values = map(modulus.__rmod__, values)
-    return list(values)
+    return list(_product(a, b, n, bound, max(amax, bmax), modulus))
 
 
 # -- division -------------------------------------------------------------------

@@ -24,9 +24,13 @@ def kernel_inputs(draw):
     10^20 or 10^330), sometimes all zero, sometimes sparse with every
     nonzero term at the extreme magnitude (+-bound, or m - 1), where
     slots sized by the nonzero count fill.  Two 10^330 operands make
-    slots past 640 digits."""
+    slots past 640 digits.  The small moduli straddle the byte lanes'
+    d (m - 1) < 256: 16 to 37 fit them at 4 and 5 digits, 64 only at 4,
+    256 never, and 257 has residues past one byte."""
     n = draw(st.integers(1, 40))
-    m = draw(st.one_of(st.none(), st.sampled_from([1, 2, 3, 4, 8, 24, 97]),
+    m = draw(st.one_of(st.none(),
+                       st.sampled_from([1, 2, 3, 4, 8, 16, 24, 29, 32, 37, 64,
+                                        97, 256, 257]),
                        st.integers(1, 10**20), st.integers(1, 10**330)))
 
     def operand():

@@ -322,7 +322,9 @@ def test_product_reads_back_across_block_seams():
     # a is sparse, which keeps the naive product fast, and b dense, so
     # every slot of the product is filled; a with itself is the square.
     # Under a 640-digit limit the 10^330 operands' 662-digit slots are
-    # read through Decimal, the others by int()
+    # read through Decimal, the others by int().  The mod-3 case fits
+    # byte lanes and takes no block; the exact and 2^61 - 1 cases cover
+    # the seams
     B = series._BLOCK
     rng = random.Random(1024)
     cases = ((10**6, None), (10**330, None), (3, 3), (2**61 - 1, 2**61 - 1))
@@ -342,9 +344,11 @@ def test_product_reads_back_across_block_seams():
 def test_dense_product_memory_stays_bounded():
     # a dense mod-3 product at the order of R*_6 in criterion 6: read back
     # one slot format of n fields and n bytes objects at once, it peaked
-    # at 12.7 MB; read a block at a time, 3.9 MB.  List operands (Newton's
-    # g and e) peaked at 6.2 MB while each was copied to its first n
-    # terms; uncopied they peak as tuples do
+    # at 12.7 MB; read a block at a time, 3.9 MB.  It now takes the byte
+    # path, and peaks at 4.2 MB in the multiply, with the operands' bytes
+    # held through it.  List operands (Newton's g and e) peaked at 6.2 MB
+    # while each was copied to its first n terms; uncopied they peak as
+    # tuples do
     n = 146469
     rng = random.Random(n)
     a = tuple(rng.randrange(3) for _ in range(n))
@@ -361,6 +365,62 @@ def test_dense_product_memory_stays_bounded():
 
     assert peak(a, b) < 8 * 10**6
     assert peak(list(a), list(b)) < 5 * 10**6
+
+
+@pytest.mark.parametrize("shape", ["dense", "sparse", "square", "short"])
+def test_residue_products_match_the_exact_product_at_suite_order(shape):
+    # the residue products of the suite's moduli at the order of R*_6 in
+    # criterion 6, against the exact signed product reduced mod m.
+    # Operands in 0..47 reduce to canonical residues mod each m, which
+    # divides 48, so one exact product serves every modulus.  A tuple
+    # times a list, the sparse signed phi(-q) times a dense list, a
+    # tuple squared, and a list squared to n - 1000 of its n + 5 terms
+    n = 146469
+    rng = random.Random(n + 1)
+    a = tuple(rng.randrange(48) for _ in range(n + 5))
+    b = [rng.randrange(48) for _ in range(n + 5)]
+    x, y, k = {"dense": (a, b, n),
+               "sparse": (general_theta(1, 1, n, -1).coeffs, b, n),
+               "square": (a, a, n),
+               "short": (b, b, n - 1000)}[shape]
+    exact = series._convolve(x, y, k, None)
+    for m in (2, 3, 4, 8, 16):
+        rx = type(x)(c % m for c in x)
+        ry = rx if y is x else type(y)(c % m for c in y)
+        assert series._convolve(rx, ry, k, m) == [c % m for c in exact]
+
+
+def test_byte_lanes_at_their_boundary(monkeypatch):
+    # 30 dense terms of m - 1 make slots of 5 digits at m = 52 and 53:
+    # d (m - 1) is 255 at 52, which byte lanes hold, and 260 at 53, which
+    # is read back in blocks
+    blocks = []
+    real = series._block_reader
+    monkeypatch.setattr(series, "_block_reader",
+                        lambda d: blocks.append(d) or real(d))
+    for m, lanes in ((52, True), (53, False)):
+        a = [m - 1] * 30
+        assert 10**4 <= 30 * (m - 1) ** 2 < 10**5
+        blocks.clear()
+        assert series._convolve(a, a, 30, m) == naive_product(a, a, 30, m)
+        assert series._convolve(a, list(a), 30, m) == naive_product(a, a, 30, m)
+        assert (not blocks) == lanes
+
+
+def test_suite_moduli_take_byte_lanes(monkeypatch):
+    # a mod-3 product at 146469, as criterion 6 takes, never falls back
+    # to the block read-back
+    n = 146469
+    rng = random.Random(n + 2)
+    a = [rng.randrange(3) for _ in range(n)]
+    b = [rng.randrange(3) for _ in range(n)]
+    exact = series._convolve(a, b, n, None)
+
+    def refuse(d):
+        raise AssertionError(f"block read-back of {d}-digit slots")
+
+    monkeypatch.setattr(series, "_block_reader", refuse)
+    assert series._convolve(a, b, n, 3) == [c % 3 for c in exact]
 
 
 def test_decimal_context_is_exact_or_raises():
