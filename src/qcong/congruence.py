@@ -346,13 +346,16 @@ def _d2_rhs(claim, terms):
 
 
 # f1 psi(q^2) = f1 f4^2/f2, psi(q) = f2^2/f1, f1 psi(q) = f2^2; SELF
-# is the generating function f2 f6/f1^2 of the ell = 6 claims that use it
+# is the generating function f2 f6/f1^2 of the ell = 6 claims that use it.
+# psi(q)^2 is spelled phi(q) psi(q^2): r6-all-mod3's left side, f2 f6/f1^2
+# mod 3, is expanded as psi(q)^2 itself, and a right side built the same
+# way would only check the fold f6 = f2^3
 _RHS = {
     "ZERO": (),
     "TWO_F1_PSI_Q2": eta_terms((2, 0, "1:1,4:2,2:-1")),
     "TWO_PSI_PSI4": eta_terms((2, 0, "2:2,8:2,1:-1,4:-1")),
     "TWO_F1_PSI": eta_terms((2, 0, "2:2")),
-    "PSI_SQ": eta_terms((1, 0, "2:4,1:-2")),
+    "PSI_SQ": eta_terms((1, 0, "1", (1, 1, 1, 1), (2, 6, 1, 1))),
     "PSI_SQ_Q3": eta_terms((1, 0, "6:4,3:-2")),
     "TWO_F8_SQ": eta_terms((2, 0, "8:2")),
     "TWO_F4_SQ": eta_terms((2, 0, "4:2")),

@@ -30,41 +30,111 @@ def euler_product(h: int, order: int) -> Series:
     return general_theta(h, 2 * h, order, -1)
 
 
+# theta pairs eta_quotient takes out, each (a, b, sign, u, v): the block
+# F(sign q^{a h}, sign q^{b h}) is f_h^u f_{2h}^v, a theta series with
+# O(sqrt(order)) terms
+_PHI = (1, 1, -1, 2, -1)    # phi(-q^h) = f_h^2 / f_{2h}
+_PSI = (1, 3, 1, -1, 2)     # psi(q^h) = f_{2h}^2 / f_h
+
+
+def _pairs_out(exps: dict, pairs) -> tuple[list, dict]:
+    """The quotient {h: e} as theta blocks [((a, b, sign), k)] and the
+    Euler factors {h: e} left: for each kind of pair in turn, scales
+    ascending, the largest power f_h^{uk} f_{2h}^{vk} the exponents hold
+    becomes the block to the k."""
+    exps = dict(sorted(exps.items()))
+    blocks = []
+    for a, b, sign, u, v in pairs:
+        for h in exps:
+            e, e2 = exps[h], exps.get(2 * h, 0)
+            k = min(abs(e) // abs(u), abs(e2) // abs(v))
+            if e * u < 0:
+                k = -k
+            if k * e2 * v <= 0:     # none, or e2 of the other sign
+                continue
+            blocks.append(((a * h, b * h, sign), k))
+            exps[h], exps[2 * h] = e - u * k, e2 - v * k
+    return blocks, {h: e for h, e in exps.items() if e}
+
+
+def _folded(exps: dict, p: int, order: int) -> dict:
+    """{h: e} with each f_{p^v h}^e below ``order`` as f_h^{e p^v}, its
+    residue mod the prime p (f_{ph} = f_h^p mod p)."""
+    out = {}
+    for h, e in exps.items():
+        while h < order and h % p == 0:
+            h, e = h // p, e * p
+        out[h] = out.get(h, 0) + e
+    return out
+
+
+# an inverse over Z/mZ, or one sparse division over Z, in products
+_DIVISION = 2
+
+
+def _cost(blocks: list, rest: dict, modulus: int | None) -> int:
+    """Products eta_quotient spends on a plan: square-and-multiply for
+    each power and one product to join each further base, with
+    _DIVISION for each inverse over Z/mZ and for each unit of negative
+    exponent over Z.  Modulo 2 and 4 the inverse of phi(-q^h) is
+    2 - phi(-q^h), a lift with no product."""
+    bases = [(a == b, k) for (a, b, _), k in blocks] + [
+        (False, e) for e in rest.values()]
+    if modulus is None:     # divisors divide the numerator, unit by unit
+        powers = [e for _, e in bases if e > 0]
+        divisions = sum(-e for _, e in bases if e < 0)
+    else:
+        powers = [abs(e) for _, e in bases]
+        divisions = sum(e < 0 and not (phi and 4 % modulus == 0)
+                        for phi, e in bases)
+    return (max(len(powers) - 1, 0) + _DIVISION * divisions
+            + sum(e.bit_length() + e.bit_count() - 2 for e in powers))
+
+
 def eta_quotient(eq: EtaQuotient, order: int,
                  modulus: int | None = None) -> Series:
     """Expand a product of Euler factors prod_h f_h^{e_h}.
 
-    Scales are taken in ascending order, and each f_{2h}/f_h^2 (or
-    f_h^2/f_{2h}) the exponents hold is taken out as phi(-q^h)^-1 (or
-    phi(-q^h)), since f_h^2/f_{2h} = phi(-q^h) is a theta series with
-    O(sqrt(order)) terms.  The ring decides the rest.  Over Z the
-    positive powers are multiplied into a numerator, which is then
-    divided by each sparse base with a negative exponent, once per unit
-    of the exponent, so exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one
-    sparse division and no product.  Over Z/mZ every base is inverted and raised to its
+    Pairs of Euler factors become theta series with O(sqrt(order))
+    terms: phi(-q^h) = f_h^2/f_{2h} and psi(q^h) = f_{2h}^2/f_h.  Up to
+    four plans are weighed.  The quotient is taken as given and, when
+    the modulus is a prime p dividing a scale below the order, also
+    folded, each f_{p^v h}^e as f_h^{e p^v} (congruent mod p).  From
+    each form either phi pairs alone are taken out, scales ascending, or
+    psi pairs first and then phi pairs.  The plan with the fewest
+    predicted products is expanded (``_cost``): a fold that turns one
+    inverse into a high power of a dense series is not taken.  A tie
+    keeps the given form and phi pairs alone.  So R*_6 = f2 f6/f1^2 is
+    psi(q)^2 mod 3 and R*_5 is f5 mod 2, with no inverse, while R*_4
+    mod 2 keeps f4 times 2 - phi(-q) and f_p mod p stays an Euler
+    product.
+
+    The ring decides the rest.  Over Z the positive powers are
+    multiplied into a numerator, which is then divided by each sparse
+    base with a negative exponent, once per unit of the exponent, so
+    exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one sparse division and
+    no product.  Over Z/mZ every base is inverted and raised to its
     power: the slots stay narrow, and no numerator built first is kept
     alive through a long Newton inverse.
     """
-    exps = dict(eq.factors)   # scales ascending, as normalized
-    phis = []
-    for h in exps:
-        e, e2 = exps[h], exps.get(2 * h, 0)
-        if e <= -2 and e2 >= 1:
-            k = -min(-e // 2, e2)
-        elif e >= 2 and e2 <= -1:
-            k = min(e // 2, -e2)
-        else:
-            continue
-        phis.append((h, k))        # phi(-q^h)^k = f_h^{2k} f_{2h}^{-k}
-        exps[h] = e - 2 * k
-        exps[2 * h] = e2 + k
+    exps = dict(eq.factors)
+    forms = [exps]
+    # the scale test first: trial division runs only on a modulus that
+    # divides a scale below the order, never on a wide one such as 2^64
+    if (modulus is not None and any(h < order and h % modulus == 0
+                                    for h in exps) and _is_prime(modulus)):
+        forms.append(_folded(exps, modulus, order))
+
+    # min keeps the first of equals: the given form with phi pairs alone
+    blocks, rest = min((_pairs_out(form, pairs) for form in forms
+                        for pairs in ((_PHI,), (_PSI, _PHI))),
+                       key=lambda plan: _cost(*plan, modulus))
 
     def bases():
-        for h, k in phis:
-            yield general_theta(h, h, order, -1), k
-        for h, e in exps.items():
-            if e:
-                yield euler_product(h, order), e
+        for (a, b, sign), k in blocks:
+            yield general_theta(a, b, order, sign), k
+        for h, e in rest.items():
+            yield euler_product(h, order), e
 
     out = None
     divisors = []

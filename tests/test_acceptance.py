@@ -122,7 +122,10 @@ def test_criterion_12_search_rediscovery(results):
 def test_modular_bases_times_phi_are_f_ell(suite_run):
     # rstar(ell) phi(-q) = f_ell: each modular base the suite built, at
     # its full built order, checked by a product, a path that did not
-    # build it (the mod-2^k bases are Hensel lifts, r6 mod 3 Newton)
+    # build it (the mod-4 and mod-8 bases and r10 mod 2 are Hensel
+    # lifts, r5 and r15 mod 2 are f5 and f15 by folding f2 into f1^2,
+    # and r6 mod 3 is psi(q)^2, whose product with phi(-q) is f6 only
+    # mod 3)
     built = {}
     for (factors, m), base in suite_run[1].items():
         if m is None:

@@ -253,6 +253,22 @@ def test_corrupt_rhs_exponent_fails_its_claims(monkeypatch, tag, family,
     assert report.status == "fail" and report.counterexamples
 
 
+def test_r6_all_mod3_sides_share_no_construction(monkeypatch):
+    # the left side, f2 f6/f1^2 mod 3, folds to psi(q)^2; the right side
+    # must reach psi(q)^2 through theta blocks the left side does not use
+    blocks = []
+    real = qf.general_theta
+    monkeypatch.setattr(qf, "general_theta",
+                        lambda a, b, order, sign=1, shift=0:
+                        blocks.append((a, b, sign))
+                        or real(a, b, order, sign, shift))
+    qf.eta_quotient(EtaQuotient.rstar(6), 300, 3)
+    lhs = set(blocks)
+    blocks.clear()
+    qf.expand_terms(cg._RHS["PSI_SQ"], 300)
+    assert lhs == {(1, 3, 1)} and not lhs & set(blocks)
+
+
 def test_self_rhs_is_the_ell6_generating_function():
     # SELF is f2 f6/f1^2, so only claims on ell = 6 may compare with it
     ((_, _, eq, _),) = cg._RHS["SELF"]

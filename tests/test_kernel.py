@@ -161,15 +161,22 @@ def test_division_matches_product_with_inverse(case):
 def eta_inputs(draw):
     """(factors, order, modulus): scales 1..8, exponents -4..4 or -25,
     which over Z is 25 sparse divisions, sometimes with an
-    f_h^{-2k} f_{2h}^k (or its inverse) pair put in, at orders up to past
-    the Newton crossover."""
+    f_h^{-2k} f_{2h}^k (or its inverse) pair put in, sometimes a psi
+    pair f_h^{-k} f_{2h}^{2k}, and sometimes a factor whose scale is a
+    multiple of the modulus, which a prime modulus folds, at orders up to
+    past the Newton crossover."""
     exponent = st.one_of(st.integers(-4, 4), st.just(-25))
     factors = draw(st.lists(st.tuples(st.integers(1, 8), exponent),
                             max_size=4))
     if draw(st.booleans()):
         h, k = draw(st.integers(1, 4)), draw(st.sampled_from([-2, -1, 1, 2]))
         factors += [(h, -2 * k), (2 * h, k)]
-    m = draw(st.sampled_from([None, 2, 3, 4, 8, 9, 10**9 + 7]))
+    if draw(st.booleans()):
+        h, k = draw(st.integers(1, 4)), draw(st.sampled_from([-2, -1, 1, 2]))
+        factors += [(h, -k), (2 * h, 2 * k)]
+    m = draw(st.sampled_from([None, 2, 3, 4, 5, 7, 8, 9, 10**9 + 7]))
+    if m is not None and draw(st.booleans()):
+        factors.append((m * draw(st.integers(1, 4)), draw(exponent)))
     order = draw(st.one_of(st.integers(1, 200),
                            st.integers(700, 1500 if m is None else 3000)))
     return factors, order, m

@@ -128,8 +128,9 @@ def test_eta_quotient_takes_out_phi_pairs():
                     == plain_eta_quotient(factors, 300, m)), (factors, m)
 
 
-# (ell, order, modulus) of the rstar(ell) bases criteria 6 and 8 build
-SUITE_BASES = ((6, 146469, 3), (8, 32014, 4), (8, 16008, 8))
+# (ell, order, modulus) of the rstar(ell) bases criteria 6 and 8 build,
+# and rstar(3) mod 3, which folds to f1 f2
+SUITE_BASES = ((6, 146469, 3), (8, 32014, 4), (8, 16008, 8), (3, 146469, 3))
 
 
 @pytest.mark.parametrize("ell, order, m", SUITE_BASES)
@@ -172,6 +173,22 @@ def test_modular_bases_are_inverted_then_raised(monkeypatch):
         assert (qf.eta_quotient(EtaQuotient(factors), 400, 4)
                 == plain_eta_quotient(factors, 400, 4))
     assert divided == []
+
+
+def test_primality_is_tested_only_for_a_modulus_dividing_a_scale(
+        monkeypatch):
+    # a modulus is tried as a prime only when it divides a scale below
+    # the order, so a wide modulus never runs trial division
+    tested = []
+    real = qf._is_prime
+    monkeypatch.setattr(qf, "_is_prime",
+                        lambda n: tested.append(n) or real(n))
+    for factors, m in (([(1, -1)], 2**64), ([(1, -2), (2, 1), (6, 1)], 4),
+                       ([(2**61 - 1, 1), (1, -1)], 2**61 - 1)):
+        qf.eta_quotient(EtaQuotient(factors), 100, m)
+    assert tested == []
+    qf.eta_quotient(EtaQuotient.rstar(6), 100, 3)
+    assert tested == [3]
 
 
 def test_rstar6_times_f1_squared_at_criterion_6_order():
@@ -495,6 +512,25 @@ def test_eta_sum_rows_catch_a_corrupt_exponent(tag, params, side, index,
         return c, s, EtaQuotient.parse(quotient), blocks
 
     report = _verify_with_term(tag, params, side, index, replace, monkeypatch)
+    assert report.status == "fail" and report.counterexamples
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fp_binom_is_not_checked_against_itself(p, monkeypatch):
+    # folding would make f_p and f_1^p one series: the left side stays an
+    # Euler product at scale p, and a wrong power of f_1 still fails
+    scales = []
+    real = qf.euler_product
+    monkeypatch.setattr(qf, "euler_product",
+                        lambda h, order: scales.append(h) or real(h, order))
+    assert qf.verify_identity("fp-binom", p=p).passed
+    assert scales == [p, 1]
+
+    def replace(term):
+        return 1, 0, EtaQuotient.parse(f"1:{p + 1}"), ()
+
+    report = _verify_with_term("fp-binom", {"p": p}, 1, 0, replace,
+                               monkeypatch)
     assert report.status == "fail" and report.counterexamples
 
 

@@ -502,27 +502,51 @@ def test_phi_times_lifted_inverse_is_one_at_146469_mod_8():
     assert f * f.invert() == Series.one(146469, 8)
 
 
-def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
-        monkeypatch):
-    # rstar(ell) = f_ell / phi(-q): mod 2, 4 and 8 the inverse of phi(-q)
-    # is lifted, with no Newton iteration; mod 3 (d = 1), mod 32 and
-    # mod 2^64 (d = 2), and f1 mod 4 (d = 1) keep Newton
+def spy_inverses(monkeypatch):
     calls = []
     for name in ("_newton_inverse", "_hensel_inverse"):
         real = getattr(series, name)
         monkeypatch.setattr(series, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
-    for ell in (4, 5, 8, 10, 15):
-        for m in (2, 4, 8):
-            calls.clear()
-            eta_quotient(EtaQuotient.rstar(ell), 8004, m)
-            assert calls == ["_hensel_inverse"]
-    for factors, m in ((EtaQuotient.rstar(6), 3), (EtaQuotient.rstar(4), 32),
-                       (EtaQuotient.rstar(4), 2**64),
-                       (EtaQuotient([(1, -1)]), 4)):
+    return calls
+
+
+def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
+        monkeypatch):
+    # 1/phi(-q): mod 2, 4 and 8 it is lifted, with no Newton iteration;
+    # mod 3 (d = 1), mod 32 and mod 2^64 (d = 2), and 1/f1 mod 4 (d = 1)
+    # take Newton
+    calls = spy_inverses(monkeypatch)
+    phi, f1 = general_theta(1, 1, 8004, -1), euler_product(1, 8004)
+    for base, m, path in ((phi, 2, "_hensel_inverse"),
+                          (phi, 4, "_hensel_inverse"),
+                          (phi, 8, "_hensel_inverse"),
+                          (phi, 3, "_newton_inverse"),
+                          (phi, 32, "_newton_inverse"),
+                          (phi, 2**64, "_newton_inverse"),
+                          (f1, 4, "_newton_inverse")):
         calls.clear()
-        eta_quotient(factors, 8004, m)
-        assert calls == ["_newton_inverse"]
+        base.reduce_mod(m).invert()
+        assert calls == [path], (m, path)
+
+
+def test_a_prime_modulus_folds_only_where_products_are_saved(monkeypatch):
+    # mod 3, rstar(6) = f2 f6/f1^2 = f2^4/f1^2 = psi(q)^2, and mod 2,
+    # rstar(5) = f5 and rstar(15) = f15: no inverse.  Mod 2, rstar(4),
+    # rstar(8) and rstar(20) would fold to f1^4, f1^8 and f5^4, more
+    # products than f_ell times 2 - phi(-q), the lift they keep, as does
+    # rstar(10) = f5^2 on a tie.  f729/f1 mod 3 keeps its Newton inverse
+    # over f1^728; mod 4 and 8, which are not prime, nothing folds
+    calls = spy_inverses(monkeypatch)
+    for eq, m, path in [(EtaQuotient.rstar(ell), m, []) for ell, m in
+                        ((6, 3), (5, 2), (15, 2))] + [
+            (EtaQuotient.rstar(ell), m, ["_hensel_inverse"])
+            for ell in (4, 5, 8, 10, 15, 20) for m in (2, 4, 8)
+            if (ell, m) not in ((5, 2), (15, 2))] + [
+            (EtaQuotient([(1, -1), (729, 1)]), 3, ["_newton_inverse"])]:
+        calls.clear()
+        eta_quotient(eq, 8004, m)
+        assert calls == path, (eq, m)
 
 
 def test_exact_square_at_8000_terms_matches_division():
