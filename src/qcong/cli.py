@@ -24,6 +24,9 @@ USAGE_EXIT = 2
 
 _KIND_ALIASES = {"rstar": "nonoverlined-l-regular"}
 
+# verify-theorem's integer parameters, each an option --name
+_THEOREM_PARAMS = ("p", "alpha", "k", "ell")
+
 # largest |exponent| expand accepts.  An exact expansion is bounded by
 # the order * sum|e| guard of _cmd_expand; this cap bounds the modular
 # one, where f^e takes about 2 log2|e| products at full order: mod 2^64
@@ -130,9 +133,8 @@ def _cmd_verify_lemma(args):
 
 
 def _cmd_verify_theorem(args):
-    params = {k: v for k, v in
-              (("p", args.p), ("alpha", args.alpha), ("k", args.k),
-               ("ell", args.ell)) if v is not None}
+    params = {k: getattr(args, k) for k in _THEOREM_PARAMS
+              if getattr(args, k) is not None}
     reports = congruence.verify_rows([(args.family, params, args.terms)])
     return _verdict(reports, _report_lines(reports))
 
@@ -201,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instantiate and verify one congruence family")
     p.add_argument("--family", required=True,
                    choices=list(congruence.FAMILIES))
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
+    for name in _THEOREM_PARAMS:
+        p.add_argument(f"--{name}", type=int, default=None)
     p.add_argument("--terms", type=bounded("--terms", 1, guard), default=500,
                    help=f"progression indices (default 500, at most {guard})")
     p.set_defaults(func=_cmd_verify_theorem)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache
 from math import isqrt
 
 from .report import VerificationReport, check, compare_coefficients
@@ -30,20 +30,20 @@ def euler_product(h: int, order: int) -> Series:
     return general_theta(h, 2 * h, order, -1)
 
 
-# theta pairs eta_quotient takes out, each (a, b, sign, u, v): the block
+# theta pairs a plan takes out, each (a, b, sign, u, v): the block
 # F(sign q^{a h}, sign q^{b h}) is f_h^u f_{2h}^v, a theta series with
 # O(sqrt(order)) terms
 _PHI = (1, 1, -1, 2, -1)    # phi(-q^h) = f_h^2 / f_{2h}
 _PSI = (1, 3, 1, -1, 2)     # psi(q^h) = f_{2h}^2 / f_h
 
 
-def _pairs_out(exps: dict, pairs) -> tuple[list, dict]:
-    """The quotient {h: e} as theta blocks [((a, b, sign), k)] and the
-    Euler factors {h: e} left: for each kind of pair in turn, scales
-    ascending, the largest power f_h^{uk} f_{2h}^{vk} the exponents hold
-    becomes the block to the k."""
+def _pairs_out(exps: dict, pairs) -> dict:
+    """The quotient {h: e} as a plan {base: k}: for each kind of pair in
+    turn, scales ascending, the largest power f_h^{uk} f_{2h}^{vk} the
+    exponents hold becomes the theta block (a, b, sign) to the k; the
+    Euler factors left are the bases h."""
     exps = dict(sorted(exps.items()))
-    blocks = []
+    plan = {}
     for a, b, sign, u, v in pairs:
         for h in exps:
             e, e2 = exps[h], exps.get(2 * h, 0)
@@ -52,9 +52,10 @@ def _pairs_out(exps: dict, pairs) -> tuple[list, dict]:
                 k = -k
             if k * e2 * v <= 0:     # none, or e2 of the other sign
                 continue
-            blocks.append(((a * h, b * h, sign), k))
+            plan[a * h, b * h, sign] = k
             exps[h], exps[2 * h] = e - u * k, e2 - v * k
-    return blocks, {h: e for h, e in exps.items() if e}
+    plan.update((h, e) for h, e in exps.items() if e)
+    return plan
 
 
 def _folded(exps: dict, p: int, order: int) -> dict:
@@ -72,51 +73,36 @@ def _folded(exps: dict, p: int, order: int) -> dict:
 _DIVISION = 2
 
 
-def _cost(blocks: list, rest: dict, modulus: int | None) -> int:
-    """Products eta_quotient spends on a plan: square-and-multiply for
+def _cost(plan: dict, modulus: int | None) -> int:
+    """Products expand_terms spends on a plan: square-and-multiply for
     each power and one product to join each further base, with
     _DIVISION for each inverse over Z/mZ and for each unit of negative
     exponent over Z.  Modulo 2 and 4 the inverse of phi(-q^h) is
     2 - phi(-q^h), a lift with no product."""
-    bases = [(a == b, k) for (a, b, _), k in blocks] + [
-        (False, e) for e in rest.values()]
     if modulus is None:     # divisors divide the numerator, unit by unit
-        powers = [e for _, e in bases if e > 0]
-        divisions = sum(-e for _, e in bases if e < 0)
+        powers = [k for k in plan.values() if k > 0]
+        divisions = sum(-k for k in plan.values() if k < 0)
     else:
-        powers = [abs(e) for _, e in bases]
-        divisions = sum(e < 0 and not (phi and 4 % modulus == 0)
-                        for phi, e in bases)
+        powers = [abs(k) for k in plan.values()]
+        divisions = sum(k < 0 and not (4 % modulus == 0 and type(base) is tuple
+                                       and base[0] == base[1])
+                        for base, k in plan.items())
     return (max(len(powers) - 1, 0) + _DIVISION * divisions
-            + sum(e.bit_length() + e.bit_count() - 2 for e in powers))
+            + sum(k.bit_length() + k.bit_count() - 2 for k in powers))
 
 
-def eta_quotient(eq: EtaQuotient, order: int,
-                 modulus: int | None = None) -> Series:
-    """Expand a product of Euler factors prod_h f_h^{e_h}.
-
-    Pairs of Euler factors become theta series with O(sqrt(order))
-    terms: phi(-q^h) = f_h^2/f_{2h} and psi(q^h) = f_{2h}^2/f_h.  Up to
-    four plans are weighed.  The quotient is taken as given and, when
-    the modulus is a prime p dividing a scale below the order, also
+def _plan(eq: EtaQuotient, order: int, modulus: int | None) -> dict:
+    """The plan {base: k} for ``eq`` with the fewest predicted products
+    (``_cost``), of up to four.  The quotient is taken as given and,
+    when the modulus is a prime p dividing a scale below the order, also
     folded, each f_{p^v h}^e as f_h^{e p^v} (congruent mod p).  From
     each form either phi pairs alone are taken out, scales ascending, or
-    psi pairs first and then phi pairs.  The plan with the fewest
-    predicted products is expanded (``_cost``): a fold that turns one
-    inverse into a high power of a dense series is not taken.  A tie
-    keeps the given form and phi pairs alone.  So R*_6 = f2 f6/f1^2 is
+    psi pairs first and then phi pairs.  A fold that turns one inverse
+    into a high power of a dense series is not taken, and a tie keeps
+    the given form and phi pairs alone.  So R*_6 = f2 f6/f1^2 is
     psi(q)^2 mod 3 and R*_5 is f5 mod 2, with no inverse, while R*_4
     mod 2 keeps f4 times 2 - phi(-q) and f_p mod p stays an Euler
-    product.
-
-    The ring decides the rest.  Over Z the positive powers are
-    multiplied into a numerator, which is then divided by each sparse
-    base with a negative exponent, once per unit of the exponent, so
-    exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one sparse division and
-    no product.  Over Z/mZ every base is inverted and raised to its
-    power: the slots stay narrow, and no numerator built first is kept
-    alive through a long Newton inverse.
-    """
+    product."""
     exps = dict(eq.factors)
     forms = [exps]
     # the scale test first: trial division runs only on a modulus that
@@ -124,31 +110,17 @@ def eta_quotient(eq: EtaQuotient, order: int,
     if (modulus is not None and any(h < order and h % modulus == 0
                                     for h in exps) and _is_prime(modulus)):
         forms.append(_folded(exps, modulus, order))
-
     # min keeps the first of equals: the given form with phi pairs alone
-    blocks, rest = min((_pairs_out(form, pairs) for form in forms
-                        for pairs in ((_PHI,), (_PSI, _PHI))),
-                       key=lambda plan: _cost(*plan, modulus))
+    return min((_pairs_out(form, pairs) for form in forms
+                for pairs in ((_PHI,), (_PSI, _PHI))),
+               key=lambda plan: _cost(plan, modulus))
 
-    def bases():
-        for (a, b, sign), k in blocks:
-            yield general_theta(a, b, order, sign), k
-        for h, e in rest.items():
-            yield euler_product(h, order), e
 
-    out = None
-    divisors = []
-    for base, e in bases():
-        if modulus is not None:
-            base = base.reduce_mod(modulus)
-        elif e < 0:
-            divisors += [base] * -e
-            continue
-        term = base ** e
-        out = term if out is None else out * term
-    for base in divisors:
-        out = base.invert() if out is None else out / base
-    return Series.one(order, modulus) if out is None else out
+def eta_quotient(eq: EtaQuotient, order: int,
+                 modulus: int | None = None) -> Series:
+    """Expand a product of Euler factors prod_h f_h^{e_h}: the sum of
+    the one term (1, 0, eq, ())."""
+    return expand_terms(((1, 0, eq, ()),), order, modulus)
 
 
 def eta_terms(*terms) -> tuple:
@@ -162,41 +134,63 @@ def eta_terms(*terms) -> tuple:
 
 def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     """The sum of (c, s, EtaQuotient, blocks) ``terms`` below ``order``,
-    over Z/modulus Z when one is given; the empty sum is zero.  A term's
-    quotient, skipped when empty if it has blocks, is multiplied by each
-    block power, and each distinct block power is expanded once.  A
-    block that every term of a longer sum has is multiplied once, into
-    the sum, at the smallest power any term has."""
-    @cache
-    def power(a, b, sign, k):
-        base = general_theta(a, b, order, sign)
-        return (base if modulus is None else base.reduce_mod(modulus)) ** k
+    over Z/modulus Z when one is given; the empty sum is zero.
 
-    def powers(blocks):     # {(a, b, sign): k}, repeated blocks merged
-        ks = {}
+    Each term is one plan {base: k}, its quotient's ``_plan`` with its
+    blocks merged in: pairs of Euler factors become theta series with
+    O(sqrt(order)) terms, phi(-q^h) = f_h^2/f_{2h} and psi(q^h) =
+    f_{2h}^2/f_h.  A base every term of a longer sum has, with exponents
+    of one sign, is multiplied once, into the sum, at the exponent
+    nearest zero; such a sum expands each distinct power once.
+
+    The ring decides the rest.  Over Z the positive powers are
+    multiplied into a numerator, which is then divided by each sparse
+    base with a negative exponent, once per unit of the exponent, so
+    exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one sparse division and
+    no product.  Over Z/mZ every base is inverted and raised to its
+    power: the slots stay narrow, and no numerator built first is kept
+    alive through a long Newton inverse.
+    """
+    def power(key, k=1):    # key: a theta block (a, b, sign) or a scale h
+        base = (euler_product(key, order) if type(key) is int
+                else general_theta(key[0], key[1], order, key[2]))
+        if modulus is not None:     # the exact base goes before the power
+            base = base.reduce_mod(modulus)
+        return base ** k
+
+    def product(plan, out=None):
+        divisors = []
+        for key, k in plan.items():
+            if modulus is None and k < 0:
+                divisors += [power(key)] * -k
+            elif k:
+                term = power(key, k)
+                out = term if out is None else out * term
+        for divisor in divisors:
+            out = divisor.invert() if out is None else out / divisor
+        return Series.one(order, modulus) if out is None else out
+
+    plans = []
+    for _, _, eq, blocks in terms:
+        plan = _plan(eq, order, modulus)
         for a, b, sign, k in blocks:
-            ks[a, b, sign] = ks.get((a, b, sign), 0) + k
-        return ks
+            plan[a, b, sign] = plan.get((a, b, sign), 0) + k
+        plans.append(plan)
+    if len(terms) == 1 and terms[0][:2] == (1, 0):
+        return product(plans[0])
 
     shared = {}
-    if len(terms) > 1:
-        shared = powers(terms[0][3])
-        for *_, blocks in terms[1:]:
-            ks = powers(blocks)
-            shared = {key: min(k, ks[key])
-                      for key, k in shared.items() if key in ks}
-
-    def factors(eq, blocks):    # lazily: no factor outlives the product
-        rest = [(*key, k - shared.get(key, 0))
-                for key, k in powers(blocks).items() if k > shared.get(key, 0)]
-        if eq.factors or not rest:
-            yield eta_quotient(eq, order, modulus)
-        yield from (power(*block) for block in rest)
-
-    total = sum((c * reduce(Series.__mul__, factors(eq, blocks)).shift(s)
-                 for c, s, eq, blocks in terms), Series.zero(order, modulus))
-    return reduce(Series.__mul__,
-                  (power(*key, k) for key, k in shared.items()), total)
+    if len(terms) > 1:      # only then can a base repeat, so only then cache
+        power = cache(power)
+        shared = plans[0]
+        for plan in plans[1:]:
+            shared = {key: min(k, plan[key], key=abs)
+                      for key, k in shared.items() if k * plan.get(key, 0) > 0}
+    total = sum((c * product({key: k - shared.get(key, 0)
+                              for key, k in plan.items()}).shift(s)
+                 for (c, s, _, _), plan in zip(terms, plans)),
+                Series.zero(order, modulus))
+    return product(shared, total)
 
 
 def general_theta(a: int, b: int, order: int, sign: int = 1,
@@ -298,15 +292,13 @@ def _require_guarded(name, value):
                          f"guard {DISSECTION_LIMIT}")
 
 
-def _require_prime(p, minimum=2, odd=False):
+def _require_prime(p, minimum=2):
     # the bound comes first: trial division is only run on small p
     _require_guarded("p", p)
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"parameter p must be prime, got {p!r}")
     if p < minimum:
         raise ValueError(f"parameter p must be >= {minimum}, got {p}")
-    if odd and p == 2:
-        raise ValueError("parameter p must be an odd prime")
 
 
 def _fp_binom(p):
@@ -332,7 +324,7 @@ def _side_condition(p, offsets, tail, **detail):
 def _psi_pdiss(p):
     # psi(q) = sum_{j=0}^{(p-3)/2} q^{(j^2+j)/2} F(q^{(p^2+(2j+1)p)/2},
     #          q^{(p^2-(2j+1)p)/2}) + q^{(p^2-1)/8} psi(q^{p^2})
-    _require_prime(p, minimum=3, odd=True)
+    _require_prime(p, minimum=3)
     offsets = {j: (j * j + j) // 2 for j in range((p - 1) // 2)}
     tail = (p * p - 1) // 8
     rhs = eta_terms(*((1, s, "1", ((p * p + (2 * j + 1) * p) // 2,

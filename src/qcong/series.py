@@ -114,9 +114,9 @@ class Series:
         return cls([1] + [0] * (order - 1), modulus)
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int]], order: int,
-                   modulus: int | None = None) -> "Series":
-        """Build from sparse (exponent, coefficient) pairs; exponents
+    def from_terms(cls, terms: Iterable[tuple[int, int]],
+                   order: int) -> "Series":
+        """Build over Z from sparse (exponent, coefficient) pairs; exponents
         at or past ``order`` are dropped, duplicates accumulate."""
         cs = [0] * order
         for e, c in terms:
@@ -124,7 +124,7 @@ class Series:
                 raise ValueError(f"negative exponent {e} (no Laurent series)")
             if e < order:
                 cs[e] += int(c)
-        return cls._reduced(cs, _check_modulus(modulus))
+        return cls._canonical(cs, None)
 
     # -- basics ------------------------------------------------------------
 
@@ -241,8 +241,6 @@ class Series:
     # -- structural operations ----------------------------------------------
 
     def reduce_mod(self, m: int) -> "Series":
-        if m == 0:
-            raise ValueError("modulus 0 is not allowed")
         m = _check_modulus(m)
         if self.modulus is not None and self.modulus % m != 0:
             raise ModulusMismatchError(
@@ -413,8 +411,6 @@ def _product(a, b, n: int, bound: int, top: int, m: int | None):
     else:
         if d <= limit:
             encode = f"%0{d}d".__mod__
-            if top < n:   # a table of every slot costs less than one operand
-                encode = [encode(v) for v in range(top + 1)].__getitem__
         else:   # %d refuses slots this wide; Decimal converts them
             spec = f"0{d}"
 
@@ -495,17 +491,14 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
     if len(a) > n:
         a = a[:n]
     b = a if square else (b[:n] if len(b) > n else b)
-    if modulus is None:
-        amax = max(map(abs, a), default=0)
-        bmax = max(map(abs, b), default=0)
-    elif modulus <= 256:
+    if modulus is not None and modulus <= 256:
         # residues that fit a byte are scanned and packed as bytes
         a = bytes(a)
         b = a if square else bytes(b)
         amax, bmax = _top_residue(a, modulus), _top_residue(b, modulus)
-    else:
-        amax = max(a, default=0)
-        bmax = max(b, default=0)
+    else:   # canonical residues are >= 0, so |c| bounds them as well
+        amax = max(map(abs, a), default=0)
+        bmax = max(map(abs, b), default=0)
     if amax == 0 or bmax == 0:
         return [0] * n
     # largest slot magnitude, doubled when the slot is biased by X/2: a
@@ -553,19 +546,17 @@ def _quotient(num: Sequence[int], den: Sequence[int],
     further product; any other takes one product with that inverse."""
     if not den:
         raise NotInvertibleError("cannot invert an order-0 series")
-    inv0 = a0 = den[0]
+    a0 = den[0]
     if m is None:
         if a0 not in (1, -1):
             raise NotInvertibleError(
                 f"constant term {a0} is not a unit over Z")
-    else:
-        try:
-            inv0 = pow(a0, -1, m)
-        except ValueError:
-            raise NotInvertibleError(
-                f"constant term {a0} is not a unit mod {m}") from None
-    if m is None:
-        return _divide(num, den, inv0, m)
+        return _divide(num, den, a0, m)
+    try:
+        inv0 = pow(a0, -1, m)
+    except ValueError:
+        raise NotInvertibleError(
+            f"constant term {a0} is not a unit mod {m}") from None
     # m | d^4 also puts every prime of m in d
     d = math.gcd(m, *set(den[1:]))
     if d ** 4 % m == 0:

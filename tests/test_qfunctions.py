@@ -1,6 +1,7 @@
 """Theta functions, eta quotients, and the identity catalog."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,24 @@ def test_primality_is_tested_only_for_a_modulus_dividing_a_scale(
     assert tested == []
     qf.eta_quotient(EtaQuotient.rstar(6), 100, 3)
     assert tested == [3]
+
+
+def test_one_term_builds_hold_no_more_than_their_product():
+    # eta_quotient is a one-term sum: it returns its product as built,
+    # with no scalar multiple, shift or sum, and caches no base.  The
+    # traced peaks of R*_6 mod 3 and R*_8 mod 4 at criterion 6's order
+    # are 3.5 and 5.0 MiB; sent through the sum they were 4.6 and 6.1
+    # MiB, and with every base cached as well 5.7 and 6.8 MiB
+    n = 146469
+    qf.eta_quotient(EtaQuotient.rstar(6), 50, 3)    # imports decimal untraced
+    for ell, m, bound in ((6, 3, 4.5), (8, 4, 6)):
+        tracemalloc.start()
+        try:
+            qf.eta_quotient(EtaQuotient.rstar(ell), n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (ell, m, peak)
 
 
 def test_rstar6_times_f1_squared_at_criterion_6_order():
@@ -428,10 +447,16 @@ def test_blocks_every_term_shares_are_multiplied_once(monkeypatch):
     X, Y = (1, 1, 1), (2, 3, -1)
     terms = qf.eta_terms((3, 0, "2:1", (*X, 1), (*Y, 2)), (-1, 2, "1", (*X, 2)),
                          (5, 1, "1:-1", (*X, 1), (*X, 1), (*Y, 1)))
-    for order, m in ((1, None), (60, None), (60, 4)):
-        by_term = sum((qf.expand_terms((t,), order, m) for t in terms),
-                      Series.zero(order, m))
-        assert qf.expand_terms(terms, order, m) == by_term
+    # Euler bases count too, where every term has them with exponents of
+    # one sign: f1^-1 and f5^-1 are taken out of the sum below, f3 of
+    # mixed signs is not; mod 3, f3 folds to f1^3 and only f5^-1 is
+    eulers = qf.eta_terms((1, 0, "1:-2,3:2,5:-1"), (-2, 1, "1:-3,3:1,5:-1"),
+                          (4, 3, "1:-1,3:-1,5:-2", (*X, 1)))
+    for order, m in ((1, None), (60, None), (60, 3), (60, 4)):
+        for sum_terms in (terms, eulers):
+            by_term = sum((qf.expand_terms((t,), order, m)
+                           for t in sum_terms), Series.zero(order, m))
+            assert qf.expand_terms(sum_terms, order, m) == by_term
     calls = []
     real = series._convolve
 
@@ -440,9 +465,15 @@ def test_blocks_every_term_shares_are_multiplied_once(monkeypatch):
         return real(a, b, n, m)
 
     monkeypatch.setattr(series, "_convolve", spy)
-    rhs = qf.IDENTITIES["inv-phi-5diss"].sides[1]
-    qf.expand_terms(rhs, 300)
-    assert len(calls) == 32     # 53 with phi(q) phi(q^25) in every term
+    # right sides and their products: 53, 14 and 19 when the bases every
+    # term has (phi(q) phi(q^25); phi(-q); f1^4 f4^2) were multiplied
+    # term by term
+    for tag, products in (("inv-phi-5diss", 32), ("inv-phineg-4diss", 11),
+                          ("inv-f1-quad-2diss", 15)):
+        calls.clear()
+        ident = qf.IDENTITIES[tag]
+        qf.expand_terms(ident.sides[1], ident.order)
+        assert len(calls) == products, tag
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -595,7 +626,7 @@ def test_a_failed_side_condition_fails_the_row(monkeypatch):
 
 
 def test_invalid_dissection_primes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be >= 3"):
         qf.verify_identity("psi-pdiss", 50, p=2)
     with pytest.raises(ValueError):
         qf.verify_identity("psi-pdiss", 50, p=9)

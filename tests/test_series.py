@@ -176,6 +176,12 @@ def test_reduce_mod_canonical_residues():
         r.reduce_mod(3)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_reduce_mod_refuses_a_modulus_below_one(m):
+    with pytest.raises(ValueError, match="positive integer"):
+        Series([1, 2, 3]).reduce_mod(m)
+
+
 def test_modulus_mixing_is_rejected():
     with pytest.raises(ModulusMismatchError):
         Series([1, 2], 4) * Series([1, 2], 8)
