@@ -27,19 +27,6 @@ _KIND_ALIASES = {"rstar": "nonoverlined-l-regular"}
 # verify-theorem's integer parameters, each an option --name
 _THEOREM_PARAMS = ("p", "alpha", "k", "ell")
 
-# largest |exponent| expand accepts.  An exact expansion is bounded by
-# the order * sum|e| guard of _cmd_expand; this cap bounds the modular
-# one, where f^e takes about 2 log2|e| products at full order: mod 2^64
-# at order 200000, 1:-1000 takes 26 s, 1:-100000 35 s and 1:-10000000
-# 52 s (2-vCPU Xeon VM, CPython 3.11)
-EXPONENT_LIMIT = 1000
-
-# largest expand --modulus: coefficient slots widen with its bits, so
-# 1:-1 mod 10^4000+1 takes 4.0 s at order 2000, and mod 2^64 3.8 s at
-# order 200000 (2-vCPU Xeon VM, CPython 3.11)
-MODULUS_LIMIT = 2 ** 64
-
-
 def bounded(flag: str, low: int, high: int | None = None):
     """argparse type for an int option ``flag`` that is at least ``low``
     and, when ``high`` is given, at most that size guard."""
@@ -55,21 +42,6 @@ def bounded(flag: str, low: int, high: int | None = None):
 
     parse.__name__ = "int"   # argparse names it in "invalid int value"
     return parse
-
-
-def eta_spec(text: str) -> str:
-    """argparse type for expand's --eta: every |exponent| is capped.  A
-    malformed spec passes through, for _cmd_expand to report."""
-    try:
-        factors = EtaQuotient.parse(text).factors
-    except ValueError:
-        return text
-    for h, e in factors:
-        if abs(e) > EXPONENT_LIMIT:
-            raise argparse.ArgumentTypeError(
-                f"exponent {e} of f{h} exceeds the size guard "
-                f"{EXPONENT_LIMIT}")
-    return text
 
 
 def _coefficient_lines(values, sparse: bool):
@@ -96,13 +68,8 @@ def _cmd_expand(args):
         eq = EtaQuotient.parse(args.eta)
     except ValueError as exc:
         raise ValueError(f"bad --eta value: {exc}") from None
-    # exact coefficients widen with both the order and the exponents
-    size = args.order * sum(abs(e) for _, e in eq.factors)
-    if args.modulus is None and size > congruence.DEFAULT_MAX_ORDER:
-        raise ValueError(
-            f"--order {args.order} times the sum of |exponents| is {size}, "
-            f"which exceeds the size guard {congruence.DEFAULT_MAX_ORDER} "
-            f"for an exact expansion (give --modulus or a smaller --order)")
+    qfunctions.afford((((1, 0, eq, ()),), args.order, args.modulus),
+                      prefix="expand: ")
     series = qfunctions.eta_quotient(eq, args.order, args.modulus)
     return (0, list(series.coeffs),
             _coefficient_lines(series.coeffs, sparse=not args.dense))
@@ -162,14 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     guard = congruence.DEFAULT_MAX_ORDER
 
     p = subs.add_parser("expand", help="expand an eta quotient")
-    p.add_argument("--eta", type=eta_spec, required=True, metavar="SPEC",
-                   help='factor list like "2:1,5:1,1:-2" (f2*f5/f1^2), with '
-                        f"exponents at most {EXPONENT_LIMIT} in size")
+    p.add_argument("--eta", required=True, metavar="SPEC",
+                   help='factor list like "2:1,5:1,1:-2" (f2*f5/f1^2)')
     p.add_argument("--order", type=bounded("--order", 1, guard), default=500,
                    help="number of coefficients (default 500)")
-    p.add_argument("--modulus", type=bounded("--modulus", 1, MODULUS_LIMIT),
-                   default=None,
-                   help=f"reduce coefficients mod this (at most {MODULUS_LIMIT})")
+    p.add_argument("--modulus", type=bounded("--modulus", 1), default=None,
+                   help="reduce coefficients mod this")
     p.add_argument("--dense", action="store_true",
                    help="print zero coefficients too (text format)")
     p.set_defaults(func=_cmd_expand)

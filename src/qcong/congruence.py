@@ -19,14 +19,13 @@ import time
 from collections import namedtuple
 
 from . import counting
-from .qfunctions import _is_prime, eta_quotient, eta_terms, expand_terms
+from .qfunctions import (_require_prime, afford, eta_quotient, eta_terms,
+                         expand_terms)
 from .report import VerificationReport, check
 from .series import EtaQuotient, Series
 
 DEFAULT_TERMS = 500
 DEFAULT_MAX_ORDER = 200_000
-PRIME_LIMIT = 31   # progression indices grow like p^(2 alpha + 2)
-ALPHA_LIMIT = 2
 
 
 class ClaimError(ValueError):
@@ -201,13 +200,10 @@ def _progression_claims(family: str, row: _Progressions,
         _take(params, family, ("p",), ("alpha",))
         p, alpha = params["p"], params.get("alpha", 0)
         head = (("p", p), ("alpha", alpha))
-        # the bound comes first, so primality is only tested on small p
-        if isinstance(p, int) and p > PRIME_LIMIT:
-            raise EligibilityError(
-                f"{family}: p = {p} exceeds the supported bound {PRIME_LIMIT} "
-                "(indices grow like p^(2a+2))")
-        if not isinstance(p, int) or not _is_prime(p):
-            raise EligibilityError(f"{family}: p = {p!r} is not prime")
+        try:    # the bound comes first, so trial division runs on small p
+            _require_prime(p)
+        except ValueError as exc:
+            raise EligibilityError(f"{family}: {exc}") from None
         if p < row.min_p:
             raise EligibilityError(
                 f"{family}: hypothesis requires p >= {row.min_p}, got {p}")
@@ -222,11 +218,15 @@ def _progression_claims(family: str, row: _Progressions,
         head = (("alpha", alpha),)
     if not isinstance(alpha, int) or alpha < 0:
         raise ClaimError(f"{family}: alpha must be an integer >= 0, got {alpha!r}")
-    if alpha > ALPHA_LIMIT:
-        raise ClaimError(
-            f"{family}: alpha = {alpha} exceeds the supported bound {ALPHA_LIMIT}")
     e = 2 * alpha + row.d
-    num = row.mult * p ** e - 1
+    # p^e >= 2^e, so e is bounded before p ** e is formed; mult p^e - 1
+    # >= div DEFAULT_MAX_ORDER puts every offset past the order guard
+    num = (row.mult * p ** e - 1
+           if e < (row.div * DEFAULT_MAX_ORDER).bit_length() else None)
+    if num is None or num >= row.div * DEFAULT_MAX_ORDER:
+        raise OrderShortfallError(
+            f"{family}: alpha = {alpha} puts every offset past the max-order "
+            f"guard {DEFAULT_MAX_ORDER}")
     if num % row.div:
         raise IntegralityError(
             f"{family}: offset ({row.mult}*p^{e}-1)/{row.div} is not an "
@@ -369,21 +369,26 @@ _RHS = {
 
 
 def _check_size(claim: CongruenceClaim, terms: int) -> None:
-    """Refuse a check of fewer than one term, or one whose base series
-    would pass `DEFAULT_MAX_ORDER` or whose oracle tables would pass
-    `counting.COUNT_LIMIT`, before either is built."""
+    """Refuse a check of fewer than one term, one whose base series would
+    pass `DEFAULT_MAX_ORDER` or whose oracle tables would pass
+    `counting.COUNT_LIMIT`, or one whose base and right side together
+    would pass the build budget, before anything is built."""
     if terms < 1:
         raise ClaimError(f"terms must be >= 1, got {terms}")
-    need = _base(claim, terms)[1]
+    eq, need, modulus = _base(claim, terms)
     if need > DEFAULT_MAX_ORDER:
         raise OrderShortfallError(
             f"{claim.describe()}: needs base series order {need}, above the "
             f"max-order guard {DEFAULT_MAX_ORDER}; lower terms")
-    if callable(_RHS.get(claim.rhs)) and terms - 1 > counting.COUNT_LIMIT:
+    rhs = _RHS.get(claim.rhs, ())
+    if callable(rhs) and terms - 1 > counting.COUNT_LIMIT:
         raise OrderShortfallError(
             f"{claim.describe()}: reads the counting oracles to n = "
             f"{terms - 1}, above the oracle size guard "
             f"{counting.COUNT_LIMIT}; lower terms")
+    afford((((1, 0, eq, ()),), need, modulus),    # an oracle side: no series
+           (() if callable(rhs) else rhs, terms, None),
+           error=OrderShortfallError, prefix=f"{claim.describe()}: ")
 
 
 def verify(claim: CongruenceClaim,
@@ -477,6 +482,8 @@ def search(ell: int, max_step: int, max_modulus: int,
     if ell < 1 or max_step < 1 or max_modulus < 2 or terms < 1:
         raise ValueError(
             "need ell >= 1, max_step >= 1, max_modulus >= 2, terms >= 1")
+    afford((((1, 0, EtaQuotient.rstar(ell), ()),), terms, None),
+           prefix="search: ")
     coeffs = expand_quotient(EtaQuotient.rstar(ell), terms, None).coeffs
     known = _known_progressions(ell)
     out = []

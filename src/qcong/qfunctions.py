@@ -8,9 +8,11 @@ own, to any order, and reports counterexamples rather than asserting.
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
 from math import isqrt
 
 from .report import VerificationReport, check, compare_coefficients
@@ -69,40 +71,103 @@ def _folded(exps: dict, p: int, order: int) -> dict:
     return out
 
 
-# an inverse over Z/mZ, or one sparse division over Z, in products
-_DIVISION = 2
+# The build price estimates a series as (log10 of its widest coefficient,
+# its nonzero terms, its growth weight w): below order N, 1/f_h^k has
+# coefficients up to exp(pi sqrt(2 w N / 3)) at w = k/h, and a theta
+# block with a + b = S counts w = 3/S.  Work is counted in slot digits,
+# about 100 ns each: a product costs N times the digits _convolve sizes
+# its slots by, an inverse over Z/mZ _DIVISION dense products, a big-int
+# addition of d digits (d + _CALL) / _ADDITION (about 50 ns and 0.06 ns
+# a digit, fit on exact 1/f1, 1/f1^1000 and f2 f8/f1^2 at 200 to 50000
+# terms), and a term of a sum _PASS additions a coefficient.
+_GROWTH = math.pi * math.sqrt(2 / 3) / math.log(10)
+_DIVISION, _ADDITION, _CALL, _PASS = 2, 2048, 1024, 3
 
 
-def _cost(plan: dict, modulus: int | None) -> int:
-    """Products expand_terms spends on a plan: square-and-multiply for
-    each power and one product to join each further base, with
-    _DIVISION for each inverse over Z/mZ and for each unit of negative
-    exponent over Z.  Modulo 2 and 4 the inverse of phi(-q^h) is
-    2 - phi(-q^h), a lift with no product."""
-    if modulus is None:     # divisors divide the numerator, unit by unit
-        powers = [k for k in plan.values() if k > 0]
-        divisions = sum(-k for k in plan.values() if k < 0)
-    else:
-        powers = [abs(k) for k in plan.values()]
-        divisions = sum(k < 0 and not (4 % modulus == 0 and type(base) is tuple
-                                       and base[0] == base[1])
-                        for base, k in plan.items())
-    return (max(len(powers) - 1, 0) + _DIVISION * divisions
-            + sum(k.bit_length() + k.bit_count() - 2 for k in powers))
+def _price(plans, order: int, modulus: int | None, coefficients=(1,),
+           shared=None) -> int:
+    """The work of expand_terms in slot digits, from the plans of its
+    terms, their coefficients and the plan they share; nothing is built."""
+    ring = None if modulus is None else math.log10(modulus)
+    # int <-> str conversion, which reads slots back, is quadratic past
+    # CPython's limit on it (4300 digits by default)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    cost, built = 0, {}
+
+    def work(times, digits):
+        nonlocal cost
+        d = int(digits) + 1
+        cost += int(times * order * (d if d <= limit else d * d))
+
+    def grown(weight):
+        return _GROWTH * math.sqrt(weight * order)
+
+    def mul(x, y):
+        (wx, nx, gx), (wy, ny, gy) = x, y
+        w = math.log10(min(nx, ny)) + wx + wy
+        if ring is not None:
+            work(1, w)
+            return ring, min(order, nx * ny), gx + gy
+        work(1, w + 0.3)    # signed slots hold c + X/2
+        return min(w, grown(gx + gy)), min(order, nx * ny), gx + gy
+
+    def power(key, k):      # as expand_terms raises a base; a divisor as is
+        span = 3 * key if type(key) is int else key[0] + key[1]
+        # exponents (span t^2 +- (a - b) t) / 2 < order, one per t in Z or
+        # per |t| when a = b; coefficients at most 2 (log10 2 = 0.3)
+        halves = 1 if type(key) is tuple and key[0] == key[1] else 2
+        x = (0.3 if ring is None else ring,
+             min(order, halves * isqrt(2 * order // span) + 1), 3 / span)
+        if (k < 0 and ring is None) or (key, k) in built:
+            return built.get((key, k), x)
+        e, result = abs(k), None
+        if k < 0:   # 1/phi(-q^h) is 2 - phi(-q^h) mod 2 and 4, no product
+            if not (4 % modulus == 0 and halves == 1):
+                work(_DIVISION, math.log10(order) + 2 * ring)
+            x = ring, order, x[2]
+        while e:    # square-and-multiply, as Series.__pow__
+            if e & 1:
+                result = x if result is None else mul(result, x)
+            e >>= 1
+            if e:
+                x = mul(x, x)
+        built[key, k] = result
+        return result
+
+    def product(plan, out=None):    # then over Z, -k divisions by a base
+        for key, k in plan.items():
+            if k > 0 or k and ring is not None:
+                x = power(key, k)
+                out = x if out is None else mul(out, x)
+        for key, k in plan.items():
+            if k < 0 and ring is None:
+                _, terms, g = power(key, k)
+                w, _, weight = out or (0, 1, 0)
+                weight -= k * g
+                w = min(w + grown(-k * g) + math.log10(order), grown(weight))
+                work(-k * terms / _ADDITION, w + _CALL)
+                out = w, order, weight
+        return out or (ring or 0, 1, 0)
+
+    widest = (0, 0)     # the sum's estimate: the widest term's, plus carries
+    for c, plan in zip(coefficients, plans):
+        w, _, g = product(plan)
+        w += math.log10(abs(c) or 1)
+        work(_PASS / _ADDITION, (w if ring is None else ring) + _CALL)
+        widest = max(widest, (w + math.log10(len(plans)), g))
+    product(shared or {}, (widest[0], order, widest[1]))
+    return cost
 
 
+@lru_cache(maxsize=1024)   # each claim's base is priced, checked again, built
 def _plan(eq: EtaQuotient, order: int, modulus: int | None) -> dict:
-    """The plan {base: k} for ``eq`` with the fewest predicted products
-    (``_cost``), of up to four.  The quotient is taken as given and,
-    when the modulus is a prime p dividing a scale below the order, also
-    folded, each f_{p^v h}^e as f_h^{e p^v} (congruent mod p).  From
-    each form either phi pairs alone are taken out, scales ascending, or
-    psi pairs first and then phi pairs.  A fold that turns one inverse
-    into a high power of a dense series is not taken, and a tie keeps
-    the given form and phi pairs alone.  So R*_6 = f2 f6/f1^2 is
-    psi(q)^2 mod 3 and R*_5 is f5 mod 2, with no inverse, while R*_4
-    mod 2 keeps f4 times 2 - phi(-q) and f_p mod p stays an Euler
-    product."""
+    """The plan {base: k} for ``eq`` with the lowest price (``_price``):
+    the quotient as given or, when the modulus is a prime p dividing a
+    scale below the order, folded (f_{p^v h}^e as f_h^{e p^v}, congruent
+    mod p), each with phi pairs alone or psi pairs and then phi pairs
+    taken out, scales ascending.  So R*_6 = f2 f6/f1^2 is psi(q)^2 mod 3
+    and R*_5 is f5 mod 2, while R*_4 mod 2 keeps f4 times 2 - phi(-q) and
+    f_p mod p stays an Euler product."""
     exps = dict(eq.factors)
     forms = [exps]
     # the scale test first: trial division runs only on a modulus that
@@ -113,7 +178,7 @@ def _plan(eq: EtaQuotient, order: int, modulus: int | None) -> dict:
     # min keeps the first of equals: the given form with phi pairs alone
     return min((_pairs_out(form, pairs) for form in forms
                 for pairs in ((_PHI,), (_PSI, _PHI))),
-               key=lambda plan: _cost(plan, modulus))
+               key=lambda plan: _price([plan], order, modulus))
 
 
 def eta_quotient(eq: EtaQuotient, order: int,
@@ -134,22 +199,14 @@ def eta_terms(*terms) -> tuple:
 
 def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     """The sum of (c, s, EtaQuotient, blocks) ``terms`` below ``order``,
-    over Z/modulus Z when one is given; the empty sum is zero.
-
-    Each term is one plan {base: k}, its quotient's ``_plan`` with its
-    blocks merged in: pairs of Euler factors become theta series with
-    O(sqrt(order)) terms, phi(-q^h) = f_h^2/f_{2h} and psi(q^h) =
-    f_{2h}^2/f_h.  A base every term of a longer sum has, with exponents
-    of one sign, is multiplied once, into the sum, at the exponent
-    nearest zero; such a sum expands each distinct power once.
-
-    The ring decides the rest.  Over Z the positive powers are
-    multiplied into a numerator, which is then divided by each sparse
-    base with a negative exponent, once per unit of the exponent, so
-    exact f_2 f_ell/f_1^2 = f_ell/phi(-q) costs one sparse division and
-    no product.  Over Z/mZ every base is inverted and raised to its
-    power: the slots stay narrow, and no numerator built first is kept
-    alive through a long Newton inverse.
+    over Z/modulus Z when one is given; the empty sum is zero.  Each term
+    is one plan {base: k} (``_plans``), whose bases are theta blocks
+    (a, b, sign) and Euler scales h; a sum expands each distinct power
+    once.  Over Z the positive powers are multiplied into a numerator,
+    which is then divided by each sparse base with a negative exponent,
+    once per unit of the exponent: exact f_2 f_ell/f_1^2 = f_ell/phi(-q)
+    costs one sparse division and no product.  Over Z/mZ every base is
+    inverted and raised to its power, so the slots stay narrow.
     """
     def power(key, k=1):    # key: a theta block (a, b, sign) or a scale h
         base = (euler_product(key, order) if type(key) is int
@@ -170,27 +227,57 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
             out = divisor.invert() if out is None else out / divisor
         return Series.one(order, modulus) if out is None else out
 
-    plans = []
-    for _, _, eq, blocks in terms:
-        plan = _plan(eq, order, modulus)
-        for a, b, sign, k in blocks:
-            plan[a, b, sign] = plan.get((a, b, sign), 0) + k
-        plans.append(plan)
+    plans, shared = _plans(terms, order, modulus)
     if len(terms) == 1 and terms[0][:2] == (1, 0):
         return product(plans[0])
-
-    shared = {}
     if len(terms) > 1:      # only then can a base repeat, so only then cache
         power = cache(power)
-        shared = plans[0]
-        for plan in plans[1:]:
-            shared = {key: min(k, plan[key], key=abs)
-                      for key, k in shared.items() if k * plan.get(key, 0) > 0}
-    total = sum((c * product({key: k - shared.get(key, 0)
-                              for key, k in plan.items()}).shift(s)
+    total = sum((c * product(plan).shift(s)
                  for (c, s, _, _), plan in zip(terms, plans)),
                 Series.zero(order, modulus))
     return product(shared, total)
+
+
+def _plans(terms, order: int, modulus: int | None) -> tuple[list, dict]:
+    """Each term's plan {base: k}, its quotient's ``_plan`` with its
+    blocks merged in, less the plan that every term of a longer sum
+    shares: its bases with exponents of one sign, at the exponent nearest
+    zero.  Returns the term plans and the shared plan."""
+    plans = []
+    for _, _, eq, blocks in terms:
+        plan = dict(_plan(eq, order, modulus))    # a copy: the cache keeps its own
+        for a, b, sign, k in blocks:
+            plan[a, b, sign] = plan.get((a, b, sign), 0) + k
+        plans.append(plan)
+    shared = plans[0] if len(plans) > 1 else {}
+    for plan in plans[1:]:
+        shared = {key: min(k, plan[key], key=abs)
+                  for key, k in shared.items() if k * plan.get(key, 0) > 0}
+    return ([{key: k - shared.get(key, 0) for key, k in plan.items()}
+             for plan in plans], shared)
+
+
+def price(terms, order: int, modulus: int | None = None) -> int:
+    """The predicted work of expand_terms(terms, order, modulus), in slot
+    digits, read from its plans: no series is built."""
+    plans, shared = _plans(terms, order, modulus)
+    return _price(plans, order, modulus, [c for c, *_ in terms], shared)
+
+
+# the largest price a command builds, 2-7 s at the 4-19 * 10^6 slot
+# digits a second measured: inv-phineg-4diss at order 40000 prices
+# 2.1 * 10^7, and the builds of 15-28 s it refuses 7 * 10^7 and more
+BUILD_BUDGET = 3 * 10 ** 7
+
+
+def afford(*builds, error=ValueError, prefix="") -> None:
+    """Raise ``error`` before anything is built unless the expansions
+    ``builds``, each (terms, order, modulus), together price within
+    BUILD_BUDGET."""
+    cost = sum(price(*build) for build in builds)
+    if cost > BUILD_BUDGET:
+        raise error(f"{prefix}predicted cost {cost} exceeds the build "
+                    f"budget {BUILD_BUDGET}")
 
 
 def general_theta(a: int, b: int, order: int, sign: int = 1,
@@ -296,7 +383,7 @@ def _require_prime(p, minimum=2):
     # the bound comes first: trial division is only run on small p
     _require_guarded("p", p)
     if not isinstance(p, int) or not _is_prime(p):
-        raise ValueError(f"parameter p must be prime, got {p!r}")
+        raise ValueError(f"parameter p = {p!r} is not prime")
     if p < minimum:
         raise ValueError(f"parameter p must be >= {minimum}, got {p}")
 
@@ -496,6 +583,7 @@ def verify_identity(tag: str, order: int | None = None,
     t0 = time.perf_counter()
     sides = ident.sides(**params) if callable(ident.sides) else ident.sides
     lhs_terms, rhs_terms, modulus, *detail = sides
+    afford((lhs_terms, n, modulus), (rhs_terms, n, modulus), prefix=f"{tag}: ")
     lhs, rhs = (expand_terms(t, n, modulus) for t in (lhs_terms, rhs_terms))
     detail = detail[0] if detail else {}
     ok = detail.get("side_condition_ok", True)

@@ -6,21 +6,13 @@ attached.  Every binary operation truncates to the shorter operand; no
 operation ever invents coefficients past known data.
 
 Every product is one Kronecker substitution with one exact multiply in
-the standard library's `decimal` (libmpdec, whose multiply is a
-number-theoretic transform), at any slot width.  A slot is as wide as
-the nonzero terms of the sparser operand need, so sparse operands pack
-narrow.  Values that fit a byte are packed a digit column at a time,
-and a product over Z/mZ whose d-digit slots have d (m - 1) < 256 is read
-back the same way, by a few passes over bytes with no int() or % per
-slot; other products read their slots back a block at a time.
-Quotients and inverses (a quotient with numerator 1) use one
-constant-term recurrence over the nonzero terms of the divisor, over Z
-and for sparse modular divisors, and Newton iteration over the kernel
-for modular divisors with more nonzero terms.  A modular divisor that is
-its constant term modulo d = gcd(m, terms past it), with m | d^4, such as
-phi(-q) mod 2, 4, 8 and 16, is inverted by a Hensel lift instead: no
-product up to mod d^2, two up to d^4.  A quotient by a lifted or Newton
-inverse is that inverse times the numerator.
+the standard library's `decimal` (libmpdec), at any slot width; a slot
+is as wide as the sparser operand's nonzero terms need.  Quotients and
+inverses take one constant-term recurrence over the nonzero terms of
+the divisor, over Z and for sparse modular divisors, Newton iteration
+over the kernel for denser modular ones, or a Hensel lift for a modular
+divisor that is its constant term modulo d = gcd(m, terms past it),
+with m | d^4 (phi(-q) mod 2, 4, 8 and 16).
 
 Values are immutable after construction and safe to share between
 threads.
@@ -208,29 +200,16 @@ class Series:
             base = base * base
 
     def invert(self) -> "Series":
-        """Multiplicative inverse: 1 / self.
-
-        Over Z, and over Z/mZ for a series with at most 50 nonzero
-        terms, this is the constant-term recurrence of ``/`` with
-        numerator 1.  Denser modular series use Newton iteration
-        g <- g (2 - f g) from the constant term's inverse, which doubles
-        the number of correct terms with two products each step,
-        O(M(order)).  Over Z/mZ a series that is its constant term
-        modulo d = gcd(m, self[1:]), with m | d^4, takes the same step
-        in the modulus instead, from mod d to mod d^2 and d^4, with at
-        most two products.
+        """Multiplicative inverse: 1 / self, the quotient of 1 (see the
+        division notes below for the recurrence, Newton and Hensel paths).
         """
         return Series._canonical(_quotient((1,), self.coeffs, self.modulus),
                                  self.modulus)
 
     def __truediv__(self, other):
-        """Quotient self / other, truncated to the shorter operand.
-
-        The constant-term recurrence F = (self - sum_k other[k] q^k F) /
-        other[0] runs over the nonzero terms of ``other`` only, so a
-        sparse divisor costs O(order * nonzero-terms) and no product.
-        A modular divisor that ``invert`` lifts or inverts by Newton
-        iteration takes that inverse and one product.
+        """Quotient self / other, truncated to the shorter operand: the
+        constant-term recurrence over the nonzero terms of ``other``, or
+        for a lifted or Newton modular inverse, that inverse times self.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -295,61 +274,39 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # each of its low n slots, so every slot holds c + X/2 in [0, X) and
 # unpacks as an unsigned digit string.
 #
-# `decimal` (libmpdec, which multiplies with a number-theoretic
-# transform) does the one multiply, not CPython ints (Karatsuba): the 171
-# products of `qcong verify-all`, replayed on each (best of 3, 2-vCPU
-# Xeon VM, CPython 3.11), take 0.64 s on decimal against 1.85 s on ints.
-# Values of 256 and more are written by %d and read back by int(); past
-# the interpreter's limit on those digit strings
-# (sys.get_int_max_str_digits, 4300 digits by default) they are
-# converted through Decimal instead.
+# `decimal` (libmpdec, a number-theoretic transform) does the multiply,
+# not CPython ints (Karatsuba): the 171 products of `qcong verify-all`
+# take 0.64 s on decimal against 1.85 s on ints.  Values of 256 and more
+# are written by %d and read back by int(), or through Decimal past the
+# interpreter's limit on digit strings (sys.get_int_max_str_digits).
 #
-# Byte columns.  Values below 256 (every residue mod m <= 256, and the
-# pos and neg parts of exact theta and Euler series) are packed a digit
-# column at a time: the values as one bytes object, each column one
-# bytes.translate to ASCII digits, written into every d-th byte of the
-# digit string.  A product over Z/mZ whose slots of d digits have
-# d (m - 1) < 256, as for every modulus the suite and the benchmark take
-# (2, 3, 4 and 8; at most 12, mod 3 with 6-digit slots), is read back
-# the same way: column j of the low n slots is raw[j::d], their digits
-# at 10^(d-1-j); each column translated to digit * 10^(d-1-j) mod m is
-# one byte a slot, the d columns summed as integers by int.from_bytes
-# carry nothing from slot to slot, and one 256-entry table reduces each
-# byte mod m.  Neither int() nor % runs once a slot, and residues mod
-# m <= 256 are scanned for their largest value and their zeros as bytes
-# too.  The dense mod-3 product at the 146469 slots of R*_6 in criterion
-# 6 took 123-178 ms with the %d pack and int() read-back: operand scan
-# 9-11, pack 19-20, multiply 66-86, low-slot split and read-back 31-40.
-# By bytes it takes 86-111 ms: scan 4-5, pack 9-11, multiply 65-86,
-# split and read-back 7-8 (medians of 9, three runs each, 2-vCPU Xeon
-# VM, CPython 3.11.7).  Its traced peak went from 3.9 to 4.2 MB, the
-# operands' bytes held through the multiply, which sets it.
+# Byte columns.  Values below 256 (residues mod m <= 256, and the pos
+# and neg parts of theta and Euler series) are packed a digit column at
+# a time, one bytes.translate to ASCII digits written into every d-th
+# byte.  A product over Z/mZ whose d-digit slots have d (m - 1) < 256,
+# as for every modulus the suite and the benchmark take, is read back
+# the same way: column j of the low n slots, raw[j::d], translated to
+# digit * 10^(d-1-j) mod m is one byte a slot; the d columns summed by
+# int.from_bytes carry nothing between slots, and one 256-entry table
+# reduces each byte mod m, with no int() or % a slot.  The dense mod-3
+# product at the 146469 slots of criterion 6 went from 123-178 ms (%d
+# pack, int() read-back) to 86-111 ms, three quarters of it the multiply.
 #
-# Other products (exact ones and wide moduli) read the low n slots back
-# a block of _BLOCK = 1024 at a time: one struct format of 1024 fields
-# per slot width, compiled once (32 KB), reads whole blocks from the end
-# of the digit string, where the low slots are, each block reversed and
-# parsed before the next is read; the front n % 1024 slots take a format
-# of their own, so a short product reads only its slots.  One format of
-# n fields (5.0 MB) and a tuple of n bytes objects (6.9 MB), read at
-# once, held 11.9 MB of a dense mod-3 product's 12.7 MB traced peak at
-# 146469 slots; by blocks it peaked at 3.9 MB.  The block size sets
-# memory, not speed: reading 146469 six-digit slots took
-# 17-27 ms for blocks of 128 to 8192 slots against 21-28 ms for one
-# format, and 40 slots about 0.01 ms either way (2-vCPU Xeon VM, CPython
-# 3.11.7); 1024 keeps a block's bytes objects near 40 KB.
+# Other products read the low n slots back a block of _BLOCK = 1024 at
+# a time from the end of the digit string, one struct format of 1024
+# fields per slot width (the front n % 1024 slots take their own).  One
+# format of all n fields held 11.9 MB of a 146469-slot product's 12.7 MB
+# traced peak; by blocks it peaks at 3.9 MB, at the same speed, and 1024
+# keeps a block's bytes near 40 KB.  (2-vCPU Xeon VM, CPython 3.11.)
 
 
 @functools.cache
 def _decimal():
-    """The decimal module and the one context every Decimal op uses.
-
-    Imported on first use.  Precision is the maximum, and any result
-    that would be rounded or overflow raises, so a product is exact or
-    is not returned at all.  Decimal's operators use the thread's
-    default context (28 digits), so only this context's methods are
-    called on Decimals.
-    """
+    """The decimal module, imported on first use, and the one context
+    every Decimal op uses: maximum precision, and any result that would
+    be rounded or overflow raises, so a product is exact or not returned.
+    Decimal's operators use the thread's 28-digit default context, so
+    only this context's methods are called on Decimals."""
     import decimal
     ctx = decimal.Context(
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -515,26 +472,16 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 # The recurrence costs about order * nonzero-terms / 2 additions: it sums
 # F[n-k] over the k sharing one coefficient value, so the +-1 and +-2 of
 # Euler products and theta series cost one addition a term.  Newton's
-# products cost about the same per coefficient from order 2048 to 131072,
-# so the crossover is a count of nonzero terms, the one tuned number of
-# this layer.  Recurrence time over Newton's, on phi(-q^h) mod 3 at
-# orders 32768 and 131072 (2-vCPU Xeon VM, CPython 3.11): for an inverse
-# 0.72-0.79 at 41 terms, 1.03-1.06 at 61.  Sparse divisors with a wide
-# modulus gain most: 1/f_1000 mod 2^64 at order 200000 (23 terms) takes
-# 0.27 s by the recurrence and 2.7 s by Newton.  A quotient takes the
-# same rule; `verify-all`, `search` and the README's commands divide
-# modulo m only into 1.  Newton starts from the constant term's inverse,
-# and its first seven steps, to 128 terms, cost about what the recurrence
-# does there: 1/phi(-q) mod 3 at 146469 takes 0.49 s either way, and a
-# dense divisor mod 9 at 60, 100, 128 and 300 terms 0.31/0.41/0.46/0.88
-# ms, against 0.17/0.41/0.74/0.93 ms when the recurrence took every order
-# up to 128 and Newton's first 128 terms.
-#
-# The Hensel lift replaces both where m | d^4.  For 1/phi(-q) at order
-# 200000 (same VM) Newton takes 0.70 s mod 4 and the lift 0.016 s; mod 16
-# 0.79 and 0.46 s.  Lifting on past d^4 loses, as its products are as wide
-# as Newton's and more of them run at full order: mod 32 1.15 s against
-# Newton's 0.90 s, mod 256 1.60 against 0.95 s, mod 2^64 16.8 against 3.9 s.
+# products cost about the same per coefficient at every order, so the
+# crossover is a count of nonzero terms, the one tuned number of this
+# layer (2-vCPU Xeon VM, CPython 3.11): recurrence over Newton time on
+# phi(-q^h) mod 3 is 0.72-0.79 at 41 terms and 1.03-1.06 at 61, and
+# 1/f_1000 mod 2^64 at order 200000 (23 terms) takes 0.27 s by the
+# recurrence and 2.7 s by Newton.  The Hensel lift replaces both where
+# m | d^4: 1/phi(-q) at order 200000 takes 0.016 s mod 4 against
+# Newton's 0.70 s.  Lifting on past d^4 loses: mod 2^64 16.8 s against
+# Newton's 3.9 s.  Newton starts from the constant term's inverse, as
+# its first steps cost what the recurrence does there.
 
 _NEWTON_MIN_TERMS = 50
 
@@ -597,13 +544,9 @@ def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
 def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
                     d: int) -> list[int]:
     """1/f mod m to len(coeffs) terms, where d = gcd(m, coeffs[1:]) and
-    m divides d^4.
-
-    f inv0 = 1 + d e, so the step g <- g (2 - f g) from g = inv0 gives
-    g = inv0 (2 - inv0 f), with f g = 1 - (d e)^2: correct mod d^2 and
-    no product, as sparse as f.  If m does not divide d^2, one more step
-    reaches d^4 with two products.
-    """
+    m | d^4: f inv0 = 1 + d e, so g = inv0 (2 - inv0 f) has f g = 1 -
+    (d e)^2, right mod d^2 with no product; one more step g (2 - f g)
+    reaches d^4 with two products."""
     t = -inv0 * inv0 % m
     g = [t * c % m for c in coeffs]
     g[0] = inv0            # inv0 (2 - inv0 f[0]) = inv0 (mod m)
@@ -616,12 +559,9 @@ def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
 
 
 def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
-    """1/f mod m to len(coeffs) terms by Newton iteration from g = inv0.
-
-    If f g = 1 + q^k e, then g' = g - q^k (g e) has f g' = 1 - q^{2k} e^2,
-    so each step doubles the number of correct terms; only e's first
-    k' - k terms and (g e)'s first k' - k terms are needed to reach k'.
-    """
+    """1/f mod m to len(coeffs) terms by Newton iteration from g = inv0:
+    if f g = 1 + q^k e, then g - q^k (g e) is right to q^{2k}, and only
+    the first k' - k terms of e and of g e are needed to reach k'."""
     orders = []
     n = len(coeffs)
     while n > 1:

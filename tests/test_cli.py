@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,32 +77,58 @@ def test_expand_bad_modulus(capsys, modulus):
     assert "--modulus must be >= 1" in capsys.readouterr().err
 
 
-def test_expand_modulus_is_capped(capsys):
-    # coefficient slots widen with the modulus's bits, so it has a size
-    # guard like every other series-allocating option
+def test_expand_modulus_is_priced(capsys):
+    # coefficient slots widen with the modulus's bits, so the build price
+    # grows with them; slots past the interpreter's limit on integer
+    # strings (4300 digits) are read back in quadratic time and priced so
     argv = ["expand", "--eta", "1:-1", "--order", "8", "--modulus"]
-    assert run(argv + [str(2**64)]) == 0
+    assert run(argv + [str(2**64 + 1)]) == 0
     assert capsys.readouterr().out.startswith("0 1\n1 1\n2 2\n")
-    with pytest.raises(SystemExit) as exc:
-        run(argv + [str(2**64 + 1)])
-    assert exc.value.code == 2
+    assert run(argv[:4] + ["100", "--modulus", str(10**3000 + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"exceeds the size guard {2**64}" in captured.err
+    assert "exceeds the build budget 30000000" in captured.err
 
 
-def test_exact_expand_guards_order_times_exponents(capsys):
-    # exact coefficients widen with order and exponents alike, so their
-    # product is capped; a modulus keeps them small and lifts the cap
+def test_expand_modulus_past_the_digit_limit_is_refused(capsys):
+    # 2^50000 + 1 has 15052 digits: the price refuses it even where the
+    # interpreter reads it in (no digit limit, or the limit lifted)
+    big = 2**50000 + 1
+    argv = ["expand", "--eta", "1:-1", "--order", "100", "--modulus"]
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = limit() if limit else None
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        text = str(big)
+        assert run(argv + [text]) == 2
+        assert "exceeds the build budget" in capsys.readouterr().err
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(saved)
+    # under the default limit argparse cannot read it in at all
+    if limit and saved:
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [text])
+        assert exc.value.code == 2
+
+
+def test_exact_expand_is_priced(capsys):
+    # exact coefficients widen with order and exponents alike, and each
+    # unit of a negative exponent is one sparse division, so the price
+    # grows with both; a modulus keeps the slots narrow and the price low
     argv = ["expand", "--eta", "2:1,1:-999", "--order"]
     assert run(argv + ["200"]) == 0
     assert capsys.readouterr().out.startswith("0 1\n1 999\n")
-    assert run(argv + ["201"]) == 2
+    assert run(argv + ["1000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds the size guard 200000" in captured.err
+    assert "exceeds the build budget 30000000" in captured.err
     assert run(argv + ["5000", "--modulus", "7"]) == 0
     assert capsys.readouterr().out.startswith("0 1\n1 5\n")
+    # an exponent of any size is priced, not built: a billion divisions
+    assert run(["expand", "--order", "500", "--eta", "2:1,1:-1000000000"]) == 2
+    assert "exceeds the build budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -111,18 +139,51 @@ def test_exact_expand_guards_order_times_exponents(capsys):
     ["search", "--ell", "4", "--max-step", "200001"],
     ["verify-lemma", "--id", "psi-pdiss", "--p", "1000003"],
     ["verify-lemma", "--id", "phi-sqdiss", "--n", "1001"],
-    ["expand", "--order", "500", "--eta", "2:1,1:-1000000000"],
     ["verify-theorem", "--family", "r4-fixed", "--terms", "200001"],
 ])
 def test_size_guard(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    # dissection parameters, exponents and count's quadratic DP have
-    # their own, smaller guards
-    guard = (1000 if argv[-2] in ("--p", "--n", "--eta")
+    # dissection parameters and count's quadratic DP have their own,
+    # smaller guards
+    guard = (1000 if argv[-2] in ("--p", "--n")
              else 10000 if argv[0] == "count" else 200000)
     assert f"exceeds the size guard {guard}" in capsys.readouterr().err
+
+
+# commands that every per-input cap admitted and that took 14-28 s each
+# (2-vCPU VM, CPython 3.11); the build price refuses them before building
+SLOW_COMMANDS = [
+    ["expand", "--eta", "1:-1000", "--modulus", str(2**64), "--order",
+     "200000"],
+    ["expand", "--eta", "1:-1", "--order", "200000"],
+    ["verify-lemma", "--id", "fp2-binom", "--p", "997", "--order", "200000"],
+    ["verify-lemma", "--id", "phi-sqdiss", "--n", "1000", "--order",
+     "200000"],
+    ["verify-theorem", "--family", "r8-2n1-exact", "--terms", "100000"],
+    ["search", "--ell", "8", "--terms", "200000"],
+]
+
+
+@pytest.mark.parametrize("argv", SLOW_COMMANDS)
+def test_slow_builds_are_refused_by_their_price(capsys, argv):
+    started = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"predicted cost \d+ exceeds the build budget 30000000",
+                     captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", "--id", "inv-phineg-4diss", "--order", "40000"],
+    ["verify-lemma", "--id", "psi-3diss", "--order", "40000"],
+])
+def test_deep_catalog_rows_stay_admitted(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("PASS ")
 
 
 def test_count_rstar_example(capsys):

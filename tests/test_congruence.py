@@ -37,12 +37,19 @@ def test_legendre_basics():
 
 
 def _accepted_primes(family):
+    # every p up to the one bound primes share with the identity catalog;
+    # the first prime past it is refused before any eligibility test
+    with pytest.raises(cg.EligibilityError, match="p = 1009 exceeds the size "
+                                                  "guard 1000"):
+        cg.instantiate(family, p=1009, alpha=0)
     accepted = []
-    for p in range(2, cg.PRIME_LIMIT + 1):
+    for p in range(2, qf.DISSECTION_LIMIT + 1):
         try:
             cg.instantiate(family, p=p, alpha=0)
         except cg.EligibilityError:
             continue
+        except cg.OrderShortfallError:  # eligible; its offsets pass the guard
+            pass
         accepted.append(p)
     return accepted
 
@@ -64,20 +71,38 @@ def test_eligibility_errors():
         cg.instantiate("r4-prime-series", p=29, alpha=0)
     with pytest.raises(cg.EligibilityError, match="not prime"):
         cg.instantiate("r4-prime-vanish", p=15, alpha=0)
-    with pytest.raises(cg.EligibilityError, match="exceeds the supported bound"):
-        cg.instantiate("r4-prime-series", p=37, alpha=0)
+    with pytest.raises(cg.EligibilityError, match="p = 35 is not prime"):
+        cg.instantiate("r4-prime-series", p=35, alpha=0)
+    with pytest.raises(cg.EligibilityError,
+                       match="p = 1009 exceeds the size guard 1000"):
+        cg.instantiate("r4-prime-series", p=1009, alpha=0)
     # the bound is checked before primality, so neither a composite nor a
     # huge prime past it reaches the primality test
-    with pytest.raises(cg.EligibilityError, match="exceeds the supported bound"):
-        cg.instantiate("r4-prime-series", p=35, alpha=0)
-    with pytest.raises(cg.EligibilityError, match="exceeds the supported bound"):
+    with pytest.raises(cg.EligibilityError, match="exceeds the size guard 1000"):
+        cg.instantiate("r4-prime-series", p=1001, alpha=0)
+    with pytest.raises(cg.EligibilityError, match="exceeds the size guard 1000"):
         cg.instantiate("r4-prime-series", p=2**127 - 1)
     with pytest.raises(cg.EligibilityError, match=r"\(-1/5\) = 1"):
         cg.instantiate("r6-prime-series", p=5, alpha=0)
     with pytest.raises(cg.EligibilityError, match=r"\(-3/7\) = 1"):
         cg.instantiate("r8-prime-series", p=7, alpha=0)
-    with pytest.raises(cg.ClaimError, match="alpha = 3"):
+    # an alpha whose offsets all pass the max-order guard is refused at
+    # instantiation, and a huge one before p ** (2 alpha) is formed
+    with pytest.raises(cg.OrderShortfallError,
+                       match="alpha = 3 puts every offset past the max-order "
+                             "guard 200000"):
         cg.instantiate("r4-prime-series", p=13, alpha=3)
+    with pytest.raises(cg.OrderShortfallError, match="alpha = 10{100}"):
+        cg.instantiate("r6-iterated", alpha=10**100)
+
+
+def test_alpha_is_bounded_by_the_order_guard_alone():
+    # r6-iterated at alpha = 3 has offset 182 and step 729: 200 terms need
+    # base order 145254, inside the guard, and the claim holds there
+    (report,) = cg.verify_rows([("r6-iterated", {"alpha": 3}, 200)])
+    assert report.passed and report.terms_checked == 200
+    with pytest.raises(cg.OrderShortfallError, match="max-order guard"):
+        cg.verify_rows([("r6-iterated", {"alpha": 3}, 300)])
     with pytest.raises(cg.ClaimError, match="unknown"):
         cg.instantiate("no-such-family")
     with pytest.raises(cg.ClaimError):
@@ -291,6 +316,31 @@ def test_order_guard():
         cg.verify(claim, terms=200001)
     with pytest.raises(cg.OrderShortfallError, match="oracle size guard"):
         cg.verify(claim, terms=10002)
+
+
+def test_price_guard_refuses_before_any_build():
+    # within the order guard but past the build budget: the exact base of
+    # r8-2n1-exact at 100000 terms (order 200000) and its right side; and
+    # search's exact base at 200000 terms
+    cg.clear_cache()
+    with pytest.raises(cg.OrderShortfallError,
+                       match=r"r8-2n1-exact: .*predicted cost \d+ exceeds "
+                             r"the build budget 30000000"):
+        cg.verify_rows([("r8-2n1-exact", {}, 100000)])
+    assert not cg._CACHE
+    with pytest.raises(ValueError, match="search: predicted cost"):
+        cg.search(8, 8, 8, terms=200000)
+    assert not cg._CACHE
+
+
+def test_check_size_prices_base_and_right_side(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cg, "afford", lambda *builds, **kw: seen.append(builds))
+    (claim,) = cg.instantiate("r8-2n1-mod8")
+    cg._check_size(claim, 40)
+    (base, rhs), = seen
+    assert base == (((1, 0, EtaQuotient.rstar(8), ()),), 80, 8)
+    assert rhs == (cg._RHS["TWO_F8_SQ"], 40, None)
 
 
 def test_verify_rows_canonical_order():

@@ -182,6 +182,7 @@ def test_primality_is_tested_only_for_a_modulus_dividing_a_scale(
     # the order, so a wide modulus never runs trial division
     tested = []
     real = qf._is_prime
+    qf._plan.cache_clear()  # plans are cached: choose them afresh
     monkeypatch.setattr(qf, "_is_prime",
                         lambda n: tested.append(n) or real(n))
     for factors, m in (([(1, -1)], 2**64), ([(1, -2), (2, 1), (6, 1)], 4),
@@ -676,3 +677,82 @@ def test_binomial_congruences_are_modular():
     assert r.passed and r.modulus == 3
     r = qf.verify_identity("fp2-binom", 100, p=5)
     assert r.passed and r.modulus == 25
+
+
+# -- build price ---------------------------------------------------------------
+
+
+def _quotient(e, h=1):
+    return ((1, 0, EtaQuotient([(h, e)]), ()),)
+
+
+def test_price_builds_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the price built a series")
+
+    for name in ("general_theta", "euler_product"):
+        monkeypatch.setattr(qf, name, refuse)
+    monkeypatch.setattr(series, "_convolve", refuse)
+    monkeypatch.setattr(series, "_divide", refuse)
+    ident = qf.IDENTITIES["inv-phi-5diss"]
+    for terms, order, m in ((_quotient(-1000), 200000, 2**64),
+                            (_quotient(-1), 200000, None),
+                            (ident.sides[0], 40000, None),
+                            (ident.sides[1], 40000, None),
+                            (qf._phi_sqdiss(1000)[1], 200000, None)):
+        assert qf.price(terms, order, m) > 0
+
+
+PRICE_ORDERS = (10, 100, 1000, 5000, 20000, 40000, 200000)
+PRICE_EXPONENTS = (1, 10, 100, 1000)
+PRICE_MODULI = (3, 2**16, 2**64, 2**256)
+
+
+@pytest.mark.parametrize("m", (None, *PRICE_MODULI))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_price_is_monotone_in_order_and_exponent(m, sign):
+    grid = [[qf.price(_quotient(sign * e), n, m) for n in PRICE_ORDERS]
+            for e in PRICE_EXPONENTS]
+    for row in grid:
+        assert row == sorted(row)
+    for column in zip(*grid):
+        assert list(column) == sorted(column)
+
+
+@pytest.mark.parametrize("e", (-1, -10, -1000, 10))
+def test_price_is_monotone_in_modulus_bits(e):
+    prices = [qf.price(_quotient(e), 20000, m) for m in PRICE_MODULI]
+    assert prices == sorted(prices)
+    assert prices[0] < prices[-1]
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("inv-phi-5diss", {}), ("inv-phineg-4diss", {}), ("phi-sqdiss", {"n": 7}),
+    ("f1-pdiss", {"p": 13}), ("psi-pdiss", {"p": 13})])
+def test_price_is_monotone_in_terms(tag, params):
+    ident = qf.IDENTITIES[tag]
+    _, rhs, m, *_ = ident.sides(**params) if params else ident.sides
+    prices = [qf.price(rhs[:k], 5000, m) for k in range(len(rhs) + 1)]
+    assert prices == sorted(prices)
+    assert prices[-1] > prices[1]
+
+
+def test_price_refuses_slots_past_the_digit_limit():
+    # a slot of more digits than int() and str() read linearly is
+    # priced as the quadratic conversion it is
+    assert qf.price(_quotient(-1), 100, 2**50000 + 1) > qf.BUILD_BUDGET
+    assert qf.price(_quotient(-1), 100, 10**2000 + 1) < qf.BUILD_BUDGET
+    with pytest.raises(ValueError, match="exceeds the build budget"):
+        qf.afford((_quotient(-1), 100, 10**3000 + 1))
+
+
+def test_verify_identity_prices_both_sides(monkeypatch):
+    seen = []
+    monkeypatch.setattr(qf, "price", lambda *build: seen.append(build) or 0)
+    qf.verify_identity("psi-3diss", 50)
+    ident = qf.IDENTITIES["psi-3diss"]
+    assert seen == [(ident.sides[0], 50, None), (ident.sides[1], 50, None)]
+    monkeypatch.setattr(qf, "price", lambda *build: qf.BUILD_BUDGET)
+    with pytest.raises(ValueError, match=r"psi-3diss: predicted cost 60000000 "
+                                         r"exceeds the build budget 30000000"):
+        qf.verify_identity("psi-3diss", 50)
