@@ -139,6 +139,8 @@ def test_exact_expand_is_priced(capsys):
     ["search", "--ell", "4", "--max-step", "200001"],
     ["verify-lemma", "--id", "psi-pdiss", "--p", "1000003"],
     ["verify-lemma", "--id", "phi-sqdiss", "--n", "1001"],
+    # a modulus keeps the build price low but does not lift the order guard
+    ["expand", "--eta", "1:-1", "--modulus", "7", "--order", "200001"],
     ["verify-theorem", "--family", "r4-fixed", "--terms", "200001"],
 ])
 def test_size_guard(capsys, argv):
