@@ -400,8 +400,13 @@ def verify(claim: CongruenceClaim,
     counterexample indices are in the progression variable n, so index
     i means coefficient step*i + offset.
     """
-    t0 = time.perf_counter()
     _check_size(claim, terms)
+    return _verify(claim, terms)
+
+
+def _verify(claim: CongruenceClaim, terms: int) -> VerificationReport:
+    """`verify` for a claim that has met `_check_size`."""
+    t0 = time.perf_counter()
     try:
         rhs = _RHS[claim.rhs]
     except KeyError:
@@ -434,7 +439,7 @@ def verify_rows(rows) -> list[VerificationReport]:
         orders[eq, modulus] = max(order, orders.get((eq, modulus), 0))
     for (eq, modulus), order in orders.items():
         expand_quotient(eq, order, modulus)
-    return [verify(claim, terms) for claim, terms in batch]
+    return [_verify(claim, terms) for claim, terms in batch]
 
 
 # -- search --------------------------------------------------------------------------
@@ -494,11 +499,7 @@ def search(ell: int, max_step: int, max_modulus: int,
     for step in range(1, min(max_step, (len(coeffs) - 1) // need) + 1):
         for offset in range(min(step, len(coeffs) - need * step)):
             vals = coeffs[offset::step]
-            g = 0
-            for v in vals:
-                g = math.gcd(g, v)
-                if g == 1:
-                    break
+            g = math.gcd(*vals)     # 0 only when every value is 0
             if g == 1 or g == 0:
                 continue
             # the largest modulus dividing g, which is at most g

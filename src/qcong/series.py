@@ -5,6 +5,11 @@ either over Z (arbitrary precision) or over Z/mZ when a modulus is
 attached.  Every binary operation truncates to the shorter operand; no
 operation ever invents coefficients past known data.
 
+Storage: residues mod m <= 256 are one ``bytes`` object, a byte per
+coefficient; coefficients over Z and residues mod a wider m are a
+``tuple`` of ints.  The kernels take and return residues in that form,
+so a modular build is bytes from its first reduction to the cache.
+
 Every product is one Kronecker substitution with one exact multiply in
 the standard library's `decimal` (libmpdec), at any slot width; a slot
 is as wide as the sparser operand's nonzero terms need.  Quotients and
@@ -53,23 +58,40 @@ def _check_modulus(m) -> int | None:
     return m
 
 
+def _bytewise(m: int | None) -> bool:
+    """Are residues mod m stored a byte each?"""
+    return m is not None and m <= 256
+
+
+def _store(coeffs: Iterable[int], m: int | None) -> Sequence[int]:
+    """Canonical coefficients as a Series stores them: bytes mod m <= 256,
+    else a tuple.  bytes() of bytes and tuple() of a tuple return the
+    object itself, so coefficients already stored are not copied."""
+    return bytes(coeffs) if _bytewise(m) else tuple(coeffs)
+
+
+def _zeros(n: int, m: int | None) -> Sequence[int]:
+    """n zero coefficients as a Series stores them mod m."""
+    return bytes(n) if _bytewise(m) else (0,) * n
+
+
 class Series:
     """Truncated power series with exact integer coefficients.
 
     coeffs[i] is the coefficient of q^i for 0 <= i < order.  When a
     modulus m is attached, coefficients are stored canonically reduced
-    to 0..m-1.
+    to 0..m-1: as bytes, one a coefficient, when m <= 256, and otherwise
+    (and over Z) as a tuple of ints.
     """
 
     __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs: Iterable[int], modulus: int | None = None):
         m = _check_modulus(modulus)
+        cs = map(int, coeffs)
         if m is not None:
-            cs = tuple(int(c) % m for c in coeffs)
-        else:
-            cs = tuple(int(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", cs)
+            cs = map(m.__rmod__, cs)
+        object.__setattr__(self, "coeffs", _store(cs, m))
         object.__setattr__(self, "modulus", m)
 
     @classmethod
@@ -77,9 +99,10 @@ class Series:
                    modulus: int | None) -> "Series":
         """Wrap coefficients that are already canonical (ints, reduced to
         0..m-1 when a modulus is given, which is itself already checked),
-        skipping the per-coefficient pass of __init__."""
+        skipping the per-coefficient pass of __init__; coefficients
+        already in their storage (`_store`) are kept, not copied."""
         s = object.__new__(cls)
-        object.__setattr__(s, "coeffs", tuple(coeffs))
+        object.__setattr__(s, "coeffs", _store(coeffs, modulus))
         object.__setattr__(s, "modulus", modulus)
         return s
 
@@ -87,7 +110,7 @@ class Series:
     def _reduced(cls, coeffs: Iterable[int], modulus: int | None) -> "Series":
         """Wrap ints, reducing them when a (checked) modulus is given."""
         if modulus is not None:
-            coeffs = [c % modulus for c in coeffs]
+            coeffs = map(modulus.__rmod__, coeffs)
         return cls._canonical(coeffs, modulus)
 
     def __setattr__(self, name, value):
@@ -97,7 +120,8 @@ class Series:
 
     @classmethod
     def zero(cls, order: int, modulus: int | None = None) -> "Series":
-        return cls._canonical((0,) * order, _check_modulus(modulus))
+        m = _check_modulus(modulus)
+        return cls._canonical(_zeros(order, m), m)
 
     @classmethod
     def one(cls, order: int, modulus: int | None = None) -> "Series":
@@ -232,8 +256,9 @@ class Series:
             raise ValueError("shift exponent must be non-negative")
         if k >= self.order:
             return Series.zero(self.order, self.modulus)
-        return Series._canonical((0,) * k + self.coeffs[: self.order - k],
-                                 self.modulus)
+        return Series._canonical(
+            _zeros(k, self.modulus) + self.coeffs[: self.order - k],
+            self.modulus)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
@@ -291,10 +316,14 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # reduces each byte mod m, with no int() or % a slot.  The dense mod-3
 # product at the 146469 slots of criterion 6 went from 123-178 ms (%d
 # pack, int() read-back) to 86-111 ms, three quarters of it the multiply.
+# Residues mod m <= 256 are stored as bytes (`_store`), so operands are
+# packed and products returned as they are stored, with no copy: a
+# build of R*_6 mod 3 at 146469 holds 0.16 MB and peaks at 2.4 MB
+# (tracemalloc), where tuples of residues held 1.18 MB and peaked at 3.6.
 #
 # Other products read the low n slots back a block of _BLOCK = 1024 at
-# a time from the end of the digit string, one struct format of 1024
-# fields per slot width (the front n % 1024 slots take their own).  One
+# a time from the end of the digit string, left-padded with zero slots
+# to whole blocks, one struct format of 1024 fields per slot width.  One
 # format of all n fields held 11.9 MB of a 146469-slot product's 12.7 MB
 # traced peak; by blocks it peaks at 3.9 MB, at the same speed, and 1024
 # keeps a block's bytes near 40 KB.  (2-vCPU Xeon VM, CPython 3.11.)
@@ -337,9 +366,17 @@ def _column_residues(p: int, m: int) -> bytes:
 
 
 @functools.cache
-def _lane_residues(m: int) -> bytes:
-    """translate table from a byte v to v mod m."""
-    return bytes(v % m for v in range(256))
+def _lane_residues(m: int, t: int = 1) -> bytes:
+    """translate table from a byte v to t v mod m."""
+    return bytes(t * v % m for v in range(256))
+
+
+def _scaled(cs: Sequence[int], t: int, m: int) -> Sequence[int]:
+    """t c mod m for each residue c of cs, stored as a Series stores them:
+    mod m <= 256 one bytes.translate."""
+    if _bytewise(m):
+        return bytes(cs).translate(_lane_residues(m, t % m))
+    return tuple(t * c % m for c in cs)
 
 
 def _byte_digits(cs, d: int, top: int) -> str:
@@ -397,14 +434,16 @@ def _product(a, b, n: int, bound: int, top: int, m: int | None):
         rounding=decimal.ROUND_FLOOR, context=ctx)
     low = ctx.subtract(prod, ctx.scaleb(high, d * n))
     del prod, high
-    raw = str(low).encode("ascii").rjust(d * n, b"0")
+    # left-padded with zero slots to whole blocks of _BLOCK slots
+    size = _BLOCK * d
+    raw = str(low).encode("ascii").rjust(-(-n // _BLOCK) * size, b"0")
     del low
     if m is not None and d * (m - 1) < 256:
         # column j of every slot is its digit at 10**(d-1-j); the residues
         # of the d columns sum to at most d (m - 1) < 256 a slot, so as
         # integers of one byte a slot they add without a carry.  Slot i is
-        # byte n-1-i of the big-endian sum: little-endian bytes put slot 0
-        # first
+        # the i-th byte from the end of the big-endian sum, whose pad
+        # slots are zero: n little-endian bytes put slot 0 first
         lanes = sum(int.from_bytes(
             raw[j::d].translate(_column_residues(d - 1 - j, m)), "big")
             for j in range(d))
@@ -414,15 +453,12 @@ def _product(a, b, n: int, bound: int, top: int, m: int | None):
     else:   # int() refuses slots this wide; Decimal converts them
         def parse(field):
             return int(ctx.create_decimal(field.decode()))
-    # slot i is field n-1-i: whole blocks from the end, each reversed,
-    # then the front n % _BLOCK fields with a format of their own
-    front, size = n % _BLOCK * d, _BLOCK * d
+    # slot i is the i-th field counted from the end: the blocks from the
+    # end, each reversed, and the first n fields of them, before the pad
     blocks = map(_block_reader(d), itertools.repeat(raw),
-                 range(len(raw) - size, front - 1, -size))
-    fields = itertools.chain(
-        itertools.chain.from_iterable(map(reversed, blocks)),
-        reversed(struct.unpack_from(f"{d}s" * (n % _BLOCK), raw)))
-    values = map(parse, fields)
+                 range(len(raw) - size, -1, -size))
+    fields = itertools.chain.from_iterable(map(reversed, blocks))
+    values = map(parse, itertools.islice(fields, n))
     if m is None:
         return map((-half).__add__, values)
     return map(m.__rmod__, values)
@@ -436,35 +472,34 @@ def _top_residue(values: bytes, m: int) -> int:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int,
-              modulus: int | None) -> list[int]:
-    """First n coefficients of the product of a and b.
+              modulus: int | None) -> Sequence[int]:
+    """First n coefficients of the product of a and b, stored as a Series
+    stores them (`_store`).
 
     Operands may have any lengths; terms past n are ignored.  Over Z/mZ
-    the operands must be canonical residues.
+    the operands must be canonical residues, as bytes mod m <= 256 to be
+    scanned and packed without a copy.
     """
     # a square keeps one operand object, which _product squares; only an
-    # operand longer than n is cut, since slicing a list copies it
+    # operand longer than n is cut, since slicing copies it
     square = b is a
     if len(a) > n:
         a = a[:n]
     b = a if square else (b[:n] if len(b) > n else b)
-    if modulus is not None and modulus <= 256:
-        # residues that fit a byte are scanned and packed as bytes
-        a = bytes(a)
-        b = a if square else bytes(b)
+    if _bytewise(modulus):
         amax, bmax = _top_residue(a, modulus), _top_residue(b, modulus)
     else:   # canonical residues are >= 0, so |c| bounds them as well
         amax = max(map(abs, a), default=0)
         bmax = max(map(abs, b), default=0)
     if amax == 0 or bmax == 0:
-        return [0] * n
+        return _zeros(n, modulus)
     # largest slot magnitude, doubled when the slot is biased by X/2: a
     # slot sums at most one product per nonzero term of either operand
     bound = (min(len(a) - a.count(0), len(b) - b.count(0))
              * amax * bmax)
     if modulus is None:
         bound *= 2
-    return list(_product(a, b, n, bound, max(amax, bmax), modulus))
+    return _store(_product(a, b, n, bound, max(amax, bmax), modulus), modulus)
 
 
 # -- division -------------------------------------------------------------------
@@ -487,7 +522,7 @@ _NEWTON_MIN_TERMS = 50
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
-              m: int | None) -> list[int]:
+              m: int | None) -> Sequence[int]:
     """First len(den) coefficients of num/den.  A numerator of (1,) is
     an inverse, which the Hensel lift and Newton return without a
     further product; any other takes one product with that inverse."""
@@ -542,23 +577,23 @@ def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
 
 
 def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
-                    d: int) -> list[int]:
+                    d: int) -> Sequence[int]:
     """1/f mod m to len(coeffs) terms, where d = gcd(m, coeffs[1:]) and
     m | d^4: f inv0 = 1 + d e, so g = inv0 (2 - inv0 f) has f g = 1 -
     (d e)^2, right mod d^2 with no product; one more step g (2 - f g)
     reaches d^4 with two products."""
-    t = -inv0 * inv0 % m
-    g = [t * c % m for c in coeffs]
-    g[0] = inv0            # inv0 (2 - inv0 f[0]) = inv0 (mod m)
+    # inv0 (2 - inv0 f[0]) = inv0 (mod m)
+    g = _store((inv0,), m) + _scaled(coeffs[1:], -inv0 * inv0, m)
     if d * d % m:
         n = len(coeffs)
-        h = [(-c) % m for c in _convolve(coeffs, g, n, m)]
-        h[0] = (h[0] + 2) % m
+        h = _scaled(_convolve(coeffs, g, n, m), -1, m)
+        h = _store(((h[0] + 2) % m,), m) + h[1:]
         g = _convolve(g, h, n, m)
     return g
 
 
-def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
+def _newton_inverse(coeffs: Sequence[int], inv0: int,
+                    m: int) -> Sequence[int]:
     """1/f mod m to len(coeffs) terms by Newton iteration from g = inv0:
     if f g = 1 + q^k e, then g - q^k (g e) is right to q^{2k}, and only
     the first k' - k terms of e and of g e are needed to reach k'."""
@@ -567,12 +602,10 @@ def _newton_inverse(coeffs: Sequence[int], inv0: int, m: int) -> list[int]:
     while n > 1:
         orders.append(n)
         n = (n + 1) // 2
-    g, k = [inv0], 1
+    g, k = _store((inv0,), m), 1
     for k2 in reversed(orders):
-        e = _convolve(coeffs, g, k2, m)
-        del e[:k]
-        ge = _convolve(g, e, k2 - k, m)
-        g += [(-c) % m for c in ge]
+        e = _convolve(coeffs, g, k2, m)[k:]
+        g += _scaled(_convolve(g, e, k2 - k, m), -1, m)
         k = k2
     return g
 

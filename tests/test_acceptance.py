@@ -7,6 +7,7 @@ offending reports.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,8 @@ def test_modular_bases_times_phi_are_f_ell(suite_run):
         ell = factors[-1][0]
         assert EtaQuotient(factors) == EtaQuotient.rstar(ell)
         built[ell, m] = base.order
+        # residues mod m <= 256 are held one byte a coefficient
+        assert sys.getsizeof(base.coeffs) - sys.getsizeof(b"") == base.order
         phi = qfunctions.general_theta(1, 1, base.order, -1).reduce_mod(m)
         assert (base * phi
                 == qfunctions.euler_product(ell, base.order).reduce_mod(m))

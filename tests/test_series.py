@@ -212,6 +212,31 @@ def test_from_terms_accumulates_duplicates():
         Series.from_terms([(-1, 1)], 6)
 
 
+@pytest.mark.parametrize("m", [None, 2, 3, 4, 255, 256, 257, 2**64])
+def test_coefficients_are_bytes_exactly_mod_at_most_256(m):
+    # residues mod m <= 256 are one bytes object, a byte a coefficient;
+    # coefficients over Z and mod a wider m are a tuple.  A dense unit
+    # series is inverted by Newton, an Euler product by the recurrence
+    # and phi(-q) mod 2 and 4 by the Hensel lift
+    rng = random.Random(m)
+    n = 200
+    a, b = (Series([1] + [rng.randrange(-9, 10) for _ in range(n - 1)], m)
+            for _ in range(2))
+    f1, phi = euler_product(1, n), general_theta(1, 1, n, -1)
+    if m is not None:
+        f1, phi = f1.reduce_mod(m), phi.reduce_mod(m)
+    results = [a + b, a - b, -a, 3 * a, a * -5, a * b, a * a, a ** 3,
+               a ** 0, a ** -2, a.invert(), f1.invert(), phi.invert(),
+               a / b, a / f1, a.shift(3), a.shift(n), a.truncate(50),
+               Series.zero(n, m), Series.one(n, m)]
+    if m is not None:
+        results += [a.reduce_mod(m), Series([-1, 5, 2**70]).reduce_mod(m)]
+    kind = bytes if m is not None and m <= 256 else tuple
+    for s in results:
+        assert type(s.coeffs) is kind
+    assert a * b == Series(naive_product(a.coeffs, b.coeffs, n, m), m)
+
+
 def test_congruent_mod_reports_first_mismatch():
     a = Series([1, 5, 3, 9])
     b = Series([1, 1, 3, 2])
@@ -273,7 +298,8 @@ def test_kernel_slots_at_their_extremes():
             big = math.isqrt((top - 1) // (2 * n))
             for a, b in (([big] * n, [big] * n), ([big] * n, [-big] * n),
                          ([-big] * n, [-big] * n)):
-                assert series._convolve(a, b, n, None) == naive_product(a, b, n)
+                assert (list(series._convolve(a, b, n, None))
+                        == naive_product(a, b, n))
     # sparse operands: slots are sized by the nonzero count k, not the
     # length, so slot 3(k-1), which sums k products B^2, fills them
     for k in (1, 2, 3):
@@ -286,14 +312,14 @@ def test_kernel_slots_at_their_extremes():
                 b = [sb * abs(c) for c in a]
                 want = naive_product(a, b, n)
                 assert abs(want[3 * (k - 1)]) == k * big * big
-                assert series._convolve(a, b, n, None) == want
+                assert list(series._convolve(a, b, n, None)) == want
             # modular: the largest residue, with an unbiased slot
             m = math.isqrt((top - 1) // k) + 1
             a = [m - 1 if i % 3 == 0 and i < 3 * k else 0 for i in range(n)]
             want = naive_product(a, a, n, m)
             assert naive_product(a, a, n)[3 * (k - 1)] == k * (m - 1) ** 2
-            assert series._convolve(a, a, n, m) == want
-            assert series._convolve(a, list(a), n, m) == want
+            assert list(series._convolve(a, a, n, m)) == want
+            assert list(series._convolve(a, list(a), n, m)) == want
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -312,8 +338,9 @@ def test_slots_past_a_lowered_str_digit_limit():
         cases.append(([rng.randrange(m) for _ in range(20)],
                       [rng.randrange(m) for _ in range(17)], 20, m))
     with int_max_str_digits(640):
-        got = [series._convolve(a, b, n, m) for a, b, n, m in cases]
-        squares = [series._convolve(a, a, n, m) for a, _, n, m in cases]
+        got = [list(series._convolve(a, b, n, m)) for a, b, n, m in cases]
+        squares = [list(series._convolve(a, a, n, m))
+                   for a, _, n, m in cases]
         power = Series(cases[0][0]) ** 2
     for (a, b, n, m), product, square in zip(cases, got, squares):
         assert product == naive_product(a, b, n, m)
@@ -343,7 +370,8 @@ def test_product_reads_back_across_block_seams():
             if m is not None:
                 a, b = [c % m for c in a], [c % m for c in b]
             with int_max_str_digits(640):
-                got = series._convolve(a, b, n, m), series._convolve(a, a, n, m)
+                got = (list(series._convolve(a, b, n, m)),
+                       list(series._convolve(a, a, n, m)))
             assert got == (naive_product(a, b, n, m), naive_product(a, a, n, m))
 
 
@@ -373,6 +401,23 @@ def test_dense_product_memory_stays_bounded():
     assert peak(list(a), list(b)) < 5 * 10**6
 
 
+def test_residue_build_memory_stays_bounded():
+    # R*_6 mod 3 at the order of criterion 6: held as a tuple of residues
+    # the built series held 1.18 MB and the build peaked at 3.6 MB; as
+    # bytes it holds 0.16 MB and peaks at 2.4 MB
+    eq = EtaQuotient.rstar(6)
+    eta_quotient(eq, 2000, 3)    # imports decimal and fills the tables
+    tracemalloc.start()
+    try:
+        built = eta_quotient(eq, 146469, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.order == 146469
+    assert held < 5 * 10**5
+    assert peak < 3 * 10**6
+
+
 @pytest.mark.parametrize("shape", ["dense", "sparse", "square", "short"])
 def test_residue_products_match_the_exact_product_at_suite_order(shape):
     # the residue products of the suite's moduli at the order of R*_6 in
@@ -393,7 +438,7 @@ def test_residue_products_match_the_exact_product_at_suite_order(shape):
     for m in (2, 3, 4, 8, 16):
         rx = type(x)(c % m for c in x)
         ry = rx if y is x else type(y)(c % m for c in y)
-        assert series._convolve(rx, ry, k, m) == [c % m for c in exact]
+        assert list(series._convolve(rx, ry, k, m)) == [c % m for c in exact]
 
 
 def test_byte_lanes_at_their_boundary(monkeypatch):
@@ -408,8 +453,10 @@ def test_byte_lanes_at_their_boundary(monkeypatch):
         a = [m - 1] * 30
         assert 10**4 <= 30 * (m - 1) ** 2 < 10**5
         blocks.clear()
-        assert series._convolve(a, a, 30, m) == naive_product(a, a, 30, m)
-        assert series._convolve(a, list(a), 30, m) == naive_product(a, a, 30, m)
+        assert (list(series._convolve(a, a, 30, m))
+                == naive_product(a, a, 30, m))
+        assert (list(series._convolve(a, list(a), 30, m))
+                == naive_product(a, a, 30, m))
         assert (not blocks) == lanes
 
 
@@ -426,7 +473,7 @@ def test_suite_moduli_take_byte_lanes(monkeypatch):
         raise AssertionError(f"block read-back of {d}-digit slots")
 
     monkeypatch.setattr(series, "_block_reader", refuse)
-    assert series._convolve(a, b, n, 3) == [c % 3 for c in exact]
+    assert list(series._convolve(a, b, n, 3)) == [c % 3 for c in exact]
 
 
 def test_decimal_context_is_exact_or_raises():
@@ -486,7 +533,7 @@ def test_lifted_inverse_of_phi_matches_newton_at_suite_orders(h):
     f = phi_neg_mod(146469, h, 16)
     newton = series._newton_inverse(f.coeffs, 1, 16)
     for m in (2, 4, 8, 16):
-        assert (series._quotient((1,), f.reduce_mod(m).coeffs, m)
+        assert (list(series._quotient((1,), f.reduce_mod(m).coeffs, m))
                 == [c % m for c in newton])
 
 
@@ -496,10 +543,10 @@ def test_lifted_quotient_by_phi_matches_the_recurrence(m):
     for h in (1, 2, 3):
         for order in (1, 2, 129, 3000):
             f = phi_neg_mod(order, h, m)
-            assert (series._quotient((1,), f.coeffs, m)
+            assert (list(series._quotient((1,), f.coeffs, m))
                     == series._divide((1,), f.coeffs, 1, m))
             num = [rng.randrange(m) for _ in range(order)]
-            assert (series._quotient(num, f.coeffs, m)
+            assert (list(series._quotient(num, f.coeffs, m))
                     == series._divide(num, f.coeffs, 1, m))
 
 
