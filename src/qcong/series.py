@@ -70,11 +70,6 @@ def _store(coeffs: Iterable[int], m: int | None) -> Sequence[int]:
     return bytes(coeffs) if _bytewise(m) else tuple(coeffs)
 
 
-def _zeros(n: int, m: int | None) -> Sequence[int]:
-    """n zero coefficients as a Series stores them mod m."""
-    return bytes(n) if _bytewise(m) else (0,) * n
-
-
 class Series:
     """Truncated power series with exact integer coefficients.
 
@@ -121,7 +116,7 @@ class Series:
     @classmethod
     def zero(cls, order: int, modulus: int | None = None) -> "Series":
         m = _check_modulus(modulus)
-        return cls._canonical(_zeros(order, m), m)
+        return cls._canonical(_store(bytes(order), m), m)
 
     @classmethod
     def one(cls, order: int, modulus: int | None = None) -> "Series":
@@ -257,7 +252,7 @@ class Series:
         if k >= self.order:
             return Series.zero(self.order, self.modulus)
         return Series._canonical(
-            _zeros(k, self.modulus) + self.coeffs[: self.order - k],
+            _store(bytes(k), self.modulus) + self.coeffs[: self.order - k],
             self.modulus)
 
     def truncate(self, order: int) -> "Series":
@@ -322,8 +317,9 @@ def congruent_mod(a: Series, b: Series, m: int, upto: int) -> CongruenceCheck:
 # (tracemalloc), where tuples of residues held 1.18 MB and peaked at 3.6.
 #
 # Other products read the low n slots back a block of _BLOCK = 1024 at
-# a time from the end of the digit string, left-padded with zero slots
-# to whole blocks, one struct format of 1024 fields per slot width.  One
+# a time from the end of the digit string, one cached struct format of
+# 1024 fields per slot width; the front n % 1024 slots take a format of
+# their own that is not cached (85 cached ones held 565 KiB).  One
 # format of all n fields held 11.9 MB of a 146469-slot product's 12.7 MB
 # traced peak; by blocks it peaks at 3.9 MB, at the same speed, and 1024
 # keeps a block's bytes near 40 KB.  (2-vCPU Xeon VM, CPython 3.11.)
@@ -366,17 +362,9 @@ def _column_residues(p: int, m: int) -> bytes:
 
 
 @functools.cache
-def _lane_residues(m: int, t: int = 1) -> bytes:
-    """translate table from a byte v to t v mod m."""
-    return bytes(t * v % m for v in range(256))
-
-
-def _scaled(cs: Sequence[int], t: int, m: int) -> Sequence[int]:
-    """t c mod m for each residue c of cs, stored as a Series stores them:
-    mod m <= 256 one bytes.translate."""
-    if _bytewise(m):
-        return bytes(cs).translate(_lane_residues(m, t % m))
-    return tuple(t * c % m for c in cs)
+def _lane_residues(m: int) -> bytes:
+    """translate table from a byte v to v mod m."""
+    return bytes(v % m for v in range(256))
 
 
 def _byte_digits(cs, d: int, top: int) -> str:
@@ -434,16 +422,14 @@ def _product(a, b, n: int, bound: int, top: int, m: int | None):
         rounding=decimal.ROUND_FLOOR, context=ctx)
     low = ctx.subtract(prod, ctx.scaleb(high, d * n))
     del prod, high
-    # left-padded with zero slots to whole blocks of _BLOCK slots
-    size = _BLOCK * d
-    raw = str(low).encode("ascii").rjust(-(-n // _BLOCK) * size, b"0")
+    raw = str(low).encode("ascii").rjust(d * n, b"0")
     del low
     if m is not None and d * (m - 1) < 256:
         # column j of every slot is its digit at 10**(d-1-j); the residues
         # of the d columns sum to at most d (m - 1) < 256 a slot, so as
         # integers of one byte a slot they add without a carry.  Slot i is
-        # the i-th byte from the end of the big-endian sum, whose pad
-        # slots are zero: n little-endian bytes put slot 0 first
+        # byte n-1-i of the big-endian sum: little-endian bytes put slot 0
+        # first
         lanes = sum(int.from_bytes(
             raw[j::d].translate(_column_residues(d - 1 - j, m)), "big")
             for j in range(d))
@@ -453,12 +439,16 @@ def _product(a, b, n: int, bound: int, top: int, m: int | None):
     else:   # int() refuses slots this wide; Decimal converts them
         def parse(field):
             return int(ctx.create_decimal(field.decode()))
-    # slot i is the i-th field counted from the end: the blocks from the
-    # end, each reversed, and the first n fields of them, before the pad
+    # slot i is field n-1-i: whole blocks from the end, each reversed,
+    # then the front n % _BLOCK fields with a format of their own, made
+    # by struct.Struct, which unlike struct.unpack_from caches no format
+    front, size = n % _BLOCK * d, _BLOCK * d
     blocks = map(_block_reader(d), itertools.repeat(raw),
-                 range(len(raw) - size, -1, -size))
-    fields = itertools.chain.from_iterable(map(reversed, blocks))
-    values = map(parse, itertools.islice(fields, n))
+                 range(len(raw) - size, front - 1, -size))
+    fields = itertools.chain(
+        itertools.chain.from_iterable(map(reversed, blocks)),
+        reversed(struct.Struct(f"{d}s" * (n % _BLOCK)).unpack_from(raw)))
+    values = map(parse, fields)
     if m is None:
         return map((-half).__add__, values)
     return map(m.__rmod__, values)
@@ -492,7 +482,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
         amax = max(map(abs, a), default=0)
         bmax = max(map(abs, b), default=0)
     if amax == 0 or bmax == 0:
-        return _zeros(n, modulus)
+        return _store(bytes(n), modulus)
     # largest slot magnitude, doubled when the slot is biased by X/2: a
     # slot sums at most one product per nonzero term of either operand
     bound = (min(len(a) - a.count(0), len(b) - b.count(0))
@@ -582,12 +572,14 @@ def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
     m | d^4: f inv0 = 1 + d e, so g = inv0 (2 - inv0 f) has f g = 1 -
     (d e)^2, right mod d^2 with no product; one more step g (2 - f g)
     reaches d^4 with two products."""
+    t = -inv0 * inv0 % m
     # inv0 (2 - inv0 f[0]) = inv0 (mod m)
-    g = _store((inv0,), m) + _scaled(coeffs[1:], -inv0 * inv0, m)
+    g = _store(itertools.chain((inv0,), (t * c % m for c in coeffs[1:])), m)
     if d * d % m:
         n = len(coeffs)
-        h = _scaled(_convolve(coeffs, g, n, m), -1, m)
-        h = _store(((h[0] + 2) % m,), m) + h[1:]
+        fg = _convolve(coeffs, g, n, m)
+        h = _store(itertools.chain(((2 - fg[0]) % m,),
+                                   ((-c) % m for c in fg[1:])), m)
         g = _convolve(g, h, n, m)
     return g
 
@@ -605,7 +597,7 @@ def _newton_inverse(coeffs: Sequence[int], inv0: int,
     g, k = _store((inv0,), m), 1
     for k2 in reversed(orders):
         e = _convolve(coeffs, g, k2, m)[k:]
-        g += _scaled(_convolve(g, e, k2 - k, m), -1, m)
+        g += _store(((-c) % m for c in _convolve(g, e, k2 - k, m)), m)
         k = k2
     return g
 
