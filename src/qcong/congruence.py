@@ -475,10 +475,43 @@ def _known_progressions(ell: int) -> list[tuple[str, int, int, int]]:
             for c in claims]
 
 
+# search scans residues mod L = lcm(2..max_modulus) while L is at most
+# this, so that residues are machine words (a C long) for sum() in
+# series._divide: max_modulus <= 42, L = lcm(2..42) < 2^58, while
+# lcm(2..43) > 2^63.  That is where ring and exact scans cross at small
+# orders.  R*_8, max_step 16, ring against exact (2-vCPU Xeon VM,
+# CPython 3.11, medians of alternating runs): max_modulus 42 even at
+# 1001 terms, 32 against 46 ms at 8000, 166 against 341 ms at 40000 and
+# 3.7 against 6.8 s at 200000; max_modulus 43 to 128 (64 to 184 bits)
+# 5-18% slower at 1001 to 4000 terms and even at 8000.  Past 8000 terms
+# a wider ring can win (287 against 356 ms at 40000 and max_modulus
+# 160), but past 300 nonzero terms of phi(-q) (90000 terms) its inverse
+# goes to Newton, whose slots widen with L: 4.2 against 1.9 s at 100000
+# and max_modulus 100.
+_RING_BOUND = 2 ** 63
+
+
+def _search_ring(max_modulus: int) -> int | None:
+    """lcm(2..max_modulus), or None when it passes _RING_BOUND."""
+    ring = 1
+    for m in range(2, max_modulus + 1):
+        ring = math.lcm(ring, m)
+        if ring > _RING_BOUND:
+            return None
+    return ring
+
+
 def search(ell: int, max_step: int, max_modulus: int,
            terms: int = DEFAULT_TERMS) -> list[Candidate]:
     """Scan all progressions with step <= max_step for total vanishing
     mod some m in 2..max_modulus, over the first ``terms`` coefficients.
+
+    The coefficients are read mod L = lcm(2..max_modulus), or over Z
+    once L passes _RING_BOUND, and a progression's values a(n) mod L give
+    g = gcd(L, a(n), ...): every m <= max_modulus divides L, so it
+    divides g exactly when it divides every a(n), and a(n) >= 1 (the
+    overpartition of n into the one overlined part n), so g is never 0.
+    The candidates are those of the exact scan.
 
     Only progressions with at least MIN_EVIDENCE supporting values are
     reported; each hit carries the maximal modulus and any matching
@@ -487,9 +520,10 @@ def search(ell: int, max_step: int, max_modulus: int,
     if ell < 1 or max_step < 1 or max_modulus < 2 or terms < 1:
         raise ValueError(
             "need ell >= 1, max_step >= 1, max_modulus >= 2, terms >= 1")
-    afford((((1, 0, EtaQuotient.rstar(ell), ()),), terms, None),
+    ring = _search_ring(max_modulus)
+    afford((((1, 0, EtaQuotient.rstar(ell), ()),), terms, ring),
            prefix="search: ")
-    coeffs = expand_quotient(EtaQuotient.rstar(ell), terms, None).coeffs
+    coeffs = expand_quotient(EtaQuotient.rstar(ell), terms, ring).coeffs
     known = _known_progressions(ell)
     out = []
     # coeffs[offset::step] has at least MIN_EVIDENCE values exactly when
@@ -499,9 +533,7 @@ def search(ell: int, max_step: int, max_modulus: int,
     for step in range(1, min(max_step, (len(coeffs) - 1) // need) + 1):
         for offset in range(min(step, len(coeffs) - need * step)):
             vals = coeffs[offset::step]
-            g = math.gcd(*vals)     # 0 only when every value is 0
-            if g == 1 or g == 0:
-                continue
+            g = math.gcd(ring or 0, *vals)
             # the largest modulus dividing g, which is at most g
             best = next((m for m in range(min(max_modulus, g), 1, -1)
                          if g % m == 0), 0)

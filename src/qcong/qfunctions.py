@@ -205,8 +205,11 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     once.  Over Z the positive powers are multiplied into a numerator,
     which is then divided by each sparse base with a negative exponent,
     once per unit of the exponent: exact f_2 f_ell/f_1^2 = f_ell/phi(-q)
-    costs one sparse division and no product.  Over Z/mZ every base is
-    inverted and raised to its power, so the slots stay narrow.
+    costs one sparse division and no product.  Over Z/mZ a base of
+    exponent -1 divides the numerator too, which costs no product where
+    the division is the recurrence and the one product with the inverse
+    where it is a Hensel lift or Newton; every other negative power is
+    inverted and then raised, so the slots stay narrow.
     """
     def power(key, k=1):    # key: a theta block (a, b, sign) or a scale h
         base = (euler_product(key, order) if type(key) is int
@@ -218,7 +221,7 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     def product(plan, out=None):
         divisors = []
         for key, k in plan.items():
-            if modulus is None and k < 0:
+            if k < 0 and (modulus is None or k == -1):
                 divisors += [power(key)] * -k
             elif k:
                 term = power(key, k)

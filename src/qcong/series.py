@@ -14,10 +14,11 @@ Every product is one Kronecker substitution with one exact multiply in
 the standard library's `decimal` (libmpdec), at any slot width; a slot
 is as wide as the sparser operand's nonzero terms need.  Quotients and
 inverses take one constant-term recurrence over the nonzero terms of
-the divisor, over Z and for sparse modular divisors, Newton iteration
-over the kernel for denser modular ones, or a Hensel lift for a modular
-divisor that is its constant term modulo d = gcd(m, terms past it),
-with m | d^4 (phi(-q) mod 2, 4, 8 and 16).
+the divisor, over Z and for sparse modular divisors (up to 50 nonzero
+terms mod m <= 256, up to 300 mod a wider m), Newton iteration over the
+kernel for denser modular ones, or a Hensel lift for a modular divisor
+that is its constant term modulo d = gcd(m, terms past it), with
+m | d^4 (phi(-q) mod 2, 4, 8 and 16).
 
 Values are immutable after construction and safe to share between
 threads.
@@ -496,19 +497,32 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 #
 # The recurrence costs about order * nonzero-terms / 2 additions: it sums
 # F[n-k] over the k sharing one coefficient value, so the +-1 and +-2 of
-# Euler products and theta series cost one addition a term.  Newton's
-# products cost about the same per coefficient at every order, so the
-# crossover is a count of nonzero terms, the one tuned number of this
-# layer (2-vCPU Xeon VM, CPython 3.11): recurrence over Newton time on
-# phi(-q^h) mod 3 is 0.72-0.79 at 41 terms and 1.03-1.06 at 61, and
-# 1/f_1000 mod 2^64 at order 200000 (23 terms) takes 0.27 s by the
-# recurrence and 2.7 s by Newton.  The Hensel lift replaces both where
-# m | d^4: 1/phi(-q) at order 200000 takes 0.016 s mod 4 against
-# Newton's 0.70 s.  Lifting on past d^4 loses: mod 2^64 16.8 s against
-# Newton's 3.9 s.  Newton starts from the constant term's inverse, as
-# its first steps cost what the recurrence does there.
+# Euler products and theta series cost one addition a term.  Each value
+# group's sum is one sum() of the tuple its itemgetter allocates, which
+# adds residues in a C long while the sum stays below 2^63: 1/phi(-q)
+# mod 720720 at 8000 terms takes 13-15 ms, and took 26 ms with a loop of
+# += (26 against 32 ms over Z).  Newton's products cost about the same
+# per coefficient at every order, so the crossover is a count of nonzero
+# terms, one per ring, the tuned numbers of this layer (2-vCPU Xeon VM,
+# CPython 3.11; recurrence over Newton time):
+# - mod m <= 256, Newton past 50 terms: phi(-q^h) mod 3 is 0.72-0.79 at
+#   41 terms and 1.03-1.06 at 61;
+# - mod a wider m, Newton past 300 terms, as Newton's slots widen with m
+#   and the recurrence's sums do not.  Medians of five on 1/phi(-q) mod
+#   720720: 0.36 at 8000 (90 terms, 20 against 55 ms), 0.55 at 40000
+#   (200), 1.00 at 90000 (300), 1.48 at 122500 (350) and 1.19 at 146469
+#   (383).  Mod 2^64 the recurrence wins longer, 0.27, 0.63, 0.62 and
+#   0.89 at 90, 200, 300 and 383 terms, and 1/f_1000 at order 200000 (23
+#   terms) takes 0.27 s by the recurrence and 2.7 s by Newton;
+# - over Z, whose slots are wider still, always the recurrence.
+# The Hensel lift replaces both where m | d^4: 1/phi(-q) at order 200000
+# takes 0.016 s mod 4 against Newton's 0.70 s.  Lifting on past d^4
+# loses: mod 2^64 16.8 s against Newton's 3.9 s.  Newton starts from the
+# constant term's inverse, as its first steps cost what the recurrence
+# does there.
 
-_NEWTON_MIN_TERMS = 50
+_NEWTON_MIN_TERMS = 50         # residues mod m <= 256
+_NEWTON_MIN_WIDE_TERMS = 300   # residues mod a wider m
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
@@ -533,7 +547,8 @@ def _quotient(num: Sequence[int], den: Sequence[int],
     d = math.gcd(m, *set(den[1:]))
     if d ** 4 % m == 0:
         g = _hensel_inverse(den, inv0, m, d)
-    elif len(den) - den.count(0) > _NEWTON_MIN_TERMS:
+    elif len(den) - den.count(0) > (_NEWTON_MIN_TERMS if _bytewise(m)
+                                    else _NEWTON_MIN_WIDE_TERMS):
         g = _newton_inverse(den, inv0, m)
     else:
         return _divide(num, den, inv0, m)
@@ -544,25 +559,33 @@ def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
             m: int | None) -> list[int]:
     """First len(den) coefficients of num/den by the constant-term
     recurrence F[n] = inv0 (num[n] - sum_k den[k] F[n-k]), over the
-    nonzero den[k] with 1 <= k <= n; inv0 is the inverse of den[0]."""
+    nonzero den[k] with 1 <= k <= n; inv0 is the inverse of den[0].
+
+    F grows by append behind one leading 0, so F[n-k] is F[-k] while
+    F[n] is made.  Each value v of den keeps one itemgetter of -k for its
+    k <= n and of index 0, the leading 0, so that it returns a tuple even
+    for one k.  So each group allocates one tuple of its F[n-k] a
+    coefficient, which sum() then adds in C, residues in a C long while
+    the sum stays below 2^63.  The getters change only at the k with
+    den[k] != 0, so the n between two such k share one tuple of them."""
     N = len(den)
-    by_value: dict[int, list[int]] = {}
-    for k in range(1, N):
-        if den[k]:
-            by_value.setdefault(den[k], []).append(k)
-    groups = list(by_value.items())
-    F = list(num[:N])
-    F += [0] * (N - len(F))
-    for n in range(N):
-        s = F[n]
-        for v, ks in groups:
-            t = 0
-            for k in ks:
-                if k > n:
-                    break
-                t += F[n - k]
-            s -= v * t
-        F[n] = inv0 * s if m is None else inv0 * s % m
+    nums = itertools.chain(itertools.islice(num, N), itertools.repeat(0))
+    indices: dict[int, list[int]] = {}
+    getters = {}
+    F = [0]
+    n = 0
+    for k in itertools.chain(filter(den.__getitem__, range(1, N)), (N,)):
+        groups = tuple(getters.items())
+        for s in itertools.islice(nums, k - n):
+            for v, get in groups:
+                s -= v * sum(get(F))
+            F.append(inv0 * s if m is None else inv0 * s % m)
+        if k < N:   # den[k] joins its value's getter from F[k] on
+            ks = indices.setdefault(den[k], [0])
+            ks.append(-k)
+            getters[den[k]] = operator.itemgetter(*ks)
+        n = k
+    del F[0]
     return F
 
 

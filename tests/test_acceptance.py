@@ -125,8 +125,9 @@ def test_modular_bases_times_phi_are_f_ell(suite_run):
     # its full built order, checked by a product, a path that did not
     # build it (the mod-4 and mod-8 bases and r10 mod 2 are Hensel
     # lifts, r5 and r15 mod 2 are f5 and f15 by folding f2 into f1^2,
-    # and r6 mod 3 is psi(q)^2, whose product with phi(-q) is f6 only
-    # mod 3)
+    # r6 mod 3 is psi(q)^2, whose product with phi(-q) is f6 only mod 3,
+    # and criterion 12's searches read r4 mod lcm(2..4) = 12 and r8 mod
+    # lcm(2..8) = 840, f_ell divided by phi(-q) in the recurrence)
     built = {}
     for (factors, m), base in suite_run[1].items():
         if m is None:
@@ -134,15 +135,20 @@ def test_modular_bases_times_phi_are_f_ell(suite_run):
         ell = factors[-1][0]
         assert EtaQuotient(factors) == EtaQuotient.rstar(ell)
         built[ell, m] = base.order
-        # residues mod m <= 256 are held one byte a coefficient
-        assert sys.getsizeof(base.coeffs) - sys.getsizeof(b"") == base.order
+        # residues mod m <= 256 are held one byte a coefficient, and
+        # residues mod a wider m in a tuple
+        if m <= 256:
+            assert (sys.getsizeof(base.coeffs) - sys.getsizeof(b"")
+                    == base.order)
+        else:
+            assert type(base.coeffs) is tuple
         phi = qfunctions.general_theta(1, 1, base.order, -1).reduce_mod(m)
         assert (base * phi
                 == qfunctions.euler_product(ell, base.order).reduce_mod(m))
     assert built == {(4, 4): 8004, (5, 2): 10002, (5, 4): 10004,
                      (10, 2): 10002, (10, 4): 10004, (15, 2): 10002,
                      (15, 4): 10004, (8, 4): 32014, (8, 8): 16008,
-                     (6, 3): 146469}
+                     (6, 3): 146469, (4, 12): 1001, (8, 840): 1001}
 
 
 def _without_seconds(value):

@@ -164,7 +164,8 @@ SLOW_COMMANDS = [
     ["verify-lemma", "--id", "phi-sqdiss", "--n", "1000", "--order",
      "200000"],
     ["verify-theorem", "--family", "r8-2n1-exact", "--terms", "100000"],
-    ["search", "--ell", "8", "--terms", "200000"],
+    # an exact scan: lcm(2..64) passes the ring bound
+    ["search", "--ell", "8", "--max-modulus", "64", "--terms", "200000"],
 ]
 
 

@@ -4,6 +4,7 @@ the shared series cache, and the progression search."""
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -321,7 +322,8 @@ def test_order_guard():
 def test_price_guard_refuses_before_any_build():
     # within the order guard but past the build budget: the exact base of
     # r8-2n1-exact at 100000 terms (order 200000) and its right side; and
-    # search's exact base at 200000 terms
+    # search's exact base at 200000 terms, which it reads once
+    # lcm(2..max_modulus) passes the ring bound
     cg.clear_cache()
     with pytest.raises(cg.OrderShortfallError,
                        match=r"r8-2n1-exact: .*predicted cost \d+ exceeds "
@@ -329,8 +331,11 @@ def test_price_guard_refuses_before_any_build():
         cg.verify_rows([("r8-2n1-exact", {}, 100000)])
     assert not cg._CACHE
     with pytest.raises(ValueError, match="search: predicted cost"):
-        cg.search(8, 8, 8, terms=200000)
+        cg.search(8, 8, 64, terms=200000)
     assert not cg._CACHE
+    # mod lcm(2..8) = 840 the same base is within the budget
+    assert (qf.price(((1, 0, EtaQuotient.rstar(8), ()),), 200000, 840)
+            <= qf.BUILD_BUDGET)
 
 
 def test_check_size_prices_base_and_right_side(monkeypatch):
@@ -506,6 +511,49 @@ def _search_every_progression(ell, max_step, max_modulus, terms):
             if len(vals) >= cg.MIN_EVIDENCE and best:
                 out.add((step, offset, best, len(vals)))
     return out
+
+
+# the last max_modulus whose lcm(2..M) the ring bound admits
+LAST_RING_M = max(M for M in range(2, 64)
+                  if math.lcm(*range(2, M + 1)) <= cg._RING_BOUND)
+
+
+def test_the_ring_bound_admits_max_modulus_up_to_42():
+    # residues mod lcm(2..42) < 2^58 are machine words; lcm(2..43) > 2^63
+    assert LAST_RING_M == 42
+    assert cg._search_ring(2) == 2
+    assert cg._search_ring(16) == 720720
+    assert cg._search_ring(42) == math.lcm(*range(2, 43))
+    assert cg._search_ring(43) is None
+    assert cg._search_ring(10**9) is None   # stops at 43
+
+
+@pytest.mark.parametrize("max_modulus", [2, 16, LAST_RING_M, LAST_RING_M + 1])
+@pytest.mark.parametrize("ell", [4, 6, 8])
+def test_ring_search_keeps_every_candidate_of_the_exact_scan(ell,
+                                                             max_modulus):
+    # mod lcm(2..M), or over Z past the ring bound, the same candidates as
+    # the exact scan, read from the base the ring names
+    cg.clear_cache()
+    ring = cg._search_ring(max_modulus)
+    hits = cg.search(ell, 24, max_modulus, terms=8000)
+    assert list(cg._CACHE) == [(EtaQuotient.rstar(ell).factors, ring)]
+    assert ({(c.step, c.offset, c.modulus, c.evidence) for c in hits}
+            == _search_every_progression(ell, 24, max_modulus, 8000))
+
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench/expected"
+
+
+@pytest.mark.parametrize("ell", [6, 8, 16])
+def test_search_matches_the_recorded_benchmark_candidates(ell):
+    # the search workload's input, mod lcm(2..16) = 720720
+    hits = cg.search(ell, 16, 16, terms=8000)
+    recorded = json.loads((EXPECTED / f"search-ell{ell}.json").read_text())
+    assert [{"ell": c.ell, "step": c.step, "offset": c.offset,
+             "modulus": c.modulus, "evidence": c.evidence,
+             "rediscovers": list(c.rediscovers)}
+            for c in hits] == recorded["candidates"]
 
 
 @pytest.mark.parametrize("ell, terms, far", [(4, 500, 250), (8, 300, 200),

@@ -168,12 +168,28 @@ def test_exact_exponents_divide_once_per_unit(e, monkeypatch):
 
 
 def test_modular_bases_are_inverted_then_raised(monkeypatch):
+    # mod 4, f3^2 / f1 divides by f1, whose 32 nonzero terms at order 400
+    # take the recurrence: its one product is the square of f3.  Past
+    # exponent -1 the base is inverted once and then raised
     divided = spy_divisions(monkeypatch)
+    inverted, products = [], []
+    invert, convolve = Series.invert, series._convolve
+    monkeypatch.setattr(Series, "invert",
+                        lambda a: inverted.append(a) or invert(a))
+    monkeypatch.setattr(series, "_convolve",
+                        lambda *args: products.append(args) or convolve(*args))
+    f1 = qf.euler_product(1, 400).reduce_mod(4)
     for e in (1, 2, 25):
         factors = [(1, -e), (3, 2)]
-        assert (qf.eta_quotient(EtaQuotient(factors), 400, 4)
-                == plain_eta_quotient(factors, 400, 4))
-    assert divided == []
+        divided.clear()
+        inverted.clear()
+        products.clear()
+        built = qf.eta_quotient(EtaQuotient(factors), 400, 4)
+        if e == 1:
+            assert (divided, inverted, len(products)) == ([f1], [], 1)
+        else:
+            assert (divided, inverted) == ([], [f1])
+        assert built == plain_eta_quotient(factors, 400, 4)
 
 
 def test_primality_is_tested_only_for_a_modulus_dividing_a_scale(

@@ -380,9 +380,9 @@ def test_dense_product_memory_stays_bounded():
     # one slot format of n fields and n bytes objects at once, it peaked
     # at 12.7 MB; read a block at a time, 3.9 MB.  It now takes the byte
     # path, and peaks at 4.2 MB in the multiply, with the operands' bytes
-    # held through it.  List operands (Newton's g and e) peaked at 6.2 MB
-    # while each was copied to its first n terms; uncopied they peak as
-    # tuples do
+    # held through it.  List operands (Newton's g and e were lists before
+    # residues mod m <= 256 became bytes) peaked at 6.2 MB while each was
+    # copied to its first n terms; uncopied they peak as tuples do
     n = 146469
     rng = random.Random(n)
     a = tuple(rng.randrange(3) for _ in range(n))
@@ -498,6 +498,70 @@ def test_decimal_is_imported_lazily():
     assert out.stdout.strip() == "False"
 
 
+def plain_divide(num, den, inv0, m):
+    """num/den to len(den) terms, one coefficient at a time over the
+    nonzero den[k]: the reference series._divide must agree with."""
+    terms = [(k, c) for k, c in enumerate(den) if k and c]
+    out = []
+    for n in range(len(den)):
+        s = num[n] if n < len(num) else 0
+        for k, c in terms:
+            if k > n:
+                break
+            s -= c * out[n - k]
+        out.append(inv0 * s if m is None else inv0 * s % m)
+    return out
+
+
+# the rings a division runs over: Z, where the constant term is +-1, the
+# search's residues mod lcm(2..16) and a modulus past a machine word,
+# each divisor times a unit u with inverse inv0
+DIVISION_RINGS = [pytest.param(None, -1, -1, id="Z"),
+                  pytest.param(720720, 17, pow(17, -1, 720720), id="720720"),
+                  pytest.param(2**64, 3, pow(3, -1, 2**64), id="2^64")]
+
+
+@pytest.mark.parametrize("m, u, inv0", DIVISION_RINGS)
+@pytest.mark.parametrize("base", ["phi", "f1"])
+def test_divide_matches_the_plain_recurrence(base, m, u, inv0):
+    # 1/phi(-q) and 1/f1 to 40000 terms mod 720720, 200 and 327 nonzero
+    # terms, either side of the wide moduli's Newton crossover, and to
+    # 20000 over Z and mod 2^64; then f8 divided by each at search's 8000
+    # terms (R*_8 is f8/phi(-q))
+    order = 40000 if m == 720720 else 20000
+    den = (general_theta(1, 1, order, -1) if base == "phi"
+           else euler_product(1, order)) * u
+    num = euler_product(8, 8000)
+    if m is not None:
+        den, num = den.reduce_mod(m), num.reduce_mod(m)
+    assert series._divide((1,), den.coeffs, inv0, m) == plain_divide(
+        (1,), den.coeffs, inv0, m)
+    den = den.coeffs[:8000]
+    assert (series._divide(num.coeffs, den, inv0, m)
+            == plain_divide(num.coeffs, den, inv0, m))
+
+
+@pytest.mark.parametrize("m, u, inv0",
+                         DIVISION_RINGS + [pytest.param(4, 3, 3, id="4")])
+def test_divide_matches_the_plain_recurrence_on_edge_shapes(m, u, inv0):
+    # numerators longer and shorter than the divisor, and divisors whose
+    # first nonzero term past the constant comes late, at the last index,
+    # or never; random values repeat, so value groups hold several k
+    rng = random.Random(20261020)
+    top = 10**12 if m is None else m
+    order = 400
+    for late in (1, 2, 200, order - 1, order):
+        den = [u] + [0] * (late - 1) + [
+            rng.choice([0, 0, 1, top - 1, rng.randrange(top)])
+            for _ in range(order - late)]
+        for length in (0, 1, 7, order - 1, order, order + 40):
+            num = [rng.randrange(-top, top) for _ in range(length)]
+            if m is not None:
+                num = [c % m for c in num]
+            assert (series._divide(num, den, inv0, m)
+                    == plain_divide(num, den, inv0, m)), (late, length)
+
+
 def test_newton_matches_division_at_32768_mod_4():
     f = euler_product(1, 32768).reduce_mod(4)
     assert 32768 - f.coeffs.count(0) > series._NEWTON_MIN_TERMS
@@ -557,7 +621,7 @@ def test_phi_times_lifted_inverse_is_one_at_146469_mod_8():
 
 def spy_inverses(monkeypatch):
     calls = []
-    for name in ("_newton_inverse", "_hensel_inverse"):
+    for name in ("_newton_inverse", "_hensel_inverse", "_divide"):
         real = getattr(series, name)
         monkeypatch.setattr(series, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
@@ -566,18 +630,26 @@ def spy_inverses(monkeypatch):
 
 def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
         monkeypatch):
-    # 1/phi(-q): mod 2, 4 and 8 it is lifted, with no Newton iteration;
-    # mod 3 (d = 1), mod 32 and mod 2^64 (d = 2), and 1/f1 mod 4 (d = 1)
-    # take Newton
+    # 1/phi(-q) at 8004, 90 nonzero terms: mod 2, 4 and 8 it is lifted,
+    # with no Newton iteration; mod 3 (d = 1), mod 32 (d = 2) and 1/f1
+    # mod 4 (d = 1) take Newton, as residues mod m <= 256 do past 50
+    # nonzero terms; mod 720720 and 2^64 (d = 2), where Newton starts
+    # past 300, the recurrence.  phi(-q)^2 mod 2^64 at 2000 (d = 4) has
+    # more than 300 and takes Newton
     calls = spy_inverses(monkeypatch)
     phi, f1 = general_theta(1, 1, 8004, -1), euler_product(1, 8004)
+    dense = (general_theta(1, 1, 2000, -1) ** 2).reduce_mod(2**64)
+    assert (2000 - dense.coeffs.count(0) > series._NEWTON_MIN_WIDE_TERMS
+            > 8004 - phi.reduce_mod(2**64).coeffs.count(0))
     for base, m, path in ((phi, 2, "_hensel_inverse"),
                           (phi, 4, "_hensel_inverse"),
                           (phi, 8, "_hensel_inverse"),
                           (phi, 3, "_newton_inverse"),
                           (phi, 32, "_newton_inverse"),
-                          (phi, 2**64, "_newton_inverse"),
-                          (f1, 4, "_newton_inverse")):
+                          (f1, 4, "_newton_inverse"),
+                          (phi, 720720, "_divide"),
+                          (phi, 2**64, "_divide"),
+                          (dense, 2**64, "_newton_inverse")):
         calls.clear()
         base.reduce_mod(m).invert()
         assert calls == [path], (m, path)
