@@ -12,7 +12,6 @@ the violated precondition goes to stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -201,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if args.format == "json":
+        import json   # text output, the default, starts without it
         text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     else:
         text = "\n".join(lines)

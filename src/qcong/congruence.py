@@ -529,11 +529,22 @@ def search(ell: int, max_step: int, max_modulus: int,
     # coeffs[offset::step] has at least MIN_EVIDENCE values exactly when
     # offset < len(coeffs) - (MIN_EVIDENCE - 1) * step; past the last
     # step with such an offset no progression can be reported
+    n = len(coeffs)
     need = MIN_EVIDENCE - 1
-    for step in range(1, min(max_step, (len(coeffs) - 1) // need) + 1):
-        for offset in range(min(step, len(coeffs) - need * step)):
-            vals = coeffs[offset::step]
-            g = math.gcd(ring or 0, *vals)
+    top = min(max_step, (n - 1) // need)
+    gcds = {}   # step -> the gcd of each offset's values, with ring
+    for step in range(top, 0, -1):
+        # offset B of step A is offsets B and B + A of step 2A, so only
+        # the steps above top / 2 slice the coefficients; a step's row
+        # covers every offset, reported or not, for its half to read
+        if 2 * step <= top:
+            wide = gcds.pop(2 * step)
+            row = [math.gcd(wide[b], wide[b + step]) for b in range(step)]
+        else:
+            row = [math.gcd(ring or 0, *coeffs[b::step]) for b in range(step)]
+        gcds[step] = row
+        for offset in range(min(step, n - need * step)):
+            g = row[offset]
             # the largest modulus dividing g, which is at most g
             best = next((m for m in range(min(max_modulus, g), 1, -1)
                          if g % m == 0), 0)
@@ -542,6 +553,7 @@ def search(ell: int, max_step: int, max_modulus: int,
             labels = tuple(sorted(
                 label for label, ka, kb, km in known
                 if ka == step and kb == offset and best % km == 0))
-            out.append(Candidate(ell, step, offset, best, len(vals), labels))
+            out.append(Candidate(ell, step, offset, best,
+                                 (n - offset + step - 1) // step, labels))
     out.sort(key=lambda c: (-c.evidence, c.step, c.offset, -c.modulus))
     return out

@@ -222,12 +222,13 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
         divisors = []
         for key, k in plan.items():
             if k < 0 and (modulus is None or k == -1):
-                divisors += [power(key)] * -k
+                divisors.append((power(key), -k))
             elif k:
                 term = power(key, k)
                 out = term if out is None else out * term
-        for divisor in divisors:
-            out = divisor.invert() if out is None else out / divisor
+        for divisor, k in divisors:
+            for _ in range(k):
+                out = divisor.invert() if out is None else out / divisor
         return Series.one(order, modulus) if out is None else out
 
     plans, shared = _plans(terms, order, modulus)

@@ -514,6 +514,14 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 #   (383).  Mod 2^64 the recurrence wins longer, 0.27, 0.63, 0.62 and
 #   0.89 at 90, 200, 300 and 383 terms, and 1/f_1000 at order 200000 (23
 #   terms) takes 0.27 s by the recurrence and 2.7 s by Newton;
+# - a quotient mod a wider m, past 600 terms, as Newton's inverse is then
+#   followed by one product that the recurrence does not make.  Medians
+#   of five alternating runs of f8 over phi(-q) or f1, mod 720720 and
+#   mod 2^61 - 1: 0.69 and 0.58 at 317 terms (phi(-q) at 100000), 1.05
+#   and 0.94 at 448 (phi(-q) at 200000), 1.00 and 0.85 at 517 (f1 at
+#   100000), 1.26 and 1.12 at 633 (f1 at 150000), 1.37 and 1.34 at 730
+#   (f1 at 200000).  The inverse 1/f1 at 200000 mod 720720 alone is 2.04
+#   (2.24 against 1.10 s), so inverses keep the 300-term rule;
 # - over Z, whose slots are wider still, always the recurrence.
 # The Hensel lift replaces both where m | d^4: 1/phi(-q) at order 200000
 # takes 0.016 s mod 4 against Newton's 0.70 s.  Lifting on past d^4
@@ -523,6 +531,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 
 _NEWTON_MIN_TERMS = 50         # residues mod m <= 256
 _NEWTON_MIN_WIDE_TERMS = 300   # residues mod a wider m
+_NEWTON_MIN_WIDE_QUOTIENT_TERMS = 600   # a quotient other than 1/den
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
@@ -547,8 +556,10 @@ def _quotient(num: Sequence[int], den: Sequence[int],
     d = math.gcd(m, *set(den[1:]))
     if d ** 4 % m == 0:
         g = _hensel_inverse(den, inv0, m, d)
-    elif len(den) - den.count(0) > (_NEWTON_MIN_TERMS if _bytewise(m)
-                                    else _NEWTON_MIN_WIDE_TERMS):
+    elif len(den) - den.count(0) > (
+            _NEWTON_MIN_TERMS if _bytewise(m)
+            else _NEWTON_MIN_WIDE_TERMS if num == (1,)
+            else _NEWTON_MIN_WIDE_QUOTIENT_TERMS):
         g = _newton_inverse(den, inv0, m)
     else:
         return _divide(num, den, inv0, m)

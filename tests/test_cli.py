@@ -395,6 +395,23 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+def test_importing_the_package_loads_no_json():
+    # only --format json prints through json, so a text command starts
+    # without it; decimal waits for the first series product, which
+    # multiplies through it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys; before = set(sys.modules); "
+             "import qcong, qcong.cli, qcong.suite; "
+             "print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "qcong.suite" in loaded
+    assert not {"json", "_json", "decimal"} & set(loaded)
+
+
 def _fake_results(all_pass):
     return [CriterionResult(1, "stub a", True),
             CriterionResult(2, "stub b", all_pass)]

@@ -557,9 +557,13 @@ def test_search_matches_the_recorded_benchmark_candidates(ell):
 
 
 @pytest.mark.parametrize("ell, terms, far", [(4, 500, 250), (8, 300, 200),
-                                             (6, 400, 150)])
+                                             (6, 400, 150), (4, 346, 7),
+                                             (6, 2599, 53)])
 def test_search_bound_keeps_every_candidate(ell, terms, far):
-    # max_step far past terms / MIN_EVIDENCE, where no step can report
+    # max_step far past terms / MIN_EVIDENCE, where no step can report.
+    # The last two cases end on an odd step at the MIN_EVIDENCE edge: step
+    # 7 of 346 terms reports offsets 0 to 2 only, and step 26 of 2599
+    # terms reads offset 51 of step 52, which has 49 values
     hits = cg.search(ell, far, 8, terms=terms)
     assert ({(c.step, c.offset, c.modulus, c.evidence) for c in hits}
             == _search_every_progression(ell, far, 8, terms))

@@ -167,6 +167,20 @@ def test_exact_exponents_divide_once_per_unit(e, monkeypatch):
     assert len(divided) == e
 
 
+def test_exact_exponent_divides_without_a_list_of_its_units():
+    # f1^-e over Z divides e times by its one f1, so the traced peak does
+    # not grow with |e|: a list of e references to f1 grew it 8 bytes a unit
+    peaks = []
+    for e in (400, 4000):
+        tracemalloc.start()
+        try:
+            qf.eta_quotient(EtaQuotient([(1, -e)]), 10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 8 * 2**10, peaks
+
+
 def test_modular_bases_are_inverted_then_raised(monkeypatch):
     # mod 4, f3^2 / f1 divides by f1, whose 32 nonzero terms at order 400
     # take the recurrence: its one product is the square of f3.  Past

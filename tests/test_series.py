@@ -655,6 +655,26 @@ def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
         assert calls == [path], (m, path)
 
 
+def test_wide_quotients_take_newton_only_past_twice_the_inverse_crossover(
+        monkeypatch):
+    # mod 720720 a divisor of 499 nonzero terms is inverted by Newton, but
+    # a quotient by it takes the recurrence, which makes no product after
+    # the inverse; at 699 terms both take Newton
+    assert (series._NEWTON_MIN_WIDE_TERMS < 499
+            <= series._NEWTON_MIN_WIDE_QUOTIENT_TERMS < 699)
+    calls = spy_inverses(monkeypatch)
+    rng, m = random.Random(20261020), 720720
+    for order, path in ((500, "_divide"), (700, "_newton_inverse")):
+        den = Series([1] + [rng.randrange(1, m) for _ in range(order - 1)], m)
+        num = Series([rng.randrange(m) for _ in range(order)], m)
+        calls.clear()
+        den.invert()
+        assert calls == ["_newton_inverse"]
+        calls.clear()
+        assert (num / den) * den == num
+        assert calls == [path], order
+
+
 def test_a_prime_modulus_folds_only_where_products_are_saved(monkeypatch):
     # mod 3, rstar(6) = f2 f6/f1^2 = f2^4/f1^2 = psi(q)^2, and mod 2,
     # rstar(5) = f5 and rstar(15) = f15: no inverse.  Mod 2, rstar(4),
