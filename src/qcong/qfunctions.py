@@ -22,14 +22,15 @@ from .series import EtaQuotient, Series
 # -- basic constructors --------------------------------------------------------
 
 
-def euler_product(h: int, order: int) -> Series:
-    """(q^h; q^h)_infinity truncated below ``order``.
+def euler_product(h: int, order: int, modulus: int | None = None) -> Series:
+    """(q^h; q^h)_infinity truncated below ``order``, over Z or, when a
+    modulus is given, over Z/mZ (built there, as ``general_theta``).
 
     Pentagonal number theorem: f(-q) = F(-q, -q^2), so this is the sum
     over nu in Z of (-1)^nu q^{h nu(3nu+1)/2}.  The result is sparse:
     O(sqrt(order/h)) nonzero terms.
     """
-    return general_theta(h, 2 * h, order, -1)
+    return general_theta(h, 2 * h, order, -1, modulus=modulus)
 
 
 # theta pairs a plan takes out, each (a, b, sign, u, v): the block
@@ -212,10 +213,10 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     inverted and then raised, so the slots stay narrow.
     """
     def power(key, k=1):    # key: a theta block (a, b, sign) or a scale h
-        base = (euler_product(key, order) if type(key) is int
-                else general_theta(key[0], key[1], order, key[2]))
-        if modulus is not None:     # the exact base goes before the power
-            base = base.reduce_mod(modulus)
+        # each base is built in its ring, then raised
+        base = (euler_product(key, order, modulus) if type(key) is int
+                else general_theta(key[0], key[1], order, key[2],
+                                   modulus=modulus))
         return base ** k
 
     def product(plan, out=None):
@@ -285,11 +286,15 @@ def afford(*builds, error=ValueError, prefix="") -> None:
 
 
 def general_theta(a: int, b: int, order: int, sign: int = 1,
-                  shift: int = 0) -> Series:
+                  shift: int = 0, modulus: int | None = None) -> Series:
     """q^shift F(sign q^a, sign q^b) truncated below ``order``, where
     F(x, y) = sum over t in Z of x^{t(t+1)/2} y^{t(t-1)/2} is the
     bilateral theta series; term t has sign ``sign`` when t is odd and
     1 when even, as t(t+1)/2 + t(t-1)/2 = t^2.
+
+    Over Z, or over Z/mZ when a modulus is given: the residues of its
+    O(sqrt(order)) terms are placed straight into their storage
+    (``Series.from_terms``), with no exact series reduced afterwards.
 
     Needs a + b > 0 (exponents then grow like (a+b) t^2 / 2).  Either of
     a and b may be negative, as dissection summands need, but any term
@@ -321,7 +326,7 @@ def general_theta(a: int, b: int, order: int, sign: int = 1,
     t = -1
     while visit(t) or 2 * (a + b) * t > (b - a):
         t -= 1
-    return Series.from_terms(terms, order)
+    return Series.from_terms(terms, order, modulus)
 
 
 def phi(order: int, scale: int = 1) -> Series:

@@ -8,7 +8,8 @@ operation ever invents coefficients past known data.
 Storage: residues mod m <= 256 are one ``bytes`` object, a byte per
 coefficient; coefficients over Z and residues mod a wider m are a
 ``tuple`` of ints.  The kernels take and return residues in that form,
-so a modular build is bytes from its first reduction to the cache.
+and sparse series are built in it (``from_terms``), so a modular build
+is bytes from its theta and Euler bases to the cache.
 
 Every product is one Kronecker substitution with one exact multiply in
 the standard library's `decimal` (libmpdec), at any slot width; a slot
@@ -126,17 +127,23 @@ class Series:
         return cls([1] + [0] * (order - 1), modulus)
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int]],
-                   order: int) -> "Series":
-        """Build over Z from sparse (exponent, coefficient) pairs; exponents
-        at or past ``order`` are dropped, duplicates accumulate."""
-        cs = [0] * order
+    def from_terms(cls, terms: Iterable[tuple[int, int]], order: int,
+                   modulus: int | None = None) -> "Series":
+        """Build from sparse (exponent, coefficient) pairs, over Z or, when
+        a modulus is given, over Z/mZ; exponents at or past ``order`` are
+        dropped, duplicates accumulate.  Residues accumulate straight into
+        their storage (a bytearray mod m <= 256, else a list), so a sparse
+        series mod m costs no Python-level pass over its zero coefficients
+        and equals the series over Z reduced mod m."""
+        m = _check_modulus(modulus)
+        cs = bytearray(order) if _bytewise(m) else [0] * order
         for e, c in terms:
             if e < 0:
                 raise ValueError(f"negative exponent {e} (no Laurent series)")
             if e < order:
-                cs[e] += int(c)
-        return cls._canonical(cs, None)
+                c = cs[e] + int(c)
+                cs[e] = c if m is None else c % m
+        return cls._canonical(cs, m)
 
     # -- basics ------------------------------------------------------------
 

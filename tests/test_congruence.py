@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qcong import cli, congruence as cg, qfunctions as qf, suite
+from qcong import (cli, congruence as cg, counting, qfunctions as qf, series,
+                   suite)
 from qcong.qfunctions import eta_quotient, eta_terms
 from qcong.series import EtaQuotient, Series
 
@@ -225,6 +226,49 @@ def test_convolution_and_d2_exact():
         assert r.passed and r.modulus is None
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6, 8])
+def test_convolution_matches_the_double_sum(ell, monkeypatch):
+    # the left side is one exact product; the plain double sum over
+    # a(n - ell nu) p(nu) is the reference it must equal at every n
+    terms = 1001
+    (claim,) = cg.instantiate("conv-overpartition", ell=ell)
+    a = cg._values(claim, terms)
+    ptab = counting.count(counting.PLAIN_P, (terms - 1) // ell)
+    lhs, pbar, cmp_mod, _ = cg._overpartition_conv_rhs(claim, terms)
+    assert list(lhs) == [sum(a[n - ell * nu] * ptab[nu]
+                             for nu in range(n // ell + 1))
+                         for n in range(terms)]
+    assert list(lhs) == list(pbar) and cmp_mod is None
+    # one wrong a(i) first shows at index i, and the report fails there
+    i = 377
+    real = cg._values
+    monkeypatch.setattr(cg, "_values", lambda c, t: tuple(
+        v + 1 if k == i else v for k, v in enumerate(real(c, t))))
+    report = cg.verify(claim, terms)
+    assert report.status == "fail" and report.counterexamples[0][0] == i
+
+
+def test_oracle_sides_make_no_series_product(monkeypatch):
+    # the expected sides of P_CONVOLUTION and D2 come from the counting
+    # oracles alone: with the bases built, no product may run
+    claims = [(claim, 60) for claim in cg.instantiate("r8-halved")]
+    claims += [(claim, 150) for claim in cg.instantiate("r2-distinct")]
+    tables = {}
+    for claim, terms in claims:
+        cg._values(claim, terms)
+        tables[claim] = cg._RHS[claim.rhs](claim, terms)
+
+    def refuse(*args):
+        raise AssertionError("series arithmetic on an oracle side")
+
+    monkeypatch.setattr(series, "_convolve", refuse)
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(Series, "__rmul__", refuse)
+    for claim, terms in claims:
+        assert cg._RHS[claim.rhs](claim, terms) == tables[claim]
+        assert cg.verify(claim, terms).passed
+
+
 def test_intermediates_all_pass():
     for ident in ("r4-4n1-mod4", "r6-2n1-mod3", "r6-3n2-mod3", "r6-all-mod3",
                   "r8-2n1-exact", "r8-2n1-mod8", "r8-4n1-mod4",
@@ -285,9 +329,9 @@ def test_r6_all_mod3_sides_share_no_construction(monkeypatch):
     blocks = []
     real = qf.general_theta
     monkeypatch.setattr(qf, "general_theta",
-                        lambda a, b, order, sign=1, shift=0:
+                        lambda a, b, order, sign=1, shift=0, modulus=None:
                         blocks.append((a, b, sign))
-                        or real(a, b, order, sign, shift))
+                        or real(a, b, order, sign, shift, modulus))
     qf.eta_quotient(EtaQuotient.rstar(6), 300, 3)
     lhs = set(blocks)
     blocks.clear()

@@ -107,6 +107,32 @@ def test_eta_quotient_modular_matches_exact_reduction():
     assert modular.modulus == 3
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 9, 16, 256, 257, 720720, 2**64])
+def test_ring_built_bases_match_exact_then_reduced(m):
+    # theta and Euler series built mod m place each term's residue: they
+    # must equal the exact series reduced mod m, stored as reduce_mod
+    # stores it (bytes mod m <= 256, a tuple above)
+    storage = bytes if m <= 256 else tuple
+    blocks = [((1, 1, -1, 0), 400),     # phi(-q): t and -t share q^(t^2)
+              ((1, 3, 1, 0), 400),      # psi(q)
+              ((3, 6, -1, 0), 400),     # f_3
+              ((25, 25, 1, 0), 400),
+              ((140, 7, -1, 15), 400),  # a shifted dissection summand
+              ((-2, 6, 1, 2), 400),     # negative a: q^2 F(q^-2, q^6)
+              ((7, -3, -1, 3), 400)]    # negative b
+    if m == 3:      # psi(q) mod 3 at criterion 6's order
+        blocks.append(((1, 3, 1, 0), 146469))
+    for (a, b, sign, shift), order in blocks:
+        exact = qf.general_theta(a, b, order, sign, shift)
+        ring = qf.general_theta(a, b, order, sign, shift, modulus=m)
+        assert ring.modulus == m and type(ring.coeffs) is storage
+        assert ring.coeffs == exact.reduce_mod(m).coeffs, (a, b, sign, shift)
+    for h in (1, 2, 7):
+        ring = qf.euler_product(h, 500, m)
+        assert ring.modulus == m and type(ring.coeffs) is storage
+        assert ring.coeffs == qf.euler_product(h, 500).reduce_mod(m).coeffs
+
+
 def plain_eta_quotient(factors, order, modulus=None):
     """prod_h f_h^{e_h} one Euler factor at a time, with no phi(-q)
     rewriting: the reference eta_quotient must agree with bit for bit."""
@@ -252,10 +278,10 @@ def test_phi_neg_cross_check_catches_a_corrupt_spec(monkeypatch):
     # itself: corrupt only the (1, 1) theta, so the Euler side stays right
     real = qf.general_theta
 
-    def corrupt(a, b, order, sign=1, shift=0):
+    def corrupt(a, b, order, sign=1, shift=0, modulus=None):
         if (a, b) == (1, 1):
             sign = -sign
-        return real(a, b, order, sign, shift)
+        return real(a, b, order, sign, shift, modulus)
 
     monkeypatch.setattr(qf, "general_theta", corrupt)
     assert qf.euler_product(1, 50) == real(1, 2, 50, -1)
@@ -584,7 +610,8 @@ def test_fp_binom_is_not_checked_against_itself(p, monkeypatch):
     scales = []
     real = qf.euler_product
     monkeypatch.setattr(qf, "euler_product",
-                        lambda h, order: scales.append(h) or real(h, order))
+                        lambda h, order, modulus=None:
+                        scales.append(h) or real(h, order, modulus))
     assert qf.verify_identity("fp-binom", p=p).passed
     assert scales == [p, 1]
 

@@ -380,9 +380,9 @@ def test_dense_product_memory_stays_bounded():
     # one slot format of n fields and n bytes objects at once, it peaked
     # at 12.7 MB; read a block at a time, 3.9 MB.  It now takes the byte
     # path, and peaks at 4.2 MB in the multiply, with the operands' bytes
-    # held through it.  List operands (Newton's g and e were lists before
-    # residues mod m <= 256 became bytes) peaked at 6.2 MB while each was
-    # copied to its first n terms; uncopied they peak as tuples do
+    # held through it.  _convolve cuts only an operand longer than n, so
+    # list operands of n terms are packed as they are and peak as tuples
+    # do; copied to their first n terms, they peaked at 6.2 MB
     n = 146469
     rng = random.Random(n)
     a = tuple(rng.randrange(3) for _ in range(n))
