@@ -489,10 +489,13 @@ def _known_progressions(ell: int) -> list[tuple[str, int, int, int]]:
 # 1001 terms, 32 against 46 ms at 8000, 166 against 341 ms at 40000 and
 # 3.7 against 6.8 s at 200000; max_modulus 43 to 128 (64 to 184 bits)
 # 5-18% slower at 1001 to 4000 terms and even at 8000.  Past 8000 terms
-# a wider ring can win (287 against 356 ms at 40000 and max_modulus
-# 160), but past 300 nonzero terms of phi(-q) (90000 terms) its inverse
-# goes to Newton, whose slots widen with L: 4.2 against 1.9 s at 100000
-# and max_modulus 100.
+# a wider ring wins too, its base divided by the recurrence as every
+# base mod a wide ring is (series._quotient).  Ring over exact time for
+# max_modulus past 42, medians of five alternating runs: 1.12-1.27 at
+# 1001 terms and 0.92-1.24 at 8000 (max_modulus 43, 64, 128 and 300),
+# 0.79-0.85 at 40000 (43, 64 and 128; the build price refuses the ring
+# at 300) and 0.62-0.63 at 100000 (0.95-1.08 against 1.53-1.71 s at
+# max_modulus 43 and 100).
 _RING_BOUND = 2 ** 63
 
 

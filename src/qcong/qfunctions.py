@@ -41,10 +41,11 @@ _PSI = (1, 3, 1, -1, 2)     # psi(q^h) = f_{2h}^2 / f_h
 
 
 def _pairs_out(exps: dict, pairs) -> dict:
-    """The quotient {h: e} as a plan {base: k}: for each kind of pair in
-    turn, scales ascending, the largest power f_h^{uk} f_{2h}^{vk} the
-    exponents hold becomes the theta block (a, b, sign) to the k; the
-    Euler factors left are the bases h."""
+    """The quotient {h: e} as a plan {(a, b, sign): k}: for each kind of
+    pair in turn, scales ascending, the largest power f_h^{uk} f_{2h}^{vk}
+    the exponents hold becomes the theta block (a, b, sign) to the k; each
+    Euler factor f_h^e left is the block (h, 2h, -1) to the e, as
+    ``euler_product`` builds it."""
     exps = dict(sorted(exps.items()))
     plan = {}
     for a, b, sign, u, v in pairs:
@@ -57,7 +58,7 @@ def _pairs_out(exps: dict, pairs) -> dict:
                 continue
             plan[a * h, b * h, sign] = k
             exps[h], exps[2 * h] = e - u * k, e2 - v * k
-    plan.update((h, e) for h, e in exps.items() if e)
+    plan.update(((h, 2 * h, -1), e) for h, e in exps.items() if e)
     return plan
 
 
@@ -113,12 +114,12 @@ def _price(plans, order: int, modulus: int | None, coefficients=(1,),
         return min(w, grown(gx + gy)), min(order, nx * ny), gx + gy
 
     def power(key, k):      # as expand_terms raises a base; a divisor as is
-        span = 3 * key if type(key) is int else key[0] + key[1]
-        # exponents (span t^2 +- (a - b) t) / 2 < order, one per t in Z or
-        # per |t| when a = b; coefficients at most 2 (log10 2 = 0.3)
-        halves = 1 if type(key) is tuple and key[0] == key[1] else 2
+        a, b, _ = key
+        # exponents ((a + b) t^2 +- (a - b) t) / 2 < order, one per t in Z
+        # or per |t| when a = b; coefficients at most 2 (log10 2 = 0.3)
+        halves = 1 if a == b else 2
         x = (0.3 if ring is None else ring,
-             min(order, halves * isqrt(2 * order // span) + 1), 3 / span)
+             min(order, halves * isqrt(2 * order // (a + b)) + 1), 3 / (a + b))
         if (k < 0 and ring is None) or (key, k) in built:
             return built.get((key, k), x)
         e, result = abs(k), None
@@ -160,7 +161,10 @@ def _price(plans, order: int, modulus: int | None, coefficients=(1,),
     return cost
 
 
-@lru_cache(maxsize=1024)   # each claim's base is priced, checked again, built
+# verify-all asks 416 times for 160 plans, a plan priced for several
+# claims and then built: the misses take 6-9 ms, where 416 uncached
+# calls took 10-11 ms (2-vCPU Xeon VM, CPython 3.11)
+@lru_cache(maxsize=1024)
 def _plan(eq: EtaQuotient, order: int, modulus: int | None) -> dict:
     """The plan {base: k} for ``eq`` with the lowest price (``_price``):
     the quotient as given or, when the modulus is a prime p dividing a
@@ -202,22 +206,20 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     """The sum of (c, s, EtaQuotient, blocks) ``terms`` below ``order``,
     over Z/modulus Z when one is given; the empty sum is zero.  Each term
     is one plan {base: k} (``_plans``), whose bases are theta blocks
-    (a, b, sign) and Euler scales h; a sum expands each distinct power
-    once.  Over Z the positive powers are multiplied into a numerator,
-    which is then divided by each sparse base with a negative exponent,
-    once per unit of the exponent: exact f_2 f_ell/f_1^2 = f_ell/phi(-q)
-    costs one sparse division and no product.  Over Z/mZ a base of
-    exponent -1 divides the numerator too, which costs no product where
-    the division is the recurrence and the one product with the inverse
-    where it is a Hensel lift or Newton; every other negative power is
-    inverted and then raised, so the slots stay narrow.
+    (a, b, sign), an Euler factor f_h being (h, 2h, -1); a sum expands
+    each distinct power once.  Over Z the positive powers are multiplied
+    into a numerator, which is then divided by each sparse base with a
+    negative exponent, once per unit of the exponent: exact f_2 f_ell /
+    f_1^2 = f_ell/phi(-q) costs one sparse division and no product.  Over
+    Z/mZ a base of exponent -1 divides the numerator too, which costs no
+    product where the division is the recurrence and the one product
+    with the inverse where it is a Hensel lift or Newton; every other
+    negative power is inverted and then raised, so the slots stay
+    narrow.
     """
-    def power(key, k=1):    # key: a theta block (a, b, sign) or a scale h
-        # each base is built in its ring, then raised
-        base = (euler_product(key, order, modulus) if type(key) is int
-                else general_theta(key[0], key[1], order, key[2],
-                                   modulus=modulus))
-        return base ** k
+    def power(key, k=1):    # key: a theta block (a, b, sign)
+        a, b, sign = key    # each base is built in its ring, then raised
+        return general_theta(a, b, order, sign, modulus=modulus) ** k
 
     def product(plan, out=None):
         divisors = []
@@ -271,7 +273,11 @@ def price(terms, order: int, modulus: int | None = None) -> int:
 
 # the largest price a command builds, 2-7 s at the 4-19 * 10^6 slot
 # digits a second measured: inv-phineg-4diss at order 40000 prices
-# 2.1 * 10^7, and the builds of 15-28 s it refuses 7 * 10^7 and more
+# 2.1 * 10^7, and the builds of 15-28 s it refuses 7 * 10^7 and more.
+# An inverse mod m > 256 is priced as Newton's two dense products,
+# though the recurrence divides there: 1/f1, 1/phi(-q) and f8/f1 mod
+# 720720, 2^61 - 1 and 2^64 at orders 50000 to 200000 divide at
+# 3.2-7.3 * 10^6 slot digits of their price a second
 BUILD_BUDGET = 3 * 10 ** 7
 
 

@@ -15,9 +15,9 @@ Every product is one Kronecker substitution with one exact multiply in
 the standard library's `decimal` (libmpdec), at any slot width; a slot
 is as wide as the sparser operand's nonzero terms need.  Quotients and
 inverses take one constant-term recurrence over the nonzero terms of
-the divisor, over Z and for sparse modular divisors (up to 50 nonzero
-terms mod m <= 256, up to 300 mod a wider m), Newton iteration over the
-kernel for denser modular ones, or a Hensel lift for a modular divisor
+the divisor, over Z, mod a wider m than 256, and for divisors of up to
+50 nonzero terms mod m <= 256; Newton iteration over the kernel for
+denser divisors mod m <= 256; or a Hensel lift for a modular divisor
 that is its constant term modulo d = gcd(m, terms past it), with
 m | d^4 (phi(-q) mod 2, 4, 8 and 16).
 
@@ -509,27 +509,19 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 # adds residues in a C long while the sum stays below 2^63: 1/phi(-q)
 # mod 720720 at 8000 terms takes 13-15 ms, and took 26 ms with a loop of
 # += (26 against 32 ms over Z).  Newton's products cost about the same
-# per coefficient at every order, so the crossover is a count of nonzero
-# terms, one per ring, the tuned numbers of this layer (2-vCPU Xeon VM,
-# CPython 3.11; recurrence over Newton time):
-# - mod m <= 256, Newton past 50 terms: phi(-q^h) mod 3 is 0.72-0.79 at
-#   41 terms and 1.03-1.06 at 61;
-# - mod a wider m, Newton past 300 terms, as Newton's slots widen with m
-#   and the recurrence's sums do not.  Medians of five on 1/phi(-q) mod
-#   720720: 0.36 at 8000 (90 terms, 20 against 55 ms), 0.55 at 40000
-#   (200), 1.00 at 90000 (300), 1.48 at 122500 (350) and 1.19 at 146469
-#   (383).  Mod 2^64 the recurrence wins longer, 0.27, 0.63, 0.62 and
-#   0.89 at 90, 200, 300 and 383 terms, and 1/f_1000 at order 200000 (23
-#   terms) takes 0.27 s by the recurrence and 2.7 s by Newton;
-# - a quotient mod a wider m, past 600 terms, as Newton's inverse is then
-#   followed by one product that the recurrence does not make.  Medians
-#   of five alternating runs of f8 over phi(-q) or f1, mod 720720 and
-#   mod 2^61 - 1: 0.69 and 0.58 at 317 terms (phi(-q) at 100000), 1.05
-#   and 0.94 at 448 (phi(-q) at 200000), 1.00 and 0.85 at 517 (f1 at
-#   100000), 1.26 and 1.12 at 633 (f1 at 150000), 1.37 and 1.34 at 730
-#   (f1 at 200000).  The inverse 1/f1 at 200000 mod 720720 alone is 2.04
-#   (2.24 against 1.10 s), so inverses keep the 300-term rule;
-# - over Z, whose slots are wider still, always the recurrence.
+# per coefficient at every order, so where residues are bytes (m <= 256)
+# Newton takes over past a count of nonzero terms, 50, the one tuned
+# number of this layer (2-vCPU Xeon VM, CPython 3.11): the recurrence
+# takes 0.72-0.79 of Newton's time on phi(-q^h) mod 3 at 41 terms and
+# 1.03-1.06 at 61, and 2.3-3.2 s against 0.21-0.39 s on 1/f1 mod 3 at
+# order 200000 (730 terms).  Over Z and mod a wider m, whose slots are
+# wider, it is always the recurrence.  No workload divides there by more
+# than 448 nonzero terms (phi(-q) at search's 200000 order guard), and
+# below that guard Newton would gain at most about 2x: medians of three
+# alternating runs, the recurrence over Newton, are 1.3 on 1/phi(-q)
+# mod 720720 at 200000 (448 terms), 1.3 on f8/f1 and 2.2 on 1/f1 mod
+# 720720 at 200000 (730 terms), 1.8 on 1/f1 mod 2^64 at 200000, and 0.7
+# on 1/f1 mod 720720 at 50000 (365 terms), which Newton lost.
 # The Hensel lift replaces both where m | d^4: 1/phi(-q) at order 200000
 # takes 0.016 s mod 4 against Newton's 0.70 s.  Lifting on past d^4
 # loses: mod 2^64 16.8 s against Newton's 3.9 s.  Newton starts from the
@@ -537,8 +529,6 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 # does there.
 
 _NEWTON_MIN_TERMS = 50         # residues mod m <= 256
-_NEWTON_MIN_WIDE_TERMS = 300   # residues mod a wider m
-_NEWTON_MIN_WIDE_QUOTIENT_TERMS = 600   # a quotient other than 1/den
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
@@ -563,10 +553,7 @@ def _quotient(num: Sequence[int], den: Sequence[int],
     d = math.gcd(m, *set(den[1:]))
     if d ** 4 % m == 0:
         g = _hensel_inverse(den, inv0, m, d)
-    elif len(den) - den.count(0) > (
-            _NEWTON_MIN_TERMS if _bytewise(m)
-            else _NEWTON_MIN_WIDE_TERMS if num == (1,)
-            else _NEWTON_MIN_WIDE_QUOTIENT_TERMS):
+    elif _bytewise(m) and len(den) - den.count(0) > _NEWTON_MIN_TERMS:
         g = _newton_inverse(den, inv0, m)
     else:
         return _divide(num, den, inv0, m)

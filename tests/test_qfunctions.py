@@ -606,12 +606,17 @@ def test_eta_sum_rows_catch_a_corrupt_exponent(tag, params, side, index,
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_fp_binom_is_not_checked_against_itself(p, monkeypatch):
     # folding would make f_p and f_1^p one series: the left side stays an
-    # Euler product at scale p, and a wrong power of f_1 still fails
+    # Euler product at scale p, the block (p, 2p, -1), and a wrong power
+    # of f_1 still fails
     scales = []
-    real = qf.euler_product
-    monkeypatch.setattr(qf, "euler_product",
-                        lambda h, order, modulus=None:
-                        scales.append(h) or real(h, order, modulus))
+    real = qf.general_theta
+
+    def spy(a, b, order, sign=1, shift=0, modulus=None):
+        if b == 2 * a and sign == -1:
+            scales.append(a)
+        return real(a, b, order, sign, shift, modulus)
+
+    monkeypatch.setattr(qf, "general_theta", spy)
     assert qf.verify_identity("fp-binom", p=p).passed
     assert scales == [p, 1]
 

@@ -216,8 +216,9 @@ def test_from_terms_accumulates_duplicates():
 def test_coefficients_are_bytes_exactly_mod_at_most_256(m):
     # residues mod m <= 256 are one bytes object, a byte a coefficient;
     # coefficients over Z and mod a wider m are a tuple.  A dense unit
-    # series is inverted by Newton, an Euler product by the recurrence
-    # and phi(-q) mod 2 and 4 by the Hensel lift
+    # series is inverted by Newton mod m <= 256 and otherwise by the
+    # recurrence, an Euler product by the recurrence and phi(-q) mod 2
+    # and 4 by the Hensel lift
     rng = random.Random(m)
     n = 200
     a, b = (Series([1] + [rng.randrange(-9, 10) for _ in range(n - 1)], m)
@@ -525,9 +526,9 @@ DIVISION_RINGS = [pytest.param(None, -1, -1, id="Z"),
 @pytest.mark.parametrize("base", ["phi", "f1"])
 def test_divide_matches_the_plain_recurrence(base, m, u, inv0):
     # 1/phi(-q) and 1/f1 to 40000 terms mod 720720, 200 and 327 nonzero
-    # terms, either side of the wide moduli's Newton crossover, and to
-    # 20000 over Z and mod 2^64; then f8 divided by each at search's 8000
-    # terms (R*_8 is f8/phi(-q))
+    # terms, and to 20000 over Z and mod 2^64, the recurrence that every
+    # division over Z and mod a wide modulus takes; then f8 divided by
+    # each at search's 8000 terms (R*_8 is f8/phi(-q))
     order = 40000 if m == 720720 else 20000
     den = (general_theta(1, 1, order, -1) if base == "phi"
            else euler_product(1, order)) * u
@@ -633,14 +634,13 @@ def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
     # 1/phi(-q) at 8004, 90 nonzero terms: mod 2, 4 and 8 it is lifted,
     # with no Newton iteration; mod 3 (d = 1), mod 32 (d = 2) and 1/f1
     # mod 4 (d = 1) take Newton, as residues mod m <= 256 do past 50
-    # nonzero terms; mod 720720 and 2^64 (d = 2), where Newton starts
-    # past 300, the recurrence.  phi(-q)^2 mod 2^64 at 2000 (d = 4) has
-    # more than 300 and takes Newton
+    # nonzero terms; mod 720720 and 2^64 (d = 2) the recurrence, as every
+    # divisor mod a wider m does: phi(-q)^2 mod 2^64 at 2000 (d = 4) too,
+    # with 619 nonzero terms
     calls = spy_inverses(monkeypatch)
     phi, f1 = general_theta(1, 1, 8004, -1), euler_product(1, 8004)
     dense = (general_theta(1, 1, 2000, -1) ** 2).reduce_mod(2**64)
-    assert (2000 - dense.coeffs.count(0) > series._NEWTON_MIN_WIDE_TERMS
-            > 8004 - phi.reduce_mod(2**64).coeffs.count(0))
+    assert 2000 - dense.coeffs.count(0) == 619
     for base, m, path in ((phi, 2, "_hensel_inverse"),
                           (phi, 4, "_hensel_inverse"),
                           (phi, 8, "_hensel_inverse"),
@@ -649,30 +649,28 @@ def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
                           (f1, 4, "_newton_inverse"),
                           (phi, 720720, "_divide"),
                           (phi, 2**64, "_divide"),
-                          (dense, 2**64, "_newton_inverse")):
+                          (dense, 2**64, "_divide")):
         calls.clear()
         base.reduce_mod(m).invert()
         assert calls == [path], (m, path)
 
 
-def test_wide_quotients_take_newton_only_past_twice_the_inverse_crossover(
-        monkeypatch):
-    # mod 720720 a divisor of 499 nonzero terms is inverted by Newton, but
-    # a quotient by it takes the recurrence, which makes no product after
-    # the inverse; at 699 terms both take Newton
-    assert (series._NEWTON_MIN_WIDE_TERMS < 499
-            <= series._NEWTON_MIN_WIDE_QUOTIENT_TERMS < 699)
+def test_wide_divisions_take_the_recurrence_at_any_length(monkeypatch):
+    # mod 720720 the inverse of, and a quotient by, a random divisor of
+    # 500 or 700 nonzero terms, past the 50 at which residues mod m <= 256
+    # take Newton, are the recurrence, with no product
     calls = spy_inverses(monkeypatch)
     rng, m = random.Random(20261020), 720720
-    for order, path in ((500, "_divide"), (700, "_newton_inverse")):
+    for order in (500, 700):
         den = Series([1] + [rng.randrange(1, m) for _ in range(order - 1)], m)
         num = Series([rng.randrange(m) for _ in range(order)], m)
+        assert order - den.coeffs.count(0) > series._NEWTON_MIN_TERMS
         calls.clear()
         den.invert()
-        assert calls == ["_newton_inverse"]
+        assert calls == ["_divide"], order
         calls.clear()
         assert (num / den) * den == num
-        assert calls == [path], order
+        assert calls == ["_divide"], order
 
 
 def test_a_prime_modulus_folds_only_where_products_are_saved(monkeypatch):
