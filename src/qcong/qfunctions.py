@@ -213,7 +213,8 @@ def expand_terms(terms, order: int, modulus: int | None = None) -> Series:
     f_1^2 = f_ell/phi(-q) costs one sparse division and no product.  Over
     Z/mZ a base of exponent -1 divides the numerator too, which costs no
     product where the division is the recurrence and the one product
-    with the inverse where it is a Hensel lift or Newton; every other
+    with the inverse where it is the closed-form lift or Newton (every
+    divisor mod m <= 256, as the price assumes); every other
     negative power is inverted and then raised, so the slots stay
     narrow.
     """

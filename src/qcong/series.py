@@ -14,12 +14,11 @@ is bytes from its theta and Euler bases to the cache.
 Every product is one Kronecker substitution with one exact multiply in
 the standard library's `decimal` (libmpdec), at any slot width; a slot
 is as wide as the sparser operand's nonzero terms need.  Quotients and
-inverses take one constant-term recurrence over the nonzero terms of
-the divisor, over Z, mod a wider m than 256, and for divisors of up to
-50 nonzero terms mod m <= 256; Newton iteration over the kernel for
-denser divisors mod m <= 256; or a Hensel lift for a modular divisor
+inverses take a closed-form lift with no product for a modular divisor
 that is its constant term modulo d = gcd(m, terms past it), with
-m | d^4 (phi(-q) mod 2, 4, 8 and 16).
+m | d^2 (phi(-q) mod 2 and 4); else Newton iteration over the kernel
+mod m <= 256; else, over Z and mod a wider m, one constant-term
+recurrence over the nonzero terms of the divisor.
 
 Values are immutable after construction and safe to share between
 threads.
@@ -502,40 +501,54 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int,
 
 # -- division -------------------------------------------------------------------
 #
-# The recurrence costs about order * nonzero-terms / 2 additions: it sums
+# A division takes one of three paths (2-vCPU Xeon VM, CPython 3.11).
+#
+# A modular divisor that is its constant term modulo d = gcd(m, terms
+# past it), with m | d^2, has a closed-form inverse that takes no
+# product (`_hensel_inverse`; phi(-q) mod 2 and 4): 1/phi(-q) at order
+# 200000 takes 0.016 s mod 4 against Newton's 0.70 s, and the suite's
+# six such inverses 3.5 ms against Newton's 48 ms.  One lift step more,
+# to m | d^4, costs two products and saved only 10-20% of Newton's time
+# (1/phi(-q) mod 8 at 16008, 9.9 against 12.5 ms), so it is not taken.
+#
+# Every other divisor mod m <= 256, where residues are bytes, takes
+# Newton iteration over the kernel, whose products cost about the same
+# per coefficient at every order and for any number of nonzero terms:
+# 1/f1 mod 3 at order 200000 (730 terms) takes 0.21-0.39 s against
+# 2.3-3.2 s by the recurrence.  Sparse divisors pay for the one rule:
+# with 3 to 50 nonzero terms, Newton and its product take 0.7-2.1 times
+# the recurrence's time mod m <= 16 at orders 1000 to 200000 and up to
+# 4.3 times at order 100, and up to 5.7 times (11 at order 100) mod 255
+# and 256, whose random residues fill the slots.  The workloads divide
+# so only by phi(-q) mod 8 at 16008 and mod 12 at 1001, which cost a
+# suite run 2-5 and 0.5-1.2 ms over the recurrence or a lift with two
+# products, inside its run-to-run spread.  Newton starts from the
+# constant term's inverse, as its first steps cost what the recurrence
+# does there.
+#
+# Over Z and mod a wider m, whose slots are wider, it is the constant-
+# term recurrence, about order * nonzero-terms / 2 additions: it sums
 # F[n-k] over the k sharing one coefficient value, so the +-1 and +-2 of
 # Euler products and theta series cost one addition a term.  Each value
 # group's sum is one sum() of the tuple its itemgetter allocates, which
 # adds residues in a C long while the sum stays below 2^63: 1/phi(-q)
 # mod 720720 at 8000 terms takes 13-15 ms, and took 26 ms with a loop of
-# += (26 against 32 ms over Z).  Newton's products cost about the same
-# per coefficient at every order, so where residues are bytes (m <= 256)
-# Newton takes over past a count of nonzero terms, 50, the one tuned
-# number of this layer (2-vCPU Xeon VM, CPython 3.11): the recurrence
-# takes 0.72-0.79 of Newton's time on phi(-q^h) mod 3 at 41 terms and
-# 1.03-1.06 at 61, and 2.3-3.2 s against 0.21-0.39 s on 1/f1 mod 3 at
-# order 200000 (730 terms).  Over Z and mod a wider m, whose slots are
-# wider, it is always the recurrence.  No workload divides there by more
-# than 448 nonzero terms (phi(-q) at search's 200000 order guard), and
-# below that guard Newton would gain at most about 2x: medians of three
+# += (26 against 32 ms over Z).  No workload divides there by more than
+# 448 nonzero terms (phi(-q) at search's 200000 order guard), and below
+# that guard Newton would gain at most about 2x: medians of three
 # alternating runs, the recurrence over Newton, are 1.3 on 1/phi(-q)
 # mod 720720 at 200000 (448 terms), 1.3 on f8/f1 and 2.2 on 1/f1 mod
 # 720720 at 200000 (730 terms), 1.8 on 1/f1 mod 2^64 at 200000, and 0.7
 # on 1/f1 mod 720720 at 50000 (365 terms), which Newton lost.
-# The Hensel lift replaces both where m | d^4: 1/phi(-q) at order 200000
-# takes 0.016 s mod 4 against Newton's 0.70 s.  Lifting on past d^4
-# loses: mod 2^64 16.8 s against Newton's 3.9 s.  Newton starts from the
-# constant term's inverse, as its first steps cost what the recurrence
-# does there.
-
-_NEWTON_MIN_TERMS = 50         # residues mod m <= 256
 
 
 def _quotient(num: Sequence[int], den: Sequence[int],
               m: int | None) -> Sequence[int]:
-    """First len(den) coefficients of num/den.  A numerator of (1,) is
-    an inverse, which the Hensel lift and Newton return without a
-    further product; any other takes one product with that inverse."""
+    """First len(den) coefficients of num/den: the closed-form lift where
+    m | d^2, else Newton mod m <= 256, else the recurrence (see the notes
+    above).  A numerator of (1,) is an inverse, which the lift and Newton
+    return without a further product; any other takes one product with
+    that inverse."""
     if not den:
         raise NotInvertibleError("cannot invert an order-0 series")
     a0 = den[0]
@@ -549,11 +562,9 @@ def _quotient(num: Sequence[int], den: Sequence[int],
     except ValueError:
         raise NotInvertibleError(
             f"constant term {a0} is not a unit mod {m}") from None
-    # m | d^4 also puts every prime of m in d
-    d = math.gcd(m, *set(den[1:]))
-    if d ** 4 % m == 0:
-        g = _hensel_inverse(den, inv0, m, d)
-    elif _bytewise(m) and len(den) - den.count(0) > _NEWTON_MIN_TERMS:
+    if math.gcd(m, *set(den[1:])) ** 2 % m == 0:
+        g = _hensel_inverse(den, inv0, m)
+    elif _bytewise(m):
         g = _newton_inverse(den, inv0, m)
     else:
         return _divide(num, den, inv0, m)
@@ -594,22 +605,15 @@ def _divide(num: Sequence[int], den: Sequence[int], inv0: int,
     return F
 
 
-def _hensel_inverse(coeffs: Sequence[int], inv0: int, m: int,
-                    d: int) -> Sequence[int]:
-    """1/f mod m to len(coeffs) terms, where d = gcd(m, coeffs[1:]) and
-    m | d^4: f inv0 = 1 + d e, so g = inv0 (2 - inv0 f) has f g = 1 -
-    (d e)^2, right mod d^2 with no product; one more step g (2 - f g)
-    reaches d^4 with two products."""
+def _hensel_inverse(coeffs: Sequence[int], inv0: int,
+                    m: int) -> Sequence[int]:
+    """1/f mod m to len(coeffs) terms, where m | d^2 for d = gcd(m,
+    coeffs[1:]): f inv0 = 1 + d e, so g = inv0 (2 - inv0 f) has f g =
+    1 - (d e)^2 = 1 mod m, a closed form with no product."""
     t = -inv0 * inv0 % m
     # inv0 (2 - inv0 f[0]) = inv0 (mod m)
-    g = _store(itertools.chain((inv0,), (t * c % m for c in coeffs[1:])), m)
-    if d * d % m:
-        n = len(coeffs)
-        fg = _convolve(coeffs, g, n, m)
-        h = _store(itertools.chain(((2 - fg[0]) % m,),
-                                   ((-c) % m for c in fg[1:])), m)
-        g = _convolve(g, h, n, m)
-    return g
+    return _store(
+        itertools.chain((inv0,), (t * c % m for c in coeffs[1:])), m)
 
 
 def _newton_inverse(coeffs: Sequence[int], inv0: int,

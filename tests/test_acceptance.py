@@ -123,11 +123,13 @@ def test_criterion_12_search_rediscovery(results):
 def test_modular_bases_times_phi_are_f_ell(suite_run):
     # rstar(ell) phi(-q) = f_ell: each modular base the suite built, at
     # its full built order, checked by a product, a path that did not
-    # build it (the mod-4 and mod-8 bases and r10 mod 2 are Hensel
-    # lifts, r5 and r15 mod 2 are f5 and f15 by folding f2 into f1^2,
-    # r6 mod 3 is psi(q)^2, whose product with phi(-q) is f6 only mod 3,
-    # and criterion 12's searches read r4 mod lcm(2..4) = 12 and r8 mod
-    # lcm(2..8) = 840, f_ell divided by phi(-q) in the recurrence)
+    # build it (the mod-4 bases and r10 mod 2 divide by the closed-form
+    # lift of 1/phi(-q), the mod-8 base by its Newton inverse, r5 and
+    # r15 mod 2 are f5 and f15 by folding f2 into f1^2, r6 mod 3 is
+    # psi(q)^2, whose product with phi(-q) is f6 only mod 3, and
+    # criterion 12's searches read r4 mod lcm(2..4) = 12, f4 times the
+    # Newton inverse of phi(-q), and r8 mod lcm(2..8) = 840, f8 divided
+    # by phi(-q) in the recurrence)
     built = {}
     for (factors, m), base in suite_run[1].items():
         if m is None:

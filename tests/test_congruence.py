@@ -1,6 +1,7 @@
 """Congruence claims: eligibility, instantiation shapes, verification,
 the shared series cache, and the progression search."""
 
+import collections
 import json
 import math
 import random
@@ -461,13 +462,48 @@ def test_criterion_6_expands_its_base_once(monkeypatch):
     assert builds == [(EtaQuotient.rstar(6), 3)]
 
 
+def _count_divisions(monkeypatch):
+    """Spy on the three division paths: (path, modulus, order) a call."""
+    divisions = []
+    for name in ("_hensel_inverse", "_newton_inverse", "_divide"):
+        real = getattr(series, name)
+
+        def counted(*args, real=real, name=name):
+            den = args[1] if name == "_divide" else args[0]
+            divisions.append((name, args[-1], len(den)))
+            return real(*args)
+
+        monkeypatch.setattr(series, name, counted)
+    return divisions
+
+
 def test_cold_suite_builds_each_base_once(monkeypatch):
     # the first criterion to read a base reads it deepest, so a cold run
-    # builds each (quotient, modulus) once
+    # builds each (quotient, modulus) once.  Each division path is reached:
+    # the closed-form lift for phi(-q) mod 2 and 4, Newton for phi(-q)
+    # mod 8 (r8 at 16008) and mod 12 (criterion 12's r4 at 1001), and the
+    # recurrence over Z and mod 840 (criterion 12's r8)
     cg.clear_cache()
     builds = _count_builds(monkeypatch)
+    divisions = _count_divisions(monkeypatch)
     assert all(result.passed for result in suite.run_all())
     assert builds and len(builds) == len(set(builds))
+    paths = collections.Counter((name, m) for name, m, _ in divisions)
+    assert paths == {("_hensel_inverse", 2): 1, ("_hensel_inverse", 4): 5,
+                     ("_newton_inverse", 8): 1, ("_newton_inverse", 12): 1,
+                     ("_divide", None): 56, ("_divide", 840): 1}
+    assert sorted((m, n) for name, m, n in divisions
+                  if name == "_newton_inverse") == [(8, 16008), (12, 1001)]
+
+
+def test_benchmark_searches_divide_by_the_recurrence(monkeypatch):
+    # search scans residues mod lcm(2..16) = 720720, wider than a byte, so
+    # its one division, f_ell by phi(-q), is the recurrence
+    divisions = _count_divisions(monkeypatch)
+    for ell in (6, 8, 16):
+        cg.clear_cache()
+        cg.search(ell, 16, 16, terms=8000)
+    assert divisions == [("_divide", 720720, 8000)] * 3
 
 
 def test_verify_rows_refuses_a_batch_before_any_build(monkeypatch):

@@ -96,9 +96,9 @@ def test_newton_matches_division(n, m, density, rnd):
 def lifted_inputs(draw):
     """(num, den, m): a divisor whose terms past the constant share
     d = gcd(m, den[1:]) with m.  Over m in 2, 4, 8, 16, 36 and 2^64 they
-    are multiples of rad(m)^j, the Hensel lift's case once m | d^4; mod
-    12 and 3, of a step that misses a prime of m, which the lift leaves
-    to the recurrence and Newton."""
+    are multiples of rad(m)^j, the closed-form lift's case once m | d^2,
+    and otherwise Newton's, or the recurrence's mod 2^64; mod 12 and 3,
+    of a step that misses a prime of m, which the lift leaves to Newton."""
     m = draw(st.sampled_from([2, 4, 8, 16, 36, 2**64, 12, 3]))
     rad = math.prod(p for p in (2, 3) if m % p == 0)
     if m in (12, 3):
@@ -129,9 +129,8 @@ def test_quotient_matches_the_recurrence_on_lifted_divisors(case):
 
 @st.composite
 def division_inputs(draw):
-    """(num, den): a sparse den with a unit constant term, whose nonzero
-    terms sit below or above the Newton crossover, and a numerator with
-    coefficients up to 10^40."""
+    """(num, den): a sparse den with a unit constant term and up to 100
+    nonzero terms, and a numerator with coefficients up to 10^40."""
     m = draw(st.sampled_from([None, 2, 3, 4, 8, 9, 10**9 + 7]))
     order = draw(st.one_of(st.integers(1, 60), st.integers(61, 2500)))
     terms = draw(st.integers(0, 100))
@@ -167,7 +166,7 @@ def eta_inputs(draw):
     f_h^{-2k} f_{2h}^k (or its inverse) pair put in, sometimes a psi
     pair f_h^{-k} f_{2h}^{2k}, and sometimes a factor whose scale is a
     multiple of the modulus, which a prime modulus folds, at orders up to
-    past the Newton crossover."""
+    1500 over Z and 3000 mod m."""
     exponent = st.one_of(st.integers(-4, 4), st.just(-25))
     factors = draw(st.lists(st.tuples(st.integers(1, 8), exponent),
                             max_size=4))

@@ -208,16 +208,17 @@ def test_exact_exponent_divides_without_a_list_of_its_units():
 
 
 def test_modular_bases_are_inverted_then_raised(monkeypatch):
-    # mod 4, f3^2 / f1 divides by f1, whose 32 nonzero terms at order 400
-    # take the recurrence: its one product is the square of f3.  Past
-    # exponent -1 the base is inverted once and then raised
+    # mod 4, f3^2 / f1 divides the square of f3, its one product of
+    # series, by f1, whose Newton inverse and product with the numerator
+    # stay inside the division.  Past exponent -1 the base is inverted
+    # once and then raised
     divided = spy_divisions(monkeypatch)
     inverted, products = [], []
-    invert, convolve = Series.invert, series._convolve
+    invert, multiply = Series.invert, Series.__mul__
     monkeypatch.setattr(Series, "invert",
                         lambda a: inverted.append(a) or invert(a))
-    monkeypatch.setattr(series, "_convolve",
-                        lambda *args: products.append(args) or convolve(*args))
+    monkeypatch.setattr(Series, "__mul__",
+                        lambda a, b: products.append(b) or multiply(a, b))
     f1 = qf.euler_product(1, 400).reduce_mod(4)
     for e in (1, 2, 25):
         factors = [(1, -e), (3, 2)]

@@ -215,10 +215,9 @@ def test_from_terms_accumulates_duplicates():
 @pytest.mark.parametrize("m", [None, 2, 3, 4, 255, 256, 257, 2**64])
 def test_coefficients_are_bytes_exactly_mod_at_most_256(m):
     # residues mod m <= 256 are one bytes object, a byte a coefficient;
-    # coefficients over Z and mod a wider m are a tuple.  A dense unit
-    # series is inverted by Newton mod m <= 256 and otherwise by the
-    # recurrence, an Euler product by the recurrence and phi(-q) mod 2
-    # and 4 by the Hensel lift
+    # coefficients over Z and mod a wider m are a tuple.  A unit series
+    # is inverted by Newton mod m <= 256 and otherwise by the recurrence,
+    # but phi(-q) mod 2 and 4 by the closed-form lift
     rng = random.Random(m)
     n = 200
     a, b = (Series([1] + [rng.randrange(-9, 10) for _ in range(n - 1)], m)
@@ -563,16 +562,18 @@ def test_divide_matches_the_plain_recurrence_on_edge_shapes(m, u, inv0):
                     == plain_divide(num, den, inv0, m)), (late, length)
 
 
-def test_newton_matches_division_at_32768_mod_4():
+def test_newton_matches_division_at_32768_mod_4(monkeypatch):
+    # 1/f1 mod 4 (d = 1) and a dense series mod 8, whose recurrence is
+    # quadratic, take Newton
+    calls = spy_inverses(monkeypatch)
     f = euler_product(1, 32768).reduce_mod(4)
-    assert 32768 - f.coeffs.count(0) > series._NEWTON_MIN_TERMS
     newton = f.invert()
     assert list(newton.coeffs) == series._divide((1,), f.coeffs, 1, 4)
-    # and a dense series, whose recurrence is quadratic
     rng = random.Random(20261017)
     g = Series([3] + [rng.randrange(8) for _ in range(2999)], 8)
     assert (list(g.invert().coeffs)
             == series._divide((1,), g.coeffs, 3, 8))
+    assert calls == ["_newton_inverse", "_divide"] * 2
 
 
 def test_inverse_times_series_is_one_at_147456_mod_3():
@@ -586,18 +587,21 @@ def phi_neg_mod(order, h, m):
 
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_lifted_inverse_of_phi_matches_newton_at_suite_orders(h):
-    # phi(-q^h) = 1 + 2(...), so modulo 2, 4, 8 and 16 its inverse is a
-    # Hensel lift; the suite builds it at these orders, and r6 at 146469
+    # phi(-q^h) = 1 + 2(...), so modulo 2 and 4 its inverse is the
+    # closed-form lift, and modulo 8 and 16 Newton; the suite builds it at
+    # these orders, and r6 at 146469.  An inverse mod m is unique, so it
+    # is the inverse mod every divisor of m: one recurrence mod 16 is the
+    # reference for each modulus
     for order in (8004, 10004, 16008, 32014):
+        f = phi_neg_mod(order, h, 16)
+        want = series._divide((1,), f.coeffs, 1, 16)
         for m in (2, 4, 8, 16):
-            f = phi_neg_mod(order, h, m)
-            assert (series._quotient((1,), f.coeffs, m)
-                    == series._newton_inverse(f.coeffs, 1, m))
-    # at 146469 one Newton inverse mod 16 is reduced to each modulus:
-    # an inverse mod m is unique, so it is the inverse mod every divisor
+            assert (list(series._quotient((1,), f.reduce_mod(m).coeffs, m))
+                    == [c % m for c in want]), (order, m)
+    # at 146469 one Newton inverse mod 16 is reduced to each lifted modulus
     f = phi_neg_mod(146469, h, 16)
     newton = series._newton_inverse(f.coeffs, 1, 16)
-    for m in (2, 4, 8, 16):
+    for m in (2, 4):
         assert (list(series._quotient((1,), f.reduce_mod(m).coeffs, m))
                 == [c % m for c in newton])
 
@@ -615,7 +619,52 @@ def test_lifted_quotient_by_phi_matches_the_recurrence(m):
                     == series._divide(num, f.coeffs, 1, m))
 
 
-def test_phi_times_lifted_inverse_is_one_at_146469_mod_8():
+def sparse_divisors(order, m, rng):
+    """Unit divisors mod m to ``order`` terms, of 1 to 50 nonzero terms:
+    an Euler product f_h at a large scale h, a theta block, and a random
+    sparse series with a unit constant term."""
+    terms = rng.randint(1, min(order, 50))
+    # f_h and theta blocks of scale h have about 2 sqrt(order / h) terms
+    h = max(1, 4 * order // (terms * terms))
+    a, b, sign = rng.choice([(h, h, -1), (h, 3 * h, 1), (2 * h, 3 * h, -1)])
+    cs = [0] * order
+    cs[0] = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+    for k in rng.sample(range(1, order), terms - 1):
+        cs[k] = rng.randrange(1, m)
+    return [euler_product(h, order).reduce_mod(m).coeffs,
+            general_theta(a, b, order, sign, modulus=m).coeffs,
+            Series(cs, m).coeffs]
+
+
+@pytest.mark.parametrize(
+    "m", [3, 5, 6, 7, 8, 9, 12, 16, 32, 60, 210, 255, 256])
+def test_newton_matches_the_recurrence_on_sparse_byte_divisors(
+        m, monkeypatch):
+    # mod m <= 256 every divisor the lift does not serve takes Newton,
+    # however few its nonzero terms; the inverse and a quotient by a
+    # dense numerator agree with the recurrence.  The lift serves m | d^2
+    # for d = gcd(m, terms past the constant), as a divisor with no such
+    # term, d = m
+    calls = spy_inverses(monkeypatch)
+    rng = random.Random(20261021 + m)
+    for order in (1, 2, 50, 1001, 16008):
+        divisors = sparse_divisors(order, m, rng)
+        if order == 16008:      # one shape a modulus keeps this test short
+            divisors = [divisors[m % 3]]
+        num = [rng.randrange(m) for _ in range(order)]
+        for den in divisors:
+            lifted = math.gcd(m, *den[1:]) ** 2 % m == 0
+            path = "_hensel_inverse" if lifted else "_newton_inverse"
+            calls.clear()
+            inverse = series._quotient((1,), den, m)
+            quotient = series._quotient(num, den, m)
+            assert calls == [path, path], (order, den[:8])
+            inv0 = pow(den[0], -1, m)
+            assert list(inverse) == series._divide((1,), den, inv0, m)
+            assert list(quotient) == series._divide(num, den, inv0, m)
+
+
+def test_phi_times_its_inverse_is_one_at_146469_mod_8():
     f = phi_neg_mod(146469, 1, 8)
     assert f * f.invert() == Series.one(146469, 8)
 
@@ -629,42 +678,48 @@ def spy_inverses(monkeypatch):
     return calls
 
 
-def test_hensel_lift_serves_exactly_the_moduli_dividing_d_to_the_fourth(
+def test_hensel_lift_serves_exactly_the_moduli_dividing_d_squared(
         monkeypatch):
-    # 1/phi(-q) at 8004, 90 nonzero terms: mod 2, 4 and 8 it is lifted,
-    # with no Newton iteration; mod 3 (d = 1), mod 32 (d = 2) and 1/f1
-    # mod 4 (d = 1) take Newton, as residues mod m <= 256 do past 50
-    # nonzero terms; mod 720720 and 2^64 (d = 2) the recurrence, as every
-    # divisor mod a wider m does: phi(-q)^2 mod 2^64 at 2000 (d = 4) too,
-    # with 619 nonzero terms
+    # for d = gcd(m, terms past the constant), the closed-form lift takes
+    # every m | d^2 and no other: 1/phi(-q) at 8004 (d = 2) is lifted mod
+    # 2 and 4, and phi(-q)^2 (d = 4) mod 16, as is 1 + 2^32 q^7 mod 2^64.
+    # Past d^2, residues mod m <= 256 take Newton: phi(-q) mod 8 and 32,
+    # phi(-q)^2 mod 32, and mod 3 and 1/f1 mod 4 (d = 1).  Mod 720720
+    # and 2^64 (d = 2) the recurrence, as every other divisor mod a wider
+    # m: phi(-q)^2 mod 2^64 at 2000 (d = 4) too, with 619 nonzero terms
     calls = spy_inverses(monkeypatch)
     phi, f1 = general_theta(1, 1, 8004, -1), euler_product(1, 8004)
-    dense = (general_theta(1, 1, 2000, -1) ** 2).reduce_mod(2**64)
-    assert 2000 - dense.coeffs.count(0) == 619
+    square = general_theta(1, 1, 2000, -1) ** 2
+    assert 2000 - square.reduce_mod(2**64).coeffs.count(0) == 619
+    word = Series.from_terms([(0, 1), (7, 2**32)], 2000)
     for base, m, path in ((phi, 2, "_hensel_inverse"),
                           (phi, 4, "_hensel_inverse"),
-                          (phi, 8, "_hensel_inverse"),
-                          (phi, 3, "_newton_inverse"),
+                          (square, 16, "_hensel_inverse"),
+                          (word, 2**64, "_hensel_inverse"),
+                          (phi, 8, "_newton_inverse"),
                           (phi, 32, "_newton_inverse"),
+                          (square, 32, "_newton_inverse"),
+                          (phi, 3, "_newton_inverse"),
                           (f1, 4, "_newton_inverse"),
                           (phi, 720720, "_divide"),
                           (phi, 2**64, "_divide"),
-                          (dense, 2**64, "_divide")):
+                          (square, 2**64, "_divide")):
         calls.clear()
-        base.reduce_mod(m).invert()
+        f = base.reduce_mod(m)
+        assert f * f.invert() == Series.one(f.order, m)
         assert calls == [path], (m, path)
 
 
 def test_wide_divisions_take_the_recurrence_at_any_length(monkeypatch):
     # mod 720720 the inverse of, and a quotient by, a random divisor of
-    # 500 or 700 nonzero terms, past the 50 at which residues mod m <= 256
-    # take Newton, are the recurrence, with no product
+    # 500 or 700 nonzero terms, which mod m <= 256 would take Newton, are
+    # the recurrence, with no product
     calls = spy_inverses(monkeypatch)
     rng, m = random.Random(20261020), 720720
     for order in (500, 700):
         den = Series([1] + [rng.randrange(1, m) for _ in range(order - 1)], m)
         num = Series([rng.randrange(m) for _ in range(order)], m)
-        assert order - den.coeffs.count(0) > series._NEWTON_MIN_TERMS
+        assert den.coeffs.count(0) == 0
         calls.clear()
         den.invert()
         assert calls == ["_divide"], order
@@ -679,11 +734,13 @@ def test_a_prime_modulus_folds_only_where_products_are_saved(monkeypatch):
     # rstar(8) and rstar(20) would fold to f1^4, f1^8 and f5^4, more
     # products than f_ell times 2 - phi(-q), the lift they keep, as does
     # rstar(10) = f5^2 on a tie.  f729/f1 mod 3 keeps its Newton inverse
-    # over f1^728; mod 4 and 8, which are not prime, nothing folds
+    # over f1^728; mod 4 and 8, which are not prime, nothing folds, and
+    # phi(-q) is lifted mod 4 and inverted by Newton mod 8
     calls = spy_inverses(monkeypatch)
     for eq, m, path in [(EtaQuotient.rstar(ell), m, []) for ell, m in
                         ((6, 3), (5, 2), (15, 2))] + [
-            (EtaQuotient.rstar(ell), m, ["_hensel_inverse"])
+            (EtaQuotient.rstar(ell), m,
+             ["_newton_inverse" if m == 8 else "_hensel_inverse"])
             for ell in (4, 5, 8, 10, 15, 20) for m in (2, 4, 8)
             if (ell, m) not in ((5, 2), (15, 2))] + [
             (EtaQuotient([(1, -1), (729, 1)]), 3, ["_newton_inverse"])]:
