@@ -1,21 +1,31 @@
 """Combinatorial oracles: partition counts computed straight from the
 definitions by dynamic programming over part sizes.
 
+The DP runs on one packed integer: the table for n = 0..upto sits in a
+single Python int, slot j (the count of j) at bits (upto - j)*w, so
+multiplying by q^s is a right shift by s*w that also drops every term
+past upto.  Each part size then costs a few whole-table big-int
+additions instead of upto element additions.  The slot width w comes
+from a bound on the counts (see `count`), so no slot ever carries.
+
 Deliberately independent of the series engine (no shared arithmetic):
 these tables are what the generating-function expansions are checked
-against, so any common code would defeat the cross-validation.
+against, so any common code would defeat the cross-validation.  Only
+`math` and ints are used here.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 
 ENUMERATION_LIMIT = 12
 
-# largest upto `count` builds: the DP is quadratic in it, so plain
-# partitions to 10^4 take 5.7-6.3 s and to 2*10^4 25 s, overpartitions
-# to 10^4 9.4-12 s (2-vCPU Xeon VM, CPython 3.11); the suite counts to 1000
+# largest upto `count` builds: the DP takes about 2*upto whole-table
+# steps on upto*w bits, w ~ sqrt(upto), so plain partitions to 10^4 take
+# 4.0-6.2 s and to 2*10^4 33 s, overpartitions to 10^4 9.4-13 s (2-vCPU
+# Xeon VM, CPython 3.11); the suite counts to 1000
 COUNT_LIMIT = 10_000
 
 
@@ -92,30 +102,61 @@ def NONOVERLINED_L_REGULAR(ell: int) -> PartitionKind:
     return PartitionKind("nonoverlined-l-regular", ell)
 
 
+def _slot_bytes(kind: PartitionKind, upto: int) -> int:
+    """Bytes per slot of `count`'s packed table: every count of n <= upto
+    is at most exp(pi sqrt(2k upto/3)), k the most factors one size has."""
+    k = max((kind.unlimited(s) + len(kind.once_labels(s))
+             for s in range(1, upto + 1)), default=0)
+    bits = math.floor(math.pi * math.sqrt(2 * k * upto / 3) / math.log(2)) + 2
+    return -(-bits // 8)
+
+
 @functools.cache
 def count(kind: PartitionKind, upto: int) -> tuple[int, ...]:
     """Exact counts for n = 0..upto, index n holding the count of n, by
     part-size DP, computed once per (kind, upto): tables are immutable.
 
-    Each size s contributes its factors independently: a freely
-    repeating copy updates ascending (unbounded multiplicity), each
-    at-most-once decorated copy updates descending.
+    Each size s contributes its factors independently, each a step on
+    the packed table v (slot j at bits (upto - j)*w, so v >> s*w is v
+    times q^s truncated at upto):
+    - an at-most-once decorated copy is 1 + q^s: v += v >> s*w, which
+      reads the old values, as a descending element loop does;
+    - a freely repeating size is 1/(1 - q^s) = (1 + q^s)(1 + q^2s)
+      (1 + q^4s)...: v += v >> shift for shift = s*w, 2s*w, 4s*w, ...
+      while shift <= upto*w.
+
+    Width: the generating function is coefficientwise at most
+    prod_s (1 - q^s)^-k, k the most factors any one size carries (k <= 2
+    for every family here), so count(n) <= exp(pi sqrt(2kn/3)).  Proof:
+    [q^n]F <= F(e^-t) e^(nt), where sum_s -log(1 - e^(-ts)) =
+    sum_m 1/(m (e^(tm) - 1)) <= pi^2/(6t); take t = pi sqrt(k/(6n)) (cf.
+    Apostol, Intro. to Analytic Number Theory, Thm 14.5).  Every factor
+    has nonnegative coefficients and constant term 1, so every
+    intermediate slot is at most its final count: w = floor(pi
+    sqrt(2k upto/3)/ln 2) + 2 bits, rounded up to whole bytes, holds
+    every slot with no carry.
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     if upto > COUNT_LIMIT:
         raise ValueError(f"upto {upto} exceeds the oracle size guard "
                          f"{COUNT_LIMIT}")
-    v = [0] * (upto + 1)
-    v[0] = 1
+    nbytes = _slot_bytes(kind, upto)
+    w = 8 * nbytes
+    top = upto * w
+    v = 1 << top
     for s in range(1, upto + 1):
+        step = s * w
         if kind.unlimited(s):
-            for j in range(s, upto + 1):
-                v[j] += v[j - s]
+            shift = step
+            while shift <= top:
+                v += v >> shift
+                shift <<= 1
         for _ in kind.once_labels(s):
-            for j in range(upto, s - 1, -1):
-                v[j] += v[j - s]
-    return tuple(v)
+            v += v >> step
+    packed = v.to_bytes((upto + 1) * nbytes, "big")
+    return tuple(int.from_bytes(packed[i:i + nbytes], "big")
+                 for i in range(0, len(packed), nbytes))
 
 
 def enumerate_small(kind: PartitionKind, n: int) -> list[tuple]:

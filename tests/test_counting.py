@@ -1,5 +1,7 @@
 """Combinatorial oracles: anchors, small enumerations, DP properties."""
 
+import functools
+
 import pytest
 
 from qcong import counting as ct
@@ -64,6 +66,56 @@ def test_count_guard():
     assert len(ct.count(ct.PLAIN_P, 0)) == 1
     with pytest.raises(ValueError, match="oracle size guard 10000"):
         ct.count(ct.OVERPARTITION, ct.COUNT_LIMIT + 1)
+
+
+ELLS = (1, 2, 3, 4, 5, 6, 8, 10, 15)
+FAMILIES = [ct.PLAIN_P, ct.OVERPARTITION, ct.DISTINCT_TWO_COPIES] + [
+    family(ell) for ell in ELLS
+    for family in (ct.L_REGULAR, ct.OVERLINED_L_REGULAR,
+                   ct.NONOVERLINED_L_REGULAR)]
+DEEP = (ct.OVERPARTITION, ct.DISTINCT_TWO_COPIES, ct.NONOVERLINED_L_REGULAR(2))
+
+
+@functools.cache
+def _element_dp(kind, upto):
+    # the element-by-element part-size DP that `count` packs into one
+    # integer: a freely repeating size updates ascending, each
+    # at-most-once copy descending.  Index j reads only indices below it,
+    # so the table to upto holds every shorter table as its prefix
+    v = [0] * (upto + 1)
+    v[0] = 1
+    for s in range(1, upto + 1):
+        if kind.unlimited(s):
+            for j in range(s, upto + 1):
+                v[j] += v[j - s]
+        for _ in kind.once_labels(s):
+            for j in range(upto, s - 1, -1):
+                v[j] += v[j - s]
+    return tuple(v)
+
+
+def _deepest(kind):
+    return 3000 if kind in DEEP else 1000
+
+
+@pytest.mark.parametrize("kind", FAMILIES, ids=str)
+def test_packed_dp_matches_element_dp(kind):
+    reference = _element_dp(kind, _deepest(kind))
+    for upto in (0, 1, 2, 3, 300, 1000, _deepest(kind)):
+        assert ct.count(kind, upto) == reference[:upto + 1], upto
+
+
+@pytest.mark.parametrize("kind", FAMILIES, ids=str)
+def test_slot_width_holds_every_count(kind):
+    # the width bound, swept to the deepest table the differential test
+    # builds: every upto to 64, where the margin is a few bits, then every
+    # 50th (a slot that held a larger count would carry into its neighbour)
+    reference = _element_dp(kind, _deepest(kind))
+    widest = 0
+    for upto, value in enumerate(reference):
+        widest = max(widest, value.bit_length())
+        if upto <= 64 or upto % 50 == 0:
+            assert 8 * ct._slot_bytes(kind, upto) > widest, upto
 
 
 def test_oracle_vs_series_sample():
