@@ -5,8 +5,12 @@ The DP runs on one packed integer: the table for n = 0..upto sits in a
 single Python int, slot j (the count of j) at bits (upto - j)*w, so
 multiplying by q^s is a right shift by s*w that also drops every term
 past upto.  Each part size then costs a few whole-table big-int
-additions instead of upto element additions.  The slot width w comes
-from a bound on the counts (see `count`), so no slot ever carries.
+additions instead of upto element additions, and every factor 1 + q^e
+with e > upto/2 waits for one late pass, where it costs upto - e slots
+(no two such factors meet below upto).  The slot width w comes from a
+bound on the counts, exp(pi sqrt(2kn/3)) with k = U + L/2 for U freely
+repeating factors and L at-most-once labels per size (see `count`), so
+no slot ever carries.
 
 Deliberately independent of the series engine (no shared arithmetic):
 these tables are what the generating-function expansions are checked
@@ -22,10 +26,11 @@ from collections import namedtuple
 
 ENUMERATION_LIMIT = 12
 
-# largest upto `count` builds: the DP takes about 2*upto whole-table
-# steps on upto*w bits, w ~ sqrt(upto), so plain partitions to 10^4 take
-# 4.0-6.2 s and to 2*10^4 33 s, overpartitions to 10^4 9.4-13 s (2-vCPU
-# Xeon VM, CPython 3.11); the suite counts to 1000
+# largest upto `count` builds: the DP takes about upto whole-table steps
+# (1.5*upto for overpartitions) and one late pass on upto*w bits, w ~
+# sqrt(upto), so plain partitions to 10^4 take 2.6-2.8 s and to 2*10^4
+# 14 s, overpartitions to 10^4 4.1-4.7 s, doubled distinct partitions
+# 2.2-2.6 s (2-vCPU Xeon VM, CPython 3.11); the suite counts to 1000
 COUNT_LIMIT = 10_000
 
 
@@ -104,10 +109,14 @@ def NONOVERLINED_L_REGULAR(ell: int) -> PartitionKind:
 
 def _slot_bytes(kind: PartitionKind, upto: int) -> int:
     """Bytes per slot of `count`'s packed table: every count of n <= upto
-    is at most exp(pi sqrt(2k upto/3)), k the most factors one size has."""
-    k = max((kind.unlimited(s) + len(kind.once_labels(s))
-             for s in range(1, upto + 1)), default=0)
-    bits = math.floor(math.pi * math.sqrt(2 * k * upto / 3) / math.log(2)) + 2
+    is at most exp(pi sqrt(2k upto/3)), k = U + L/2 with U the most
+    freely repeating factors and L the most at-most-once labels any one
+    size has (proof in `count`)."""
+    sizes = range(1, upto + 1)
+    repeat = max((kind.unlimited(s) for s in sizes), default=0)
+    labels = max((len(kind.once_labels(s)) for s in sizes), default=0)
+    two_k = 2 * repeat + labels
+    bits = math.floor(math.pi * math.sqrt(two_k * upto / 3) / math.log(2)) + 2
     return -(-bits // 8)
 
 
@@ -116,25 +125,35 @@ def count(kind: PartitionKind, upto: int) -> tuple[int, ...]:
     """Exact counts for n = 0..upto, index n holding the count of n, by
     part-size DP, computed once per (kind, upto): tables are immutable.
 
-    Each size s contributes its factors independently, each a step on
-    the packed table v (slot j at bits (upto - j)*w, so v >> s*w is v
-    times q^s truncated at upto):
-    - an at-most-once decorated copy is 1 + q^s: v += v >> s*w, which
-      reads the old values, as a descending element loop does;
+    Each size s contributes its factors independently, each a factor
+    1 + q^e, that is a step v += v >> e*w on the packed table v (slot j
+    at bits (upto - j)*w, so v >> e*w is v times q^e truncated at upto):
+    - an at-most-once decorated copy is 1 + q^s; the step reads the old
+      values, as a descending element loop does;
     - a freely repeating size is 1/(1 - q^s) = (1 + q^s)(1 + q^2s)
-      (1 + q^4s)...: v += v >> shift for shift = s*w, 2s*w, 4s*w, ...
-      while shift <= upto*w.
+      (1 + q^4s)..., one step for e = s, 2s, 4s, ... while e <= upto.
+
+    Late factors: any two factors with e > upto/2 multiply past upto, so
+    modulo q^(upto+1) their product is 1 + sum_e late[e] q^e, late[e]
+    the number of them at e: a label of a size past upto/2, and the last
+    doubling step of each freely repeating size.  The steps commute, so
+    those are applied once, after every other step, as
+    v += sum_e late[e] (v >> e*w), the sum taken from the largest e down
+    so that each term costs upto - e slots, not a whole-table add.
 
     Width: the generating function is coefficientwise at most
-    prod_s (1 - q^s)^-k, k the most factors any one size carries (k <= 2
-    for every family here), so count(n) <= exp(pi sqrt(2kn/3)).  Proof:
-    [q^n]F <= F(e^-t) e^(nt), where sum_s -log(1 - e^(-ts)) =
-    sum_m 1/(m (e^(tm) - 1)) <= pi^2/(6t); take t = pi sqrt(k/(6n)) (cf.
-    Apostol, Intro. to Analytic Number Theory, Thm 14.5).  Every factor
-    has nonnegative coefficients and constant term 1, so every
-    intermediate slot is at most its final count: w = floor(pi
-    sqrt(2k upto/3)/ln 2) + 2 bits, rounded up to whole bytes, holds
-    every slot with no carry.
+    prod_s (1 - q^s)^-U (1 + q^s)^L, U the most freely repeating factors
+    and L the most labels any one size carries, so with k = U + L/2
+    (k <= 3/2 for every family here) count(n) <= exp(pi sqrt(2kn/3)).
+    Proof: [q^n]F <= F(e^-t) e^(nt), where sum_s -log(1 - e^(-ts)) =
+    sum_m 1/(m (e^(tm) - 1)) <= pi^2/(6t), and sum_s log(1 + e^(-ts))
+    <= integral_0^inf log(1 + e^(-tx)) dx = pi^2/(12t), as the summand
+    decreases in s; take t = pi sqrt(k/(6n)) (cf. Apostol, Intro. to
+    Analytic Number Theory, Thm 14.5).  Every factor has nonnegative
+    coefficients and constant term 1, so every intermediate slot, and
+    every slot of the late sum, is at most its final count: w =
+    floor(pi sqrt(2k upto/3)/ln 2) + 2 bits, rounded up to whole bytes,
+    holds every slot with no carry.
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
@@ -143,17 +162,25 @@ def count(kind: PartitionKind, upto: int) -> tuple[int, ...]:
                          f"{COUNT_LIMIT}")
     nbytes = _slot_bytes(kind, upto)
     w = 8 * nbytes
-    top = upto * w
-    v = 1 << top
+    v = 1 << upto * w
+    late = [0] * (upto + 1)
     for s in range(1, upto + 1):
-        step = s * w
         if kind.unlimited(s):
-            shift = step
-            while shift <= top:
-                v += v >> shift
-                shift <<= 1
+            e = s
+            while 2 * e <= upto:
+                v += v >> e * w
+                e <<= 1
+            late[e] += 1
         for _ in kind.once_labels(s):
-            v += v >> step
+            if 2 * s <= upto:
+                v += v >> s * w
+            else:
+                late[s] += 1
+    tail = 0
+    for e in range(upto, upto // 2, -1):
+        if late[e]:
+            tail += late[e] * (v >> e * w)
+    v += tail
     packed = v.to_bytes((upto + 1) * nbytes, "big")
     return tuple(int.from_bytes(packed[i:i + nbytes], "big")
                  for i in range(0, len(packed), nbytes))

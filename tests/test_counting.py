@@ -62,7 +62,8 @@ def test_enumeration_guard():
 
 
 def test_count_guard():
-    # the DP is quadratic in upto, so every caller meets the same cap
+    # the DP takes about upto^2.5 bit operations, so every caller meets
+    # the same cap
     assert len(ct.count(ct.PLAIN_P, 0)) == 1
     with pytest.raises(ValueError, match="oracle size guard 10000"):
         ct.count(ct.OVERPARTITION, ct.COUNT_LIMIT + 1)
@@ -100,8 +101,15 @@ def _deepest(kind):
 
 @pytest.mark.parametrize("kind", FAMILIES, ids=str)
 def test_packed_dp_matches_element_dp(kind):
-    reference = _element_dp(kind, _deepest(kind))
-    for upto in (0, 1, 2, 3, 300, 1000, _deepest(kind)):
+    # every upto to 64 and each side of every power of two: which factors
+    # go to the late pass (e > upto/2), and whether upto/2 is itself a
+    # factor, move with upto
+    deepest = _deepest(kind)
+    reference = _element_dp(kind, deepest)
+    uptos = {*range(65), 300, 1000, deepest}
+    for k in range(6, deepest.bit_length()):
+        uptos |= {2**k - 1, 2**k, 2**k + 1}
+    for upto in sorted(u for u in uptos if u <= deepest):
         assert ct.count(kind, upto) == reference[:upto + 1], upto
 
 
@@ -116,6 +124,15 @@ def test_slot_width_holds_every_count(kind):
         widest = max(widest, value.bit_length())
         if upto <= 64 or upto % 50 == 0:
             assert 8 * ct._slot_bytes(kind, upto) > widest, upto
+
+
+def test_slot_bytes_weight_labels_half():
+    # k = U + L/2 (a label's 1 + q^s weighs half a freely repeating
+    # size): doubled distinct partitions have k = 1, overpartitions 3/2
+    assert ct._slot_bytes(ct.DISTINCT_TWO_COPIES, 1000) == 15
+    assert ct._slot_bytes(ct.OVERPARTITION, 1000) == 19
+    assert ct._slot_bytes(ct.DISTINCT_TWO_COPIES, 3000) == 26
+    assert ct._slot_bytes(ct.OVERPARTITION, 3000) == 32
 
 
 def test_oracle_vs_series_sample():
