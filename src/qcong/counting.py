@@ -34,6 +34,22 @@ ENUMERATION_LIMIT = 12
 COUNT_LIMIT = 10_000
 
 
+# each family's rule per part size s, (repeats freely, labels of its
+# at-most-once decorated copies): the first for every s that ell does
+# not divide, the second, in an ell family only, for every s it divides
+_RULES = {
+    "plain": ((True, ()),),
+    "overpartition": ((True, ("~",)),),
+    "l-regular": ((True, ()), (False, ())),
+    "overlined-l-regular": ((True, ("~",)), (True, ())),
+    "nonoverlined-l-regular": ((True, ("~",)), (False, ("~",))),
+    "distinct-two-copies": ((False, ("a", "b")),),
+}
+
+# family -> whether it takes an ell
+KINDS = {family: len(rules) == 2 for family, rules in _RULES.items()}
+
+
 class PartitionKind(namedtuple("PartitionKind", "family ell")):
     """A family of decorated partitions.
 
@@ -48,43 +64,21 @@ class PartitionKind(namedtuple("PartitionKind", "family ell")):
         if family not in KINDS:
             raise ValueError(f"unknown partition family {family!r}")
         needs_ell = KINDS[family]
-        if needs_ell and (ell is None or ell < 1):
-            raise ValueError(f"{family} needs a positive ell, got {ell}")
+        if needs_ell and not (isinstance(ell, int) and ell >= 1):
+            raise ValueError(f"{family} needs a positive int ell, "
+                             f"got {ell!r}")
         if not needs_ell and ell is not None:
             raise ValueError(f"{family} takes no ell parameter")
         return super().__new__(cls, family, ell)
 
-    # -- factor structure: which part sizes repeat freely, and which
-    #    carry at-most-once decorated copies --------------------------------
-
-    def unlimited(self, s: int) -> bool:
-        if self.family in ("plain", "overpartition", "overlined-l-regular"):
-            return True
-        if self.family in ("l-regular", "nonoverlined-l-regular"):
-            return s % self.ell != 0
-        return False  # distinct-two-copies: nothing repeats freely
-
-    def once_labels(self, s: int) -> tuple[str, ...]:
-        if self.family in ("overpartition", "nonoverlined-l-regular"):
-            return ("~",)
-        if self.family == "overlined-l-regular":
-            return ("~",) if s % self.ell != 0 else ()
-        if self.family == "distinct-two-copies":
-            return ("a", "b")
-        return ()
+    def rule(self, s: int) -> tuple[bool, tuple[str, ...]]:
+        """Part size s's rule: whether s repeats freely, and the labels
+        of its at-most-once decorated copies."""
+        return _RULES[self.family][self.ell is not None and s % self.ell == 0]
 
     def __str__(self) -> str:
         return self.family if self.ell is None else f"{self.family}({self.ell})"
 
-
-KINDS = {
-    "plain": False,
-    "overpartition": False,
-    "l-regular": True,
-    "overlined-l-regular": True,
-    "nonoverlined-l-regular": True,
-    "distinct-two-copies": False,
-}
 
 PLAIN_P = PartitionKind("plain")
 OVERPARTITION = PartitionKind("overpartition")
@@ -111,10 +105,11 @@ def _slot_bytes(kind: PartitionKind, upto: int) -> int:
     """Bytes per slot of `count`'s packed table: every count of n <= upto
     is at most exp(pi sqrt(2k upto/3)), k = U + L/2 with U the most
     freely repeating factors and L the most at-most-once labels any one
-    size has (proof in `count`)."""
-    sizes = range(1, upto + 1)
-    repeat = max((kind.unlimited(s) for s in sizes), default=0)
-    labels = max((len(kind.once_labels(s)) for s in sizes), default=0)
+    size has (proof in `count`).  Sizes 1 and ell meet every rule that
+    occurs at sizes 1..upto: 1 has the rule off ell unless ell = 1."""
+    rules = [kind.rule(s) for s in {1, kind.ell or 1} if s <= upto]
+    repeat = max((r for r, _ in rules), default=0)
+    labels = max((len(l) for _, l in rules), default=0)
     two_k = 2 * repeat + labels
     bits = math.floor(math.pi * math.sqrt(two_k * upto / 3) / math.log(2)) + 2
     return -(-bits // 8)
@@ -125,21 +120,21 @@ def count(kind: PartitionKind, upto: int) -> tuple[int, ...]:
     """Exact counts for n = 0..upto, index n holding the count of n, by
     part-size DP, computed once per (kind, upto): tables are immutable.
 
-    Each size s contributes its factors independently, each a factor
-    1 + q^e, that is a step v += v >> e*w on the packed table v (slot j
-    at bits (upto - j)*w, so v >> e*w is v times q^e truncated at upto):
-    - an at-most-once decorated copy is 1 + q^s; the step reads the old
-      values, as a descending element loop does;
-    - a freely repeating size is 1/(1 - q^s) = (1 + q^s)(1 + q^2s)
-      (1 + q^4s)..., one step for e = s, 2s, 4s, ... while e <= upto.
+    Each size s contributes factors 1 + q^e by its rule
+    (`PartitionKind.rule`): e = s once per at-most-once label, and
+    e = s, 2s, 4s, ... <= upto for a freely repeating size, as 1/(1 - q^s)
+    = (1 + q^s)(1 + q^2s)(1 + q^4s)...; factors[e] counts them at e.
+    They commute, so they are applied by e: one with 2e <= upto is a step
+    v += v >> e*w on the packed table v (slot j at bits (upto - j)*w, so
+    v >> e*w is v times q^e truncated at upto), which reads the old
+    values, as a descending element loop does.
 
     Late factors: any two factors with e > upto/2 multiply past upto, so
-    modulo q^(upto+1) their product is 1 + sum_e late[e] q^e, late[e]
-    the number of them at e: a label of a size past upto/2, and the last
-    doubling step of each freely repeating size.  The steps commute, so
-    those are applied once, after every other step, as
-    v += sum_e late[e] (v >> e*w), the sum taken from the largest e down
-    so that each term costs upto - e slots, not a whole-table add.
+    modulo q^(upto+1) their product is 1 + sum_e factors[e] q^e over
+    e > upto/2 (a label of a size past upto/2, the last doubling of a
+    freely repeating size).  It is applied once, after every other step,
+    as v += sum_e factors[e] (v >> e*w), the sum taken from the largest
+    e down so that each term costs upto - e slots, not a whole-table add.
 
     Width: the generating function is coefficientwise at most
     prod_s (1 - q^s)^-U (1 + q^s)^L, U the most freely repeating factors
@@ -163,23 +158,20 @@ def count(kind: PartitionKind, upto: int) -> tuple[int, ...]:
     nbytes = _slot_bytes(kind, upto)
     w = 8 * nbytes
     v = 1 << upto * w
-    late = [0] * (upto + 1)
+    factors = [0] * (upto + 1)   # how many factors 1 + q^e at each e
     for s in range(1, upto + 1):
-        if kind.unlimited(s):
-            e = s
-            while 2 * e <= upto:
-                v += v >> e * w
-                e <<= 1
-            late[e] += 1
-        for _ in kind.once_labels(s):
-            if 2 * s <= upto:
-                v += v >> s * w
-            else:
-                late[s] += 1
+        repeats, labels = kind.rule(s)
+        factors[s] += len(labels)
+        if repeats:
+            for i in range((upto // s).bit_length()):
+                factors[s << i] += 1
+    for e in range(1, upto // 2 + 1):
+        for _ in range(factors[e]):
+            v += v >> e * w
     tail = 0
     for e in range(upto, upto // 2, -1):
-        if late[e]:
-            tail += late[e] * (v >> e * w)
+        if factors[e]:
+            tail += factors[e] * (v >> e * w)
     v += tail
     packed = v.to_bytes((upto + 1) * nbytes, "big")
     return tuple(int.from_bytes(packed[i:i + nbytes], "big")
@@ -207,8 +199,8 @@ def enumerate_small(kind: PartitionKind, n: int) -> list[tuple]:
             return
         if s == 0:
             return
-        labels = kind.once_labels(s)
-        max_plain = remaining // s if kind.unlimited(s) else 0
+        repeats, labels = kind.rule(s)
+        max_plain = remaining // s if repeats else 0
         for c in range(max_plain + 1):
             used = c * s
             base = acc + [(s, "")] * c

@@ -667,16 +667,20 @@ class EtaQuotient(namedtuple("EtaQuotient", "factors")):
 
     @classmethod
     def parse(cls, text: str) -> "EtaQuotient":
-        """Parse "2:1,5:1,1:-2" style factor lists."""
+        """Parse "2:1,5:1,1:-2" style factor lists; "" and "1" are the
+        empty product, and any other spec needs an h:e factor."""
         if text.strip() in ("", "1"):
             return cls([])
         pairs = []
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in filter(None, map(str.strip, text.split(","))):
             h, _, e = item.partition(":")
-            pairs.append((int(h), int(e)))
+            try:
+                pairs.append((int(h), int(e)))
+            except ValueError:
+                raise ValueError(
+                    f"factor {item!r} is not of the form h:e") from None
+        if not pairs:
+            raise ValueError(f"{text!r} has no h:e factor")
         return cls(pairs)
 
     def __str__(self) -> str:

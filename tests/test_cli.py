@@ -65,8 +65,11 @@ def test_expand_serialization_forms(capsys):
 
 
 def test_expand_bad_eta(capsys):
-    assert run(["expand", "--eta", "not-a-spec", "--order", "8"]) == 2
-    assert "bad --eta" in capsys.readouterr().err
+    # a spec with no factor, or a factor that is not h:e, is refused
+    for spec in ("not-a-spec", ",", "2", "2:x"):
+        assert run(["expand", "--eta", spec, "--order", "8"]) == 2, spec
+        err = capsys.readouterr().err
+        assert "bad --eta value" in err and "h:e" in err, spec
 
 
 @pytest.mark.parametrize("modulus", ["0", "-3"])

@@ -35,7 +35,11 @@ def test_enumeration_matches_dp_counts():
     kinds = [ct.PLAIN_P, ct.OVERPARTITION, ct.DISTINCT_TWO_COPIES,
              ct.L_REGULAR(2), ct.L_REGULAR(3),
              ct.OVERLINED_L_REGULAR(3), ct.NONOVERLINED_L_REGULAR(3),
-             ct.NONOVERLINED_L_REGULAR(4)]
+             ct.NONOVERLINED_L_REGULAR(4),
+             # ell 1 (every size on ell), ell past n (none) and ell 2
+             ct.L_REGULAR(1), ct.OVERLINED_L_REGULAR(1),
+             ct.OVERLINED_L_REGULAR(2), ct.NONOVERLINED_L_REGULAR(1),
+             ct.L_REGULAR(20)]
     for kind in kinds:
         table = ct.count(kind, 8)
         for n in range(9):
@@ -86,10 +90,11 @@ def _element_dp(kind, upto):
     v = [0] * (upto + 1)
     v[0] = 1
     for s in range(1, upto + 1):
-        if kind.unlimited(s):
+        repeats, labels = kind.rule(s)
+        if repeats:
             for j in range(s, upto + 1):
                 v[j] += v[j - s]
-        for _ in kind.once_labels(s):
+        for _ in labels:
             for j in range(upto, s - 1, -1):
                 v[j] += v[j - s]
     return tuple(v)
@@ -133,6 +138,16 @@ def test_slot_bytes_weight_labels_half():
     assert ct._slot_bytes(ct.OVERPARTITION, 1000) == 19
     assert ct._slot_bytes(ct.DISTINCT_TWO_COPIES, 3000) == 26
     assert ct._slot_bytes(ct.OVERPARTITION, 3000) == 32
+    # only the rules that occur at sizes 1..upto count: ell = 1 has no
+    # size off ell, an ell past upto no size on it, and upto 0 no size
+    for kind, nbytes in ((ct.L_REGULAR(1), 1),
+                         (ct.OVERLINED_L_REGULAR(1), 15),
+                         (ct.NONOVERLINED_L_REGULAR(1), 11),
+                         (ct.NONOVERLINED_L_REGULAR(5000), 19),
+                         (ct.L_REGULAR(2000), 15)):
+        assert ct._slot_bytes(kind, 1000) == nbytes, kind
+    assert ct._slot_bytes(ct.PLAIN_P, 0) == 1
+    assert ct._slot_bytes(ct.L_REGULAR(3), 0) == 1
 
 
 def test_oracle_vs_series_sample():
@@ -179,6 +194,9 @@ def test_kind_validation():
         ct.PartitionKind("no-such-family", None)
     with pytest.raises(ValueError):
         ct.PartitionKind("plain", 3)   # plain takes no ell
+    for ell in (2.5, "3"):             # ell must be an int
+        with pytest.raises(ValueError, match=f"got {ell!r}"):
+            ct.PartitionKind("l-regular", ell)
 
 
 def test_count_table_shape():
